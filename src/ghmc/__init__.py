@@ -28,7 +28,6 @@ from .integrator import (
     generalized_leapfrog_step,
     hamiltonian,
     integrate,
-    leapfrog_step,
     reflect_momentum,
     volume_check,
 )
@@ -43,9 +42,6 @@ from .metric import (
     BackgroundMetric,
     ConstantMetric,
     GraphMetric,
-    christoffel,
-    corrected_potential_grad,
-    metric_inverse,
 )
 from .model import (
     Constraint,
@@ -92,8 +88,6 @@ __all__ = [
     "ValidationError",
     "builtin_target",
     "catalog_entries",
-    "christoffel",
-    "corrected_potential_grad",
     "effective_sample_size",
     "euclidean_quadratic",
     "flow_derivatives",
@@ -102,8 +96,6 @@ __all__ = [
     "hamiltonian",
     "hmc_transition",
     "integrate",
-    "leapfrog_step",
-    "metric_inverse",
     "potential_eval",
     "potential_grad",
     "reflect_momentum",

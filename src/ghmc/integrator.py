@@ -1,11 +1,12 @@
 """Symplectic integration of the sampling dynamics, with boundary reflections.
 
-Two integrators cover the two kinetic families: the explicit leapfrog for
-position-independent kinetic energies (separable Hamiltonians) and a
-generalized leapfrog for position-dependent ones, whose first half-kick and
-drift are implicit equations solved by fixed-point iteration.  Both are
-symmetric second-order maps, hence reversible and volume-preserving, which is
-what the Metropolis correction in the sampler assumes.
+One step kernel serves both kinetic families: the generalized leapfrog, whose
+first half-kick and drift are implicit equations solved by fixed-point
+iteration.  For a position-independent kinetic energy (a separable
+Hamiltonian) those equations are explicit, so the kernel skips the iteration
+and performs the plain kick-drift-kick leapfrog.  The step is a symmetric
+second-order map, hence reversible and volume-preserving, which is what the
+Metropolis correction in the sampler assumes.
 
 Strict inequality constraints are handled inside the drift: when a constraint
 function changes sign across a drift substep, the crossing is located by
@@ -16,8 +17,9 @@ any kinetic energy built on the quadratic form p.Lam p exactly, so only the
 discretization of the partial steps contributes to the energy error.
 
 Numerical failures (non-convergent implicit solves, too many reflections in
-one step, non-finite energy) raise DivergenceError; the sampler treats that
-as an automatic rejection, equivalent to proposing a state of infinite energy.
+one step, an infeasible iterate, a degenerate normal, non-finite values) raise
+DivergenceError from ``integrate``; the sampler treats that as an automatic
+rejection, equivalent to proposing a state of infinite energy.
 """
 
 import math
@@ -26,7 +28,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError, GeometryError, UsageError
+from .errors import (
+    ConstraintViolationError,
+    DivergenceError,
+    GeometryError,
+    NumericError,
+    UsageError,
+)
 from .model import TargetModel, as_position, potential_eval, potential_grad
 
 __all__ = [
@@ -36,7 +44,6 @@ __all__ = [
     "Trajectory",
     "hamiltonian",
     "flow_derivatives",
-    "leapfrog_step",
     "generalized_leapfrog_step",
     "reflect_momentum",
     "integrate",
@@ -134,73 +141,19 @@ def reflect_momentum(p, dc, lam) -> np.ndarray:
     return p - (2.0 * float(lam_dc @ p) / norm2) * dc
 
 
-def leapfrog_step(model: TargetModel, kinetic, q, p, step_size: float):
-    """One kick-drift-kick step for a position-independent kinetic energy."""
-    if kinetic.position_dependent:
-        raise UsageError("leapfrog_step requires a position-independent kinetic energy")
-    q = as_position(q, model.n)
-    p = as_position(p, model.n)
-    p = p - 0.5 * step_size * potential_grad(model, q)
-    q = q + step_size * kinetic.grad_p(q, p)
-    p = p - 0.5 * step_size * potential_grad(model, q)
-    return q, p
-
-
-def _implicit_momentum_update(kinetic, q, p, dv, dt, fp_tol, fp_max_iter):
-    # solve x = p - dt*(dv + grad_q(q, x)) by fixed-point iteration
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = p - dt * (dv + kinetic.grad_q(q, p))
-        for _ in range(fp_max_iter):
-            if not np.all(np.isfinite(x)):
-                break
-            x_new = p - dt * (dv + kinetic.grad_q(q, x))
-            delta = float(np.max(np.abs(x_new - x)))
-            x = x_new
-            if delta <= fp_tol:
-                return x
-    raise DivergenceError("implicit momentum update did not converge")
-
-
-def _implicit_position_update(kinetic, q, p, u0, dt, fp_tol, fp_max_iter):
-    # solve y = q + dt/2*(u0 + grad_p(y, p)) by fixed-point iteration
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = q + dt * u0
-        for _ in range(fp_max_iter):
-            if not np.all(np.isfinite(y)):
-                break
-            y_new = q + 0.5 * dt * (u0 + kinetic.grad_p(y, p))
-            delta = float(np.max(np.abs(y_new - y)))
-            y = y_new
-            if delta <= fp_tol:
-                return y
-    raise DivergenceError("implicit position update did not converge")
-
-
-def generalized_leapfrog_step(
-    model: TargetModel,
-    kinetic,
-    q,
-    p,
-    step_size: float,
-    fp_tol: float = 1e-10,
-    fp_max_iter: int = 100,
-):
-    """One implicit kick / implicit drift / explicit kick step.
-
-    The symmetric composition makes the map second order and reversible up to
-    the fixed-point tolerance; with a constant metric every implicit equation
-    becomes explicit and the step reduces to the plain leapfrog.
-    """
-    q = as_position(q, model.n)
-    p = as_position(p, model.n)
-    dv = potential_grad(model, q)
-    p_half = _implicit_momentum_update(kinetic, q, p, dv, 0.5 * step_size, fp_tol, fp_max_iter)
-    u0 = kinetic.grad_p(q, p_half)
-    q_new = _implicit_position_update(kinetic, q, p_half, u0, step_size, fp_tol, fp_max_iter)
-    p_new = p_half - 0.5 * step_size * (
-        potential_grad(model, q_new) + kinetic.grad_q(q_new, p_half)
-    )
-    return q_new, p_new
+def _solve(update, x0, config, what):
+    # iterate x = update(x) from the first iterate x0 until successive
+    # iterates agree within fp_tol
+    x = x0
+    for _ in range(config.fp_max_iter):
+        if not np.all(np.isfinite(x)):
+            break
+        x_new = update(x)
+        delta = float(np.max(np.abs(x_new - x)))
+        x = x_new
+        if delta <= config.fp_tol:
+            return x
+    raise DivergenceError(f"implicit {what} update did not converge")
 
 
 def _bisect_crossing(c_fun, s_hi, tol, max_iter=120):
@@ -229,11 +182,26 @@ def _first_crossing(model, path, q_end, s_total, tol):
     return min(hits) if hits else None
 
 
-def _drift_with_events(model, kinetic, q, p, dt, config, make_path, events, step_index):
-    remaining = dt
+def _drift_with_events(model, kinetic, q, p, config, implicit, events, step_index):
+    remaining = config.step_size
     n_events = 0
     while True:
-        path = make_path(q, p)
+        q0, p0 = q, p
+        u0 = kinetic.grad_p(q0, p0)
+
+        def path(s):
+            # solves y = q0 + s/2 (u0 + grad_p(y, p0)); explicit when grad_p
+            # does not depend on y
+            if s <= 0.0:
+                return q0
+            y = q0 + s * u0
+            if implicit:
+                def drift(y):
+                    return q0 + 0.5 * s * (u0 + kinetic.grad_p(y, p0))
+
+                y = _solve(drift, y, config, "position")
+            return y
+
         q_end = path(remaining)
         hit = _first_crossing(model, path, q_end, remaining, config.reflection_tol)
         if hit is None:
@@ -262,52 +230,55 @@ def _drift_with_events(model, kinetic, q, p, dt, config, make_path, events, step
             return q, p
 
 
-def _explicit_step_reflective(model, kinetic, q, p, config, events, step_index):
+def _step(model, kinetic, q, p, config, events, step_index):
+    # Implicit kick, reflective drift, explicit kick.  A constant metric has
+    # grad_q = 0 and a q-independent grad_p, so the first iterates solve the
+    # implicit equations exactly and neither grad_q nor the solver is called.
     eps = config.step_size
-    p = p - 0.5 * eps * potential_grad(model, q)
-
-    def make_path(q0, p0):
-        v = kinetic.grad_p(q0, p0)  # constant along the drift
-        return lambda s: q0 + s * v
-
-    q, p = _drift_with_events(model, kinetic, q, p, eps, config, make_path, events, step_index)
-    p = p - 0.5 * eps * potential_grad(model, q)
-    return q, p
-
-
-def _generalized_step_reflective(model, kinetic, q, p, config, events, step_index):
-    eps = config.step_size
+    implicit = kinetic.position_dependent
     dv = potential_grad(model, q)
-    p_half = _implicit_momentum_update(
-        kinetic, q, p, dv, 0.5 * eps, config.fp_tol, config.fp_max_iter
-    )
+    if implicit:
+        def kick(x):
+            return p - 0.5 * eps * (dv + kinetic.grad_q(q, x))
 
-    def make_path(q0, p0):
-        u0 = kinetic.grad_p(q0, p0)
+        p_half = _solve(kick, kick(p), config, "momentum")
+    else:
+        p_half = p - 0.5 * eps * dv
+    q, p = _drift_with_events(model, kinetic, q, p_half, config, implicit, events, step_index)
+    dv = potential_grad(model, q)
+    if implicit:
+        dv = dv + kinetic.grad_q(q, p)
+    return q, p - 0.5 * eps * dv
 
-        def path(s):
-            if s <= 0.0:
-                return q0
-            return _implicit_position_update(
-                kinetic, q0, p0, u0, s, config.fp_tol, config.fp_max_iter
-            )
 
-        return path
+def generalized_leapfrog_step(
+    model: TargetModel,
+    kinetic,
+    q,
+    p,
+    step_size: float,
+    fp_tol: float = 1e-10,
+    fp_max_iter: int = 100,
+):
+    """One implicit kick / implicit drift / explicit kick step, with reflections.
 
-    q_new, p_half = _drift_with_events(
-        model, kinetic, q, p_half, eps, config, make_path, events, step_index
-    )
-    p_new = p_half - 0.5 * eps * (
-        potential_grad(model, q_new) + kinetic.grad_q(q_new, p_half)
-    )
-    return q_new, p_new
+    The symmetric composition makes the map second order and reversible up to
+    the fixed-point tolerance; with a constant metric every implicit equation
+    becomes explicit and the step reduces to the plain leapfrog.
+    """
+    q = as_position(q, model.n)
+    p = as_position(p, model.n)
+    config = IntegratorConfig(step_size, 1, fp_tol=fp_tol, fp_max_iter=fp_max_iter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _step(model, kinetic, q, p, config, [], 0)
 
 
 def integrate(model: TargetModel, kinetic, state: PhaseState, config: IntegratorConfig) -> Trajectory:
-    """Run num_steps of the appropriate leapfrog, reflecting off constraints.
+    """Run num_steps leapfrog steps, reflecting off constraints.
 
     Raises UsageError when the initial state has infinite energy and
-    DivergenceError when the trajectory fails numerically.
+    DivergenceError when the trajectory fails numerically, including a step
+    that evaluates the model at an infeasible point.
     """
     q = as_position(state.q, model.n).copy()
     p = as_position(state.p, model.n).copy()
@@ -320,10 +291,10 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
     for step in range(config.num_steps):
         # blowups surface as a divergence signal, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            if kinetic.position_dependent:
-                q, p = _generalized_step_reflective(model, kinetic, q, p, config, events, step)
-            else:
-                q, p = _explicit_step_reflective(model, kinetic, q, p, config, events, step)
+            try:
+                q, p = _step(model, kinetic, q, p, config, events, step)
+            except (ConstraintViolationError, GeometryError, NumericError) as exc:
+                raise DivergenceError(str(exc)) from exc
             if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
                 raise DivergenceError("non-finite state during integration")
             h = hamiltonian(model, kinetic, q, p)
@@ -356,13 +327,9 @@ def volume_check(
     n = model.n
 
     def step_map(z):
-        qq, pp = z[:n], z[n:]
-        if kinetic.position_dependent:
-            q2, p2 = generalized_leapfrog_step(
-                model, kinetic, qq, pp, step_size, fp_tol, fp_max_iter
-            )
-        else:
-            q2, p2 = leapfrog_step(model, kinetic, qq, pp, step_size)
+        q2, p2 = generalized_leapfrog_step(
+            model, kinetic, z[:n], z[n:], step_size, fp_tol, fp_max_iter
+        )
         return np.concatenate([q2, p2])
 
     z0 = np.concatenate([q, p])

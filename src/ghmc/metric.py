@@ -32,9 +32,6 @@ __all__ = [
     "MetricState",
     "ConstantMetric",
     "GraphMetric",
-    "corrected_potential_grad",
-    "metric_inverse",
-    "christoffel",
 ]
 
 
@@ -159,17 +156,9 @@ class GraphMetric:
     def n(self) -> int:
         return self.model.n
 
-    def corrected_grad(self, q) -> np.ndarray:
-        """Gradient of the volume-corrected potential V + log|sigma|/2.
-
-        The background is homogeneous, so the correction is constant and this
-        equals the plain potential gradient.
-        """
-        return potential_grad(self.model, q)
-
     def state_at(self, q, with_hessian: bool = False) -> MetricState:
         q = as_position(q, self.n)
-        g = self.corrected_grad(q)
+        g = potential_grad(self.model, q)
         if not np.all(np.isfinite(g)):
             raise NumericError("potential gradient is non-finite; metric undefined")
         g_up = self.background.lam @ g
@@ -195,7 +184,7 @@ class GraphMetric:
         draw at O(n^2) without factorizing the updated matrix.
         """
         q = as_position(q, self.n)
-        g = self.corrected_grad(q)
+        g = potential_grad(self.model, q)
         z1 = rng.standard_normal(self.n)
         z2 = rng.standard_normal()
         return self.background.chol_sigma @ z1 + g * z2
@@ -204,23 +193,3 @@ class GraphMetric:
         """Connection coefficients G[i, j, k] = grad_up[i] H[j, k] / denom."""
         state = self.state_at(q, with_hessian=True)
         return np.einsum("i,jk->ijk", state.grad_up / state.denom, state.hessian)
-
-
-def corrected_potential_grad(field: GraphMetric, q) -> np.ndarray:
-    """Gradient of the volume-corrected potential for a graph field."""
-    if not isinstance(field, GraphMetric):
-        raise UsageError("corrected_potential_grad applies to graph-induced fields only")
-    return field.corrected_grad(q)
-
-
-def metric_inverse(field, q):
-    """(inverse metric at q, log-determinant of the metric at q)."""
-    state = field.state_at(q)
-    return state.lam, state.logdet_sigma
-
-
-def christoffel(field, q) -> np.ndarray:
-    """Christoffel coefficients of a graph-induced field at q."""
-    if not isinstance(field, GraphMetric):
-        raise CapabilityError("Christoffel coefficients exist for graph-induced fields only")
-    return field.christoffel(q)

@@ -18,13 +18,12 @@ from ghmc.integrator import (
     generalized_leapfrog_step,
     hamiltonian,
     integrate,
-    leapfrog_step,
     reflect_momentum,
     volume_check,
 )
 from ghmc.kinetic import euclidean_quadratic, riemannian_quadratic, student_t
 from ghmc.metric import GraphMetric
-from ghmc.model import Constraint, TargetModel, builtin_target
+from ghmc.model import Constraint, TargetModel, builtin_target, potential_grad
 
 
 def _harmonic():
@@ -86,7 +85,7 @@ def test_flow_derivatives_infeasible_point_errors():
 
 def test_leapfrog_hand_checked_step():
     model, kin = _harmonic()
-    q, p = leapfrog_step(model, kin, [1.0], [0.0], 0.1)
+    q, p = generalized_leapfrog_step(model, kin, [1.0], [0.0], 0.1)
     assert q[0] == pytest.approx(0.995, abs=1e-15)
     assert p[0] == pytest.approx(-0.09975, abs=1e-15)
 
@@ -94,27 +93,34 @@ def test_leapfrog_hand_checked_step():
 def test_leapfrog_round_trip():
     model, kin = _harmonic()
     q, p = np.array([1.0]), np.array([0.0])
-    q1, p1 = leapfrog_step(model, kin, q, p, 0.1)
-    q2, p2 = leapfrog_step(model, kin, q1, -p1, 0.1)
+    q1, p1 = generalized_leapfrog_step(model, kin, q, p, 0.1)
+    q2, p2 = generalized_leapfrog_step(model, kin, q1, -p1, 0.1)
     assert abs(q2[0] - q[0]) < 1e-13
     assert abs(-p2[0] - p[0]) < 1e-13
 
 
-def test_leapfrog_rejects_position_dependent_kinetics():
-    model = builtin_target("std_gaussian", n=1)
-    kin = riemannian_quadratic(GraphMetric(model))
-    with pytest.raises(UsageError):
-        leapfrog_step(model, kin, [0.5], [0.2], 0.1)
-
-
-def test_generalized_step_reduces_to_leapfrog_with_constant_metric():
+def test_constant_metric_step_is_the_textbook_kick_drift_kick():
     model = builtin_target("banana")
-    kin = euclidean_quadratic(np.array([[0.5, 0.1], [0.1, 0.8]]))
-    q, p = np.array([0.3, 0.2]), np.array([0.7, -0.4])
-    q_e, p_e = leapfrog_step(model, kin, q, p, 0.05)
-    q_i, p_i = generalized_leapfrog_step(model, kin, q, p, 0.05, 1e-12, 100)
-    np.testing.assert_allclose(q_i, q_e, atol=1e-12, rtol=0.0)
-    np.testing.assert_allclose(p_i, p_e, atol=1e-12, rtol=0.0)
+    lam = np.array([[0.5, 0.1], [0.1, 0.8]])
+    kin = euclidean_quadratic(lam)
+    q, p, eps = np.array([0.3, 0.2]), np.array([0.7, -0.4]), 0.05
+    p_half = p - 0.5 * eps * potential_grad(model, q)
+    q_new = q + eps * (lam @ p_half)
+    p_new = p_half - 0.5 * eps * potential_grad(model, q_new)
+    q_k, p_k = generalized_leapfrog_step(model, kin, q, p, eps, 1e-12, 100)
+    np.testing.assert_array_equal(q_k, q_new)
+    np.testing.assert_array_equal(p_k, p_new)
+
+
+def test_generalized_step_is_one_step_of_integrate():
+    model = builtin_target("halfspace_gaussian", n=2)
+    kin = euclidean_quadratic(np.array([[1.5, 0.3], [0.3, 0.8]]))
+    q, p = np.array([0.4, 0.0]), np.array([-1.5, 0.7])
+    traj = integrate(model, kin, PhaseState(q, p), IntegratorConfig(0.3, 1))
+    assert traj.reflection_count == 1
+    q_k, p_k = generalized_leapfrog_step(model, kin, q, p, 0.3)
+    np.testing.assert_array_equal(q_k, traj.state.q)
+    np.testing.assert_array_equal(p_k, traj.state.p)
 
 
 def test_generalized_step_tracks_the_exact_flow():
@@ -224,6 +230,32 @@ def test_reflection_event_conserves_kinetic_energy_exactly():
         before = kin.energy(event.q, event.p_before)
         after = kin.energy(event.q, event.p_after)
         assert abs(after - before) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "kin",
+    [euclidean_quadratic(np.array([[1.5, 0.3], [0.3, 0.8]])), student_t(np.eye(2))],
+    ids=["euclidean", "student-t"],
+)
+def test_round_trip_through_reflections(kin):
+    model = builtin_target("halfspace_gaussian", n=2)
+    q0, p0 = np.array([0.4, 0.0]), np.array([-1.5, 0.7])
+    cfg = IntegratorConfig(0.1, 30)
+    fwd = integrate(model, kin, PhaseState(q0, p0), cfg)
+    back = integrate(model, kin, PhaseState(fwd.state.q, -fwd.state.p), cfg)
+    assert fwd.reflection_count >= 1 and back.reflection_count >= 1
+    assert np.max(np.abs(back.state.q - q0)) <= 1e-10
+    assert np.max(np.abs(-back.state.p - p0)) <= 1e-10
+
+
+def test_infeasible_graph_iterate_is_a_divergence():
+    # the implicit drift's first iterate overshoots the boundary, where the
+    # graph metric's gradient is undefined
+    model = builtin_target("halfspace_gaussian", n=2)
+    kin = riemannian_quadratic(GraphMetric(model))
+    cfg = IntegratorConfig(0.05, 30)
+    with pytest.raises(DivergenceError):
+        integrate(model, kin, PhaseState(np.array([0.4, 0.0]), np.array([-1.5, 0.7])), cfg)
 
 
 def test_too_many_reflections_is_a_divergence():

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from ghmc.errors import CapabilityError, MetricDegeneracyError, NumericError
-from ghmc.metric import (
-    BackgroundMetric,
-    ConstantMetric,
-    GraphMetric,
-    christoffel,
-    corrected_potential_grad,
-    metric_inverse,
-)
+from ghmc.metric import BackgroundMetric, ConstantMetric, GraphMetric
 from ghmc.model import TargetModel, builtin_target, potential_grad
 from ghmc.verify import finite_difference_christoffel
 
@@ -30,7 +23,8 @@ def test_one_dimensional_example():
     # V = q^2/2, sigma = 1, q = 1: metric 1 + 1 = 2, inverse 0.5, logdet = log 2
     model = builtin_target("std_gaussian", n=1)
     field = GraphMetric(model)
-    lam, logdet = metric_inverse(field, np.array([1.0]))
+    state = field.state_at(np.array([1.0]))
+    lam, logdet = state.lam, state.logdet_sigma
     assert lam[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert logdet == pytest.approx(np.log(2.0), abs=1e-15)
 
@@ -42,7 +36,8 @@ def test_rank1_term_vanishes_at_a_mode():
     bg = BackgroundMetric.from_matrix(sigma)
     model = builtin_target("std_gaussian", n=3)
     field = GraphMetric(model, bg)
-    lam, logdet = metric_inverse(field, np.zeros(3))
+    state = field.state_at(np.zeros(3))
+    lam, logdet = state.lam, state.logdet_sigma
     np.testing.assert_allclose(lam, bg.lam, atol=1e-14)
     assert logdet == pytest.approx(bg.logdet_sigma, abs=1e-14)
 
@@ -55,7 +50,8 @@ def test_smw_identity_against_dense_inverse():
             sigma = a @ a.T + 0.5 * n * np.eye(n)
             g = rng.normal(size=n) * rng.uniform(0.2, 5.0)
             field = GraphMetric(_linear_model(n, g), BackgroundMetric.from_matrix(sigma))
-            lam, logdet = metric_inverse(field, np.zeros(n))
+            state = field.state_at(np.zeros(n))
+            lam, logdet = state.lam, state.logdet_sigma
             dense = sigma + np.outer(g, g)
             assert np.max(np.abs(lam @ dense - np.eye(n))) < 1e-10
             assert np.max(np.abs(lam - np.linalg.inv(dense))) < 1e-10
@@ -73,7 +69,7 @@ def test_dense_oracle_n20_varying_gradient():
     field = GraphMetric(model, BackgroundMetric.from_matrix(sigma))
     for _ in range(5):
         q = rng.normal(size=n)
-        lam, _ = metric_inverse(field, q)
+        lam = field.state_at(q).lam
         g = potential_grad(model, q)
         dense = np.linalg.inv(sigma + np.outer(g, g))
         assert np.max(np.abs(lam - dense)) < 1e-10
@@ -118,35 +114,24 @@ def test_constant_metric_state_and_validation():
         ConstantMetric(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def test_corrected_gradient_is_plain_gradient_for_homogeneous_background():
-    model = builtin_target("banana")
-    q = np.array([0.0, 1.0])
-    for sigma in (np.eye(2), np.diag([4.0, 0.25])):
-        field = GraphMetric(model, BackgroundMetric.from_matrix(sigma))
-        np.testing.assert_allclose(
-            corrected_potential_grad(field, q), potential_grad(model, q)
-        )
-        np.testing.assert_allclose(corrected_potential_grad(field, q), [-2.0, 200.0])
-
-
 def test_christoffel_one_dimensional_value():
     model = builtin_target("std_gaussian", n=1)
     field = GraphMetric(model)
-    gamma = christoffel(field, np.array([1.0]))
+    gamma = field.christoffel(np.array([1.0]))
     assert gamma[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_christoffel_vanishes_where_the_gradient_does():
     model = builtin_target("banana")
     field = GraphMetric(model)
-    gamma = christoffel(field, np.array([1.0, 1.0]))
+    gamma = field.christoffel(np.array([1.0, 1.0]))
     np.testing.assert_allclose(gamma, np.zeros((2, 2, 2)), atol=1e-13)
 
 
 def test_christoffel_lower_index_symmetry():
     model = builtin_target("funnel", n=3)
     field = GraphMetric(model)
-    gamma = christoffel(field, np.array([-0.5, 0.3, 0.8]))
+    gamma = field.christoffel(np.array([-0.5, 0.3, 0.8]))
     np.testing.assert_array_equal(gamma, np.swapaxes(gamma, 1, 2))
 
 
@@ -156,7 +141,7 @@ def test_christoffel_matches_finite_difference_oracle():
     rng = np.random.default_rng(15)
     for _ in range(8):
         q = np.array([rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 3.0)])
-        gamma = christoffel(field, q)
+        gamma = field.christoffel(q)
         gamma_fd = finite_difference_christoffel(field, q)
         rel = np.max(np.abs(gamma - gamma_fd)) / max(np.max(np.abs(gamma)), 1e-6)
         assert rel < 1e-4
@@ -165,7 +150,7 @@ def test_christoffel_matches_finite_difference_oracle():
 def test_christoffel_sees_every_hessian_entry():
     model = builtin_target("banana")
     q = np.array([1.05, 1.15])  # moderate gradient, so the bump is not swamped
-    gamma_base = christoffel(GraphMetric(model), q)
+    gamma_base = GraphMetric(model).christoffel(q)
 
     def bumped_hessian(qq, base=model.hessian):
         h = np.asarray(base(qq), dtype=float).copy()
@@ -180,7 +165,7 @@ def test_christoffel_sees_every_hessian_entry():
         hessian=bumped_hessian,
         name="banana-bumped",
     )
-    gamma_bumped = christoffel(GraphMetric(bumped), q)
+    gamma_bumped = GraphMetric(bumped).christoffel(q)
     assert np.max(np.abs(gamma_bumped - gamma_base)) > 1e-3
 
 
@@ -188,11 +173,6 @@ def test_graph_metric_requires_a_hessian():
     bare = TargetModel(n=1, potential=lambda q: 0.0, gradient=lambda q: np.zeros(1))
     with pytest.raises(CapabilityError):
         GraphMetric(bare)
-
-
-def test_christoffel_needs_a_graph_field():
-    with pytest.raises(CapabilityError):
-        christoffel(ConstantMetric(np.eye(2)), np.zeros(2))
 
 
 def test_non_finite_gradient_is_a_numeric_error():

@@ -7,7 +7,7 @@ import pytest
 
 from ghmc.errors import UsageError
 from ghmc.integrator import IntegratorConfig
-from ghmc.kinetic import euclidean_quadratic, riemannian_quadratic
+from ghmc.kinetic import euclidean_quadratic, riemannian_quadratic, student_t
 from ghmc.metric import GraphMetric
 from ghmc.model import TargetModel, builtin_target
 from ghmc.sampler import ChainConfig, effective_sample_size, hmc_transition, run_chain
@@ -87,6 +87,16 @@ def test_divergent_transitions_reject_and_are_counted():
     assert not np.any(res.accepted)
     # the chain never moved off its initial point
     np.testing.assert_array_equal(res.samples, np.tile(banana.initial_point, (50, 1)))
+
+
+@pytest.mark.parametrize("make", [riemannian_quadratic, student_t])
+def test_graph_metric_at_a_boundary_diverges_instead_of_raising(make):
+    # a drift iterate past the half-space boundary asks the graph metric for
+    # an undefined gradient; the chain must reject, not crash
+    model = builtin_target("halfspace_gaussian", n=2)
+    res = run_chain(model, make(GraphMetric(model)), _config(seed=3, eps=0.3, steps=10, jitter=True))
+    assert res.divergence_count > 0
+    assert np.all(res.samples[:, 0] > 0.0)
 
 
 def test_accept_rate_matches_flags():
