@@ -32,8 +32,7 @@ from .integrator import (
     volume_check,
 )
 from .kinetic import (
-    QuadraticKinetic,
-    StudentTKinetic,
+    Kinetic,
     euclidean_quadratic,
     riemannian_quadratic,
     student_t,
@@ -77,11 +76,10 @@ __all__ = [
     "GhmcError",
     "GraphMetric",
     "IntegratorConfig",
+    "Kinetic",
     "MetricDegeneracyError",
     "NumericError",
     "PhaseState",
-    "QuadraticKinetic",
-    "StudentTKinetic",
     "TargetModel",
     "Trajectory",
     "UsageError",

@@ -110,7 +110,7 @@ def cmd_list_targets(args) -> int:
         payload = [
             {
                 "name": e.name,
-                "params": e.params,
+                "params": {key: doc for key, (_, doc) in e.params.items()},
                 "analytic_moments": e.has_moments,
             }
             for e in entries
@@ -121,7 +121,7 @@ def cmd_list_targets(args) -> int:
     for e in entries:
         moments = "analytic moments" if e.has_moments else "no analytic moments"
         print(f"{e.name:<{name_w}}  ({moments})")
-        for key, doc in sorted(e.params.items()):
+        for key, (_, doc) in sorted(e.params.items()):
             print(f"{'':<{name_w}}    {key}: {doc}")
     return 0
 

@@ -15,6 +15,8 @@ through Delta p = -2 (n, p)_Lam n with n the unit constraint normal under the
 inverse-metric inner product (a, b)_Lam = a.Lam b.  The reflection conserves
 any kinetic energy built on the quadratic form p.Lam p exactly, so only the
 discretization of the partial steps contributes to the energy error.
+Crossings are found only at drift-substep endpoints, so a substep can tunnel
+through an excluded region that it enters and leaves again.
 
 Numerical failures (non-convergent implicit solves, too many reflections in
 one step, an infeasible iterate, a degenerate normal, non-finite values) raise
@@ -276,13 +278,14 @@ def generalized_leapfrog_step(
 def integrate(model: TargetModel, kinetic, state: PhaseState, config: IntegratorConfig) -> Trajectory:
     """Run num_steps leapfrog steps, reflecting off constraints.
 
+    ``state.energy``, when given, is taken as H(q, p) and not evaluated again.
     Raises UsageError when the initial state has infinite energy and
     DivergenceError when the trajectory fails numerically, including a step
     that evaluates the model at an infeasible point.
     """
     q = as_position(state.q, model.n).copy()
     p = as_position(state.p, model.n).copy()
-    h0 = hamiltonian(model, kinetic, q, p)
+    h0 = hamiltonian(model, kinetic, q, p) if state.energy is None else state.energy
     if not math.isfinite(h0):
         raise UsageError("initial state must be feasible with finite energy")
     energies = np.empty(config.num_steps + 1)

@@ -1,152 +1,114 @@
 """Kinetic energies compatible with a Metropolis-corrected Hamiltonian kernel.
 
-Both families are scalar functions of the quadratic form s(q, p) = p.Lam(q) p
-of an inverse-metric field, normalized by -log|Lam(q)|/2 so that the momentum
+Each is a scalar profile f of the quadratic form s(q, p) = p.Lam(q) p of an
+inverse-metric field, normalized by -log|Lam(q)|/2 so that the momentum
 conditional exp(-T(q, .)) integrates to a position-independent constant:
 
-    quadratic:  T = s/2 - log|Lam|/2          p | q  ~  N(0, Lam^{-1})
-    heavy-tail: T = (nu+n)/2 log(1 + s/nu) - log|Lam|/2
-                                              p | q  ~  multivariate t_nu
+    Student-t:  T = (nu+n)/2 log(1 + s/nu) - log|Lam|/2   p | q ~ t_nu
+    Gaussian:   T = s/2 - log|Lam|/2  (nu -> inf)         p | q ~ N(0, Lam^{-1})
 
-Both are even in p with odd momentum gradient, which is what the reversible
-transition kernel requires, and both admit exact conditional draws (the t via
-a Gaussian over a chi-square scale).
+T is even in p with odd momentum gradient, which is what the reversible
+transition kernel requires.  Both derivatives follow from f' alone,
+grad_p = 2 f' Lam p and grad_q = f' ds/dq + d(log|Sigma|/2)/dq, and the
+conditional is drawn exactly: a Gaussian, over a chi-square scale for finite nu.
 """
 
 import math
-from typing import Union
 
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .metric import ConstantMetric, GraphMetric, MetricState
+from .metric import ConstantMetric, GraphMetric
 from .model import as_position
 
-__all__ = [
-    "QuadraticKinetic",
-    "StudentTKinetic",
-    "euclidean_quadratic",
-    "riemannian_quadratic",
-    "student_t",
-]
+__all__ = ["Kinetic", "euclidean_quadratic", "riemannian_quadratic", "student_t"]
 
 
-def _graph_direction_terms(state: MetricState, p: np.ndarray):
-    """Directional q-derivatives shared by the quadratic-form kinetics.
+class Kinetic:
+    """Student-t profile with ``nu`` degrees of freedom; nu = inf is the Gaussian."""
 
-    Returns (ds, dlogdet) with ds[i] = d(p.Lam p)/dq_i and
-    dlogdet[i] = d(log|Sigma|/2)/dq_i, each in O(n^2):
-    ds = -2 (g.w) H w with w = Lam p, and dlogdet = H grad_up / denom.
-    """
-    w = state.lam @ p
-    ds = (-2.0 * float(state.grad @ w)) * (state.hessian @ w)
-    dlogdet = (state.hessian @ state.grad_up) / state.denom
-    return ds, dlogdet
-
-
-class _QuadraticFormKinetic:
-    """Shared plumbing: field access, shape checks, conditional sampling."""
-
-    def __init__(self, field):
+    def __init__(self, field, nu: float = math.inf):
+        nu = float(nu)
+        if not nu > 0.0:
+            raise ValidationError(f"degrees of freedom must be positive, got {nu}")
         self.field = field
         self.n = field.n
+        self.nu = nu
 
     @property
     def position_dependent(self) -> bool:
         return self.field.position_dependent
 
     def _check(self, q, p):
-        q = as_position(q, self.n)
-        p = as_position(p, self.n)
-        return q, p
+        return as_position(q, self.n), as_position(p, self.n)
+
+    def _slope(self, state, p) -> float:
+        # 2 f'(s), the factor of Lam p in grad_p
+        if self.nu == math.inf:
+            return 1.0
+        s = float(p @ state.lam @ p)
+        return (self.nu + self.n) / (self.nu + s)
+
+    def energy(self, q, p) -> float:
+        q, p = self._check(q, p)
+        state = self.field.state_at(q)
+        s = float(p @ state.lam @ p)
+        if self.nu == math.inf:
+            f = 0.5 * s
+        else:
+            f = 0.5 * (self.nu + self.n) * math.log1p(s / self.nu)
+        return f + 0.5 * state.logdet_sigma
+
+    def grad_p(self, q, p) -> np.ndarray:
+        q, p = self._check(q, p)
+        state = self.field.state_at(q)
+        return self._slope(state, p) * (state.lam @ p)
+
+    def grad_q(self, q, p) -> np.ndarray:
+        # on the graph field, in O(n^2): ds/dq = -2 (g.w) H w with w = Lam p,
+        # and d(log|Sigma|/2)/dq = H grad_up / denom
+        q, p = self._check(q, p)
+        if not self.position_dependent:
+            return np.zeros(self.n)
+        state = self.field.state_at(q, with_hessian=True)
+        slope = self._slope(state, p)
+        w = state.lam @ p
+        ds = (-2.0 * float(state.grad @ w)) * (state.hessian @ w)
+        dlogdet = (state.hessian @ state.grad_up) / state.denom
+        return 0.5 * slope * ds + dlogdet
+
+    def sample_momentum(self, q, rng) -> np.ndarray:
+        """Exact draw: N(0, Lam^{-1}), over a chi-square scale for finite nu."""
+        z = self.field.sample_gaussian(q, rng)
+        if self.nu == math.inf:
+            return z
+        u = rng.chisquare(self.nu)
+        return z * math.sqrt(self.nu / u)
 
     def lambda_at(self, q) -> np.ndarray:
         """Inverse metric at q, as used by reflections."""
         return self.field.state_at(q).lam
 
 
-class QuadraticKinetic(_QuadraticFormKinetic):
-    """Gaussian-momentum kinetic energy T = p.Lam(q) p / 2 - log|Lam(q)| / 2."""
-
-    def energy(self, q, p) -> float:
-        q, p = self._check(q, p)
-        state = self.field.state_at(q)
-        return 0.5 * float(p @ state.lam @ p) + 0.5 * state.logdet_sigma
-
-    def grad_p(self, q, p) -> np.ndarray:
-        q, p = self._check(q, p)
-        return self.field.state_at(q).lam @ p
-
-    def grad_q(self, q, p) -> np.ndarray:
-        q, p = self._check(q, p)
-        if not self.position_dependent:
-            return np.zeros(self.n)
-        state = self.field.state_at(q, with_hessian=True)
-        ds, dlogdet = _graph_direction_terms(state, p)
-        return 0.5 * ds + dlogdet
-
-    def sample_momentum(self, q, rng) -> np.ndarray:
-        """Exact draw from the conditional N(0, Lam(q)^{-1})."""
-        return self.field.sample_gaussian(q, rng)
-
-
-class StudentTKinetic(_QuadraticFormKinetic):
-    """Heavy-tailed kinetic energy with multivariate-t momentum conditional."""
-
-    def __init__(self, field, nu: float = 5.0):
-        super().__init__(field)
-        nu = float(nu)
-        if nu <= 0.0:
-            raise ValidationError(f"degrees of freedom must be positive, got {nu}")
-        self.nu = nu
-
-    def energy(self, q, p) -> float:
-        q, p = self._check(q, p)
-        state = self.field.state_at(q)
-        s = float(p @ state.lam @ p)
-        return 0.5 * (self.nu + self.n) * math.log1p(s / self.nu) + 0.5 * state.logdet_sigma
-
-    def grad_p(self, q, p) -> np.ndarray:
-        q, p = self._check(q, p)
-        state = self.field.state_at(q)
-        s = float(p @ state.lam @ p)
-        return ((self.nu + self.n) / (self.nu + s)) * (state.lam @ p)
-
-    def grad_q(self, q, p) -> np.ndarray:
-        q, p = self._check(q, p)
-        if not self.position_dependent:
-            return np.zeros(self.n)
-        state = self.field.state_at(q, with_hessian=True)
-        s = float(p @ state.lam @ p)
-        ds, dlogdet = _graph_direction_terms(state, p)
-        return 0.5 * (self.nu + self.n) / (self.nu + s) * ds + dlogdet
-
-    def sample_momentum(self, q, rng) -> np.ndarray:
-        """Exact t_nu draw: Gaussian with covariance Lam^{-1} over a chi-square scale."""
-        z = self.field.sample_gaussian(q, rng)
-        u = rng.chisquare(self.nu)
-        return z * math.sqrt(self.nu / u)
-
-
-def _as_field(field_or_matrix) -> Union[ConstantMetric, GraphMetric]:
+def _as_field(field_or_matrix):
     if isinstance(field_or_matrix, (ConstantMetric, GraphMetric)):
         return field_or_matrix
     return ConstantMetric(np.asarray(field_or_matrix, dtype=float))
 
 
-def euclidean_quadratic(lam) -> QuadraticKinetic:
+def euclidean_quadratic(lam) -> Kinetic:
     """Gaussian kinetic with a constant SPD inverse metric (matrix or field)."""
     field = _as_field(lam)
     if field.position_dependent:
         raise UsageError("euclidean_quadratic requires a constant inverse metric")
-    return QuadraticKinetic(field)
+    return Kinetic(field)
 
 
-def riemannian_quadratic(field) -> QuadraticKinetic:
+def riemannian_quadratic(field) -> Kinetic:
     """Gaussian kinetic driven by an inverse-metric field (constant or graph)."""
-    return QuadraticKinetic(_as_field(field))
+    return Kinetic(_as_field(field))
 
 
-def student_t(field_or_matrix, nu: float = 5.0) -> StudentTKinetic:
+def student_t(field_or_matrix, nu: float = 5.0) -> Kinetic:
     """Heavy-tailed kinetic over a constant matrix or an inverse-metric field."""
-    return StudentTKinetic(_as_field(field_or_matrix), nu=nu)
+    return Kinetic(_as_field(field_or_matrix), nu=nu)

@@ -150,7 +150,10 @@ def grad_check(model: TargetModel, q, h: float = 1e-6) -> float:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """Descriptor for a built-in target: name, parameter schema, moment flag."""
+    """Descriptor for a built-in target: name, parameter schema, moment flag.
+
+    ``params`` maps each key to (spec-file kind, doc); kind None is library-only.
+    """
 
     name: str
     params: dict
@@ -346,34 +349,37 @@ def _halfspace_gaussian(n: int = 1, constraints=None) -> TargetModel:
 _CATALOG = {
     "banana": CatalogEntry(
         name="banana",
-        params={"a": "valley offset (default 1.0)", "b": "valley stiffness (default 100.0)"},
+        params={
+            "a": ("float", "valley offset (default 1.0)"),
+            "b": ("float", "valley stiffness (default 100.0)"),
+        },
         has_moments=False,
         build=_banana,
     ),
     "funnel": CatalogEntry(
         name="funnel",
-        params={"n": "dimension >= 2 (default 2); q1 is the log-scale coordinate"},
+        params={"n": ("int", "dimension >= 2 (default 2); q1 is the log-scale coordinate")},
         has_moments=True,
         build=_funnel,
     ),
     "halfspace_gaussian": CatalogEntry(
         name="halfspace_gaussian",
         params={
-            "n": "dimension (default 1)",
-            "constraints": "list of (normal, offset) half-spaces (default: q1 > 0)",
+            "n": ("int", "dimension (default 1)"),
+            "constraints": (None, "list of (normal, offset) half-spaces (default: q1 > 0)"),
         },
         has_moments=True,
         build=_halfspace_gaussian,
     ),
     "mvn": CatalogEntry(
         name="mvn",
-        params={"mean": "mean vector", "cov": "SPD covariance matrix"},
+        params={"mean": ("vector", "mean vector"), "cov": ("matrix", "SPD covariance matrix")},
         has_moments=True,
         build=_mvn,
     ),
     "std_gaussian": CatalogEntry(
         name="std_gaussian",
-        params={"n": "dimension (default 1)"},
+        params={"n": ("int", "dimension (default 1)")},
         has_moments=True,
         build=_std_gaussian,
     ),

@@ -15,6 +15,7 @@ that validates against the schema shipped with the package.
 import csv
 import difflib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -24,9 +25,9 @@ import numpy as np
 
 from .errors import UsageError
 from .integrator import IntegratorConfig
-from .kinetic import euclidean_quadratic, riemannian_quadratic, student_t
+from .kinetic import Kinetic
 from .metric import BackgroundMetric, ConstantMetric, GraphMetric
-from .model import builtin_target
+from .model import builtin_target, catalog_entries
 from .sampler import ChainConfig, run_chain
 
 __all__ = ["SpecError", "RunSpec", "parse_run_spec", "load_run_spec", "execute"]
@@ -42,14 +43,6 @@ class SpecError(UsageError):
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
 
-
-_TARGET_PARAM_KEYS = {
-    "std_gaussian": {"n": "int"},
-    "funnel": {"n": "int"},
-    "banana": {"a": "float", "b": "float"},
-    "mvn": {"mean": "vector", "cov": "matrix"},
-    "halfspace_gaussian": {"n": "int"},
-}
 
 _SECTION_KEYS = {
     "target": {"name"},  # plus per-target parameter keys
@@ -80,7 +73,7 @@ class RunSpec:
     target_params: dict
     kinetic_variant: str
     kinetic_lambda: Optional[str]
-    nu: Optional[float]
+    nu: float  # math.inf for the Gaussian variants
     metric_variant: Optional[str]
     metric_lambda: Optional[str]
     metric_sigma: Optional[str]
@@ -158,6 +151,14 @@ def materialize_matrix(spec_text: str, n: int) -> np.ndarray:
     return mat
 
 
+_PARAM_PARSERS = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "vector": _parse_vector,
+    "matrix": _parse_matrix_spec,
+}
+
+
 def _unknown_key_error(key, section, allowed, line):
     hint = difflib.get_close_matches(key, sorted(allowed), n=1)
     suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
@@ -194,16 +195,16 @@ def parse_run_spec(text: str) -> RunSpec:
     if ("target", "name") not in entries:
         raise SpecError("missing required key 'name' in [target]")
     target_name, name_line = entries[("target", "name")]
-    if target_name not in _TARGET_PARAM_KEYS:
+    targets = {e.name: e.params for e in catalog_entries()}
+    if target_name not in targets:
         raise SpecError(
-            f"unknown target {target_name!r}; known: "
-            + ", ".join(sorted(_TARGET_PARAM_KEYS)),
+            f"unknown target {target_name!r}; known: " + ", ".join(sorted(targets)),
             name_line,
         )
     for (section, key), (raw, lineno) in entries.items():
         allowed = set(_SECTION_KEYS[section])
         if section == "target":
-            allowed |= set(_TARGET_PARAM_KEYS[target_name])
+            allowed |= set(targets[target_name])
         if key not in allowed:
             raise _unknown_key_error(key, section, allowed, lineno)
 
@@ -216,18 +217,16 @@ def parse_run_spec(text: str) -> RunSpec:
         return entries.get((section, key), (default, None))
 
     target_params = {}
-    for key, kind in _TARGET_PARAM_KEYS[target_name].items():
-        if ("target", key) not in entries:
-            continue
-        raw, lineno = entries[("target", key)]
-        if kind == "int":
-            target_params[key] = _parse_int(raw, lineno)
-        elif kind == "float":
-            target_params[key] = _parse_float(raw, lineno)
-        elif kind == "vector":
-            target_params[key] = _parse_vector(raw, lineno)
-        elif kind == "matrix":
-            target_params[key] = _parse_matrix_spec(raw, lineno)
+    for key, (kind, _) in targets[target_name].items():
+        if ("target", key) in entries:
+            raw, lineno = entries[("target", key)]
+            if kind is None:
+                raise SpecError(
+                    f"{key!r} can be passed only to builtin_target: a custom value "
+                    f"leaves {target_name!r} without the initial point a spec run needs",
+                    lineno,
+                )
+            target_params[key] = _PARAM_PARSERS[kind](raw, lineno)
 
     raw, line = need("kinetic", "variant")
     kinetic_variant = raw
@@ -247,7 +246,7 @@ def parse_run_spec(text: str) -> RunSpec:
                 lineno,
             )
         kinetic_lambda = _parse_matrix_spec(raw, lineno)
-    nu = None
+    nu = 5.0 if kinetic_variant == "student_t" else math.inf
     if ("kinetic", "nu") in entries:
         raw, lineno = entries[("kinetic", "nu")]
         if kinetic_variant != "student_t":
@@ -360,23 +359,15 @@ def build_model(spec: RunSpec):
     return builtin_target(spec.target_name, **params)
 
 
-def build_kinetic(spec: RunSpec, model):
+def build_kinetic(spec: RunSpec, model) -> Kinetic:
     n = model.n
-    if spec.kinetic_variant == "euclidean":
-        lam = materialize_matrix(spec.kinetic_lambda or "identity", n)
-        return euclidean_quadratic(lam)
-
-    if spec.metric_variant == "constant":
-        field_obj = ConstantMetric(materialize_matrix(spec.metric_lambda, n))
-    elif spec.metric_variant == "graph":
+    if spec.metric_variant == "graph":
         sigma = materialize_matrix(spec.metric_sigma or "identity", n)
         field_obj = GraphMetric(model, BackgroundMetric.from_matrix(sigma))
-    else:  # student_t with no [metric] section
-        field_obj = ConstantMetric(materialize_matrix(spec.kinetic_lambda or "identity", n))
-
-    if spec.kinetic_variant == "riemannian":
-        return riemannian_quadratic(field_obj)
-    return student_t(field_obj, nu=spec.nu if spec.nu is not None else 5.0)
+    else:  # the parser admits at most one of the two lambdas
+        lam = spec.metric_lambda or spec.kinetic_lambda or "identity"
+        field_obj = ConstantMetric(materialize_matrix(lam, n))
+    return Kinetic(field_obj, spec.nu)
 
 
 def _chain_config(spec: RunSpec, seed: int) -> ChainConfig:
@@ -493,7 +484,10 @@ def execute(spec: RunSpec, out_dir=None, seed_override=None) -> RunReport:
     diagnostics = {
         "schema_version": SCHEMA_VERSION,
         "target": {"name": spec.target_name, "params": _jsonable_params(spec.target_params)},
-        "kinetic": {"variant": spec.kinetic_variant, "nu": spec.nu},
+        "kinetic": {
+            "variant": spec.kinetic_variant,
+            "nu": kinetic.nu if math.isfinite(kinetic.nu) else None,
+        },
         "metric": {"variant": spec.metric_variant} if spec.metric_variant else None,
         "seed": seed,
         "chains": spec.chains,

@@ -87,14 +87,13 @@ def hmc_transition(model: TargetModel, kinetic, q, cfg: ChainConfig, rng):
         traj = integrate(model, kinetic, PhaseState(q=q, p=p, energy=h_start), icfg)
     except DivergenceError:
         return q, False, math.inf
-    # The momentum flip makes the proposal an involution; every implemented
-    # kinetic energy is even in p, so it costs nothing.
-    q_end = traj.state.q
-    p_end = -traj.state.p
-    h_end = hamiltonian(model, kinetic, q_end, p_end)
+    # The momentum flip makes the proposal an involution; the kinetic energy
+    # is even in p, so it costs nothing and H(q_end, -p_end) is the
+    # trajectory's final energy.
+    h_end = traj.state.energy
     delta_h = h_end - h_start
     if math.log(rng.uniform()) < h_start - h_end:
-        return q_end, True, delta_h
+        return traj.state.q, True, delta_h
     return q, False, delta_h
 
 

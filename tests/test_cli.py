@@ -2,13 +2,14 @@
 
 import importlib.resources
 import json
+import math
 
 import jsonschema
 import numpy as np
 import pytest
 
 from ghmc.cli import main
-from ghmc.kinetic import QuadraticKinetic, StudentTKinetic
+from ghmc.kinetic import Kinetic
 from ghmc.metric import ConstantMetric, GraphMetric
 from ghmc.runspec import (
     SpecError,
@@ -136,7 +137,9 @@ def test_matrix_specs():
 def test_build_kinetic_variants():
     spec = parse_run_spec(GAUSS_SPEC)
     model = build_model(spec)
-    assert isinstance(build_kinetic(spec, model), QuadraticKinetic)
+    kin = build_kinetic(spec, model)
+    assert isinstance(kin, Kinetic)
+    assert kin.nu == math.inf
 
     graph_spec = parse_run_spec(
         "[target]\nname = banana\n[kinetic]\nvariant = student_t\nnu = 3\n"
@@ -145,7 +148,7 @@ def test_build_kinetic_variants():
     )
     model = build_model(graph_spec)
     kin = build_kinetic(graph_spec, model)
-    assert isinstance(kin, StudentTKinetic)
+    assert isinstance(kin, Kinetic)
     assert isinstance(kin.field, GraphMetric)
     assert kin.nu == 3.0
 
@@ -156,8 +159,61 @@ def test_build_kinetic_variants():
     )
     model = build_model(const_spec)
     kin = build_kinetic(const_spec, model)
-    assert isinstance(kin, QuadraticKinetic)
+    assert isinstance(kin, Kinetic)
+    assert kin.nu == math.inf
     assert isinstance(kin.field, ConstantMetric)
+
+
+STUDENT_SPEC = (
+    "[target]\nname = std_gaussian\nn = 2\n[kinetic]\nvariant = student_t\n"
+    "[chain]\nseed = 3\nnum_samples = 20\nstep_size = 0.2\nnum_steps = 5\n"
+)
+
+
+def test_diagnostics_report_the_nu_that_ran(tmp_path):
+    # the default nu of a student_t spec is the kinetic's 5.0; Gaussian
+    # profiles report null
+    report = execute(parse_run_spec(STUDENT_SPEC), out_dir=str(tmp_path))
+    assert report.diagnostics["kinetic"] == {"variant": "student_t", "nu": 5.0}
+    gauss = parse_run_spec(GAUSS_SPEC.replace("num_samples = 1000", "num_samples = 20"))
+    report = execute(gauss, out_dir=str(tmp_path))
+    assert report.diagnostics["kinetic"] == {"variant": "euclidean", "nu": None}
+    jsonschema.validate(report.diagnostics, _schema())
+
+
+def test_nan_nu_is_refused_when_the_kinetic_is_built():
+    from ghmc.errors import ValidationError
+
+    spec = parse_run_spec(STUDENT_SPEC.replace("student_t\n", "student_t\nnu = nan\n"))
+    with pytest.raises(ValidationError, match="degrees of freedom"):
+        build_kinetic(spec, build_model(spec))
+
+
+def test_spec_target_keys_and_kinds_come_from_the_catalog():
+    from ghmc.model import catalog_entries
+
+    sample = {"int": "2", "float": "1.5", "vector": "0,0", "matrix": "identity"}
+    for entry in catalog_entries():
+        for key, (kind, _) in entry.params.items():
+            if kind is None:
+                continue
+            spec = parse_run_spec(
+                f"[target]\nname = {entry.name}\n{key} = {sample[kind]}\n"
+                "[kinetic]\nvariant = euclidean\n"
+                "[chain]\nseed = 1\nnum_samples = 10\nstep_size = 0.1\nnum_steps = 2\n"
+            )
+            assert key in spec.target_params
+
+
+def test_library_only_target_parameter_is_refused_with_its_line():
+    with pytest.raises(SpecError, match="builtin_target") as err:
+        parse_run_spec(
+            "[target]\nname = halfspace_gaussian\nn = 2\nconstraints = 1,0\n"
+            "[kinetic]\nvariant = euclidean\n"
+            "[chain]\nseed = 1\nnum_samples = 10\nstep_size = 0.1\nnum_steps = 2\n"
+        )
+    assert err.value.line == 4
+    assert "initial point" in str(err.value)
 
 
 def test_mvn_spec_round_trip(tmp_path):

@@ -386,3 +386,18 @@ def test_trajectory_energy_trace_shape():
     traj = integrate(model, kin, PhaseState(np.array([0.3]), np.array([0.1])), IntegratorConfig(0.1, 7))
     assert traj.energies.shape == (8,)
     assert traj.state.energy == pytest.approx(traj.energies[-1])
+
+
+def test_integrate_reuses_the_given_initial_energy():
+    model = builtin_target("banana")
+    kin = student_t(GraphMetric(model), nu=4.0)
+    q, p = np.array([0.3, 0.2]), np.array([0.5, -0.4])
+    cfg = IntegratorConfig(0.05, 4)
+    fresh = integrate(model, kin, PhaseState(q=q, p=p), cfg)
+    # a given energy is taken as H(q, p), not evaluated again
+    given = integrate(model, kin, PhaseState(q=q, p=p, energy=1.5), cfg)
+    assert given.energies[0] == 1.5
+    np.testing.assert_array_equal(given.energies[1:], fresh.energies[1:])
+    # the kinetic energy is even in p, so the final energy is H at the
+    # flipped momentum, bit for bit
+    assert hamiltonian(model, kin, fresh.state.q, -fresh.state.p) == fresh.state.energy

@@ -180,3 +180,26 @@ def test_graph_momentum_draw_matches_metric_covariance():
     target_cov = np.linalg.inv(state.lam)
     rel = np.max(np.abs(np.cov(draws, rowvar=False) - target_cov)) / np.max(np.abs(target_cov))
     assert rel < 0.05
+
+
+def test_nan_degrees_of_freedom_are_refused_when_built():
+    with pytest.raises(ValidationError):
+        student_t(np.eye(1), nu=float("nan"))
+    with pytest.raises(ValidationError):
+        student_t(np.eye(1), nu=-math.inf)
+
+
+def test_infinite_degrees_of_freedom_is_the_gaussian_profile():
+    model = builtin_target("funnel", n=2)
+    graph = GraphMetric(model)
+    lam = np.array([[2.0, 0.3], [0.3, 1.0]])
+    q, p = np.array([0.5, -0.4]), np.array([1.3, -0.7])
+    for field in (lam, graph):
+        gauss, limit = riemannian_quadratic(field), student_t(field, nu=math.inf)
+        assert limit.energy(q, p) == gauss.energy(q, p)
+        np.testing.assert_array_equal(limit.grad_p(q, p), gauss.grad_p(q, p))
+        np.testing.assert_array_equal(limit.grad_q(q, p), gauss.grad_q(q, p))
+        # no chi-square scale is drawn, so the generator stream is the same
+        one, two = np.random.default_rng(4), np.random.default_rng(4)
+        np.testing.assert_array_equal(limit.sample_momentum(q, one), gauss.sample_momentum(q, two))
+        assert one.uniform() == two.uniform()

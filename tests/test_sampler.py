@@ -1,6 +1,7 @@
 """Transition kernel, chain driver, and diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,20 +150,43 @@ def test_warmup_is_discarded():
     assert res.accepted.shape == (150,)
 
 
-def test_stationarity_of_one_transition():
-    # chains started at exact draws stay distributed like the target
-    model = builtin_target("std_gaussian", n=1)
-    kin = euclidean_quadratic(np.eye(1))
-    cfg = _config(num_samples=1, eps=0.1, steps=20)
+@pytest.mark.parametrize("variant", ["euclidean", "student_t", "graph", "student_t-graph"])
+def test_stationarity_of_one_transition(variant):
+    # chains started at exact draws stay distributed like the target; a
+    # graph-metric transition costs about 15x a constant-metric one
+    n_chains = 800 if variant.endswith("graph") else 4000
+    model = builtin_target("std_gaussian", n=2)
+    graph = GraphMetric(model)
+    kin = {
+        "euclidean": euclidean_quadratic(np.eye(2)),
+        "student_t": student_t(np.eye(2)),
+        "graph": riemannian_quadratic(graph),
+        "student_t-graph": student_t(graph),
+    }[variant]
+    cfg = _config(num_samples=1, eps=0.25, steps=6)
     rng = np.random.default_rng(77)
-    n_chains = 4000
-    start = rng.standard_normal(n_chains)
-    out = np.empty(n_chains)
-    for i in range(n_chains):
-        q, _, _ = hmc_transition(model, kin, np.array([start[i]]), cfg, rng)
-        out[i] = q[0]
-    assert abs(out.mean()) <= 4.0 / math.sqrt(n_chains)
-    assert abs(out.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / n_chains)
+    start = rng.standard_normal((n_chains, 2))
+    out = np.array([hmc_transition(model, kin, q, cfg, rng)[0] for q in start])
+    assert np.max(np.abs(out.mean(axis=0))) <= 4.0 / math.sqrt(n_chains)
+    assert np.max(np.abs(out.var(axis=0, ddof=1) - 1.0)) <= 4.0 * math.sqrt(2.0 / n_chains)
+    # |q|^2 is chi-square with 2 degrees of freedom: mean 2, standard deviation 2
+    assert abs(np.mean(np.sum(out**2, axis=1)) - 2.0) <= 4.0 * 2.0 / math.sqrt(n_chains)
+
+
+def test_one_transition_evaluates_the_hamiltonian_once_per_step_and_once_at_the_start():
+    base = builtin_target("std_gaussian", n=2)
+    calls = []
+
+    def potential(q):
+        calls.append(q)
+        return base.potential(q)
+
+    model = replace(base, potential=potential)
+    kin = euclidean_quadratic(np.eye(2))
+    q, cfg, rng = np.array([0.3, -0.2]), _config(eps=0.2, steps=5), np.random.default_rng(1)
+    _, accepted, _ = hmc_transition(model, kin, q, cfg, rng)
+    assert accepted
+    assert len(calls) == 1 + 5
 
 
 def test_jitter_defeats_the_periodicity_trap():
