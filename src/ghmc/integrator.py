@@ -97,14 +97,9 @@ class ReflectionEvent:
 
 @dataclass
 class Trajectory:
-    """Integration output: final state, energy trace, reflection events.
-
-    ``energies[0]`` is the initial energy and ``energies[k]`` the energy after
-    the k-th full step.
-    """
+    """Integration output: final state, with its energy, and reflection events."""
 
     state: PhaseState
-    energies: np.ndarray
     reflections: tuple = field(default_factory=tuple)
 
     @property
@@ -278,7 +273,9 @@ def generalized_leapfrog_step(
 def integrate(model: TargetModel, kinetic, state: PhaseState, config: IntegratorConfig) -> Trajectory:
     """Run num_steps leapfrog steps, reflecting off constraints.
 
-    ``state.energy``, when given, is taken as H(q, p) and not evaluated again.
+    The Hamiltonian is evaluated only at the two ends, the values the
+    Metropolis test reads: ``state.energy``, when given, is taken as H(q, p)
+    and not evaluated again, and the final state carries H at the endpoint.
     Raises UsageError when the initial state has infinite energy and
     DivergenceError when the trajectory fails numerically, including a step
     that evaluates the model at an infeasible point.
@@ -288,24 +285,20 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
     h0 = hamiltonian(model, kinetic, q, p) if state.energy is None else state.energy
     if not math.isfinite(h0):
         raise UsageError("initial state must be feasible with finite energy")
-    energies = np.empty(config.num_steps + 1)
-    energies[0] = h0
     events = []
-    for step in range(config.num_steps):
-        # blowups surface as a divergence signal, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+    # blowups surface as a divergence signal, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.num_steps):
             try:
                 q, p = _step(model, kinetic, q, p, config, events, step)
             except (ConstraintViolationError, GeometryError, NumericError) as exc:
                 raise DivergenceError(str(exc)) from exc
             if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
                 raise DivergenceError("non-finite state during integration")
-            h = hamiltonian(model, kinetic, q, p)
-        if not math.isfinite(h):
-            raise DivergenceError("non-finite energy during integration")
-        energies[step + 1] = h
-    final = PhaseState(q=q, p=p, energy=float(energies[-1]))
-    return Trajectory(state=final, energies=energies, reflections=tuple(events))
+        h = hamiltonian(model, kinetic, q, p)
+    if not math.isfinite(h):
+        raise DivergenceError("non-finite energy during integration")
+    return Trajectory(state=PhaseState(q=q, p=p, energy=float(h)), reflections=tuple(events))
 
 
 def volume_check(

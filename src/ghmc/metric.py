@@ -164,7 +164,6 @@ class GraphMetric:
         g_up = self.background.lam @ g
         denom = 1.0 + float(g @ g_up)
         lam_bar = self.background.lam - np.outer(g_up, g_up) / denom
-        lam_bar = 0.5 * (lam_bar + lam_bar.T)
         logdet = self.background.logdet_sigma + np.log(denom)
         hess = hessian_eval(self.model, q) if with_hessian else None
         return MetricState(

@@ -78,11 +78,6 @@ def as_position(q, n: int) -> np.ndarray:
     return q
 
 
-def constraint_values(model: TargetModel, q) -> np.ndarray:
-    q = as_position(q, model.n)
-    return np.array([float(c.value(q)) for c in model.constraints])
-
-
 def is_feasible(model: TargetModel, q) -> bool:
     """True when every constraint is strictly satisfied."""
     q = as_position(q, model.n)

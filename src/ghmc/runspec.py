@@ -124,7 +124,10 @@ def _parse_matrix_spec(raw, line):
     text = raw.strip()
     if text == "identity":
         return text
-    if text.startswith("scale:") or text.startswith("diag:"):
+    if text.startswith("scale:"):
+        _parse_float(text.split(":", 1)[1], line)
+        return text
+    if text.startswith("diag:"):
         _parse_vector(text.split(":", 1)[1], line)
         return text
     for row in text.split(";"):
@@ -395,10 +398,8 @@ def _write_samples_csv(path, samples):
 def _chain_paths(base: str, chains: int):
     if chains == 1:
         return [base]
-    stem, dot, suffix = base.rpartition(".")
-    if not dot:
-        stem, suffix = base, "csv"
-    return [f"{stem}_chain{i}.{suffix}" for i in range(chains)]
+    stem, suffix = os.path.splitext(base)
+    return [f"{stem}_chain{i}{suffix or '.csv'}" for i in range(chains)]
 
 
 def _finite_stats(values):

@@ -13,6 +13,7 @@ from ghmc.kinetic import Kinetic
 from ghmc.metric import ConstantMetric, GraphMetric
 from ghmc.runspec import (
     SpecError,
+    _chain_paths,
     build_kinetic,
     build_model,
     execute,
@@ -273,6 +274,31 @@ def test_cli_rejects_bad_spec_with_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "stepsize" in err and "line 14" in err
     assert main(["sample", str(tmp_path / "missing.spec")]) == 2
+
+
+def test_scale_spec_takes_exactly_one_number(tmp_path, capsys):
+    bad = GAUSS_SPEC.replace("lambda = identity", "lambda = scale:1,2")
+    with pytest.raises(SpecError, match="number") as err:
+        parse_run_spec(bad)
+    assert err.value.line == 8
+    spec_file = tmp_path / "bad.spec"
+    spec_file.write_text(bad)
+    assert main(["sample", str(spec_file), "--out-dir", str(tmp_path)]) == 2
+    assert "line 8" in capsys.readouterr().err
+
+
+def test_multi_chain_paths_split_the_extension_not_a_directory_dot(tmp_path):
+    assert _chain_paths("samples.csv", 2) == ["samples_chain0.csv", "samples_chain1.csv"]
+    assert _chain_paths("samples", 2) == ["samples_chain0.csv", "samples_chain1.csv"]
+    (tmp_path / "out.d").mkdir()
+    spec_file = tmp_path / "dotted.spec"
+    spec_file.write_text(
+        GAUSS_SPEC.replace("num_samples = 1000", "num_samples = 20\nchains = 2")
+        .replace("samples = gauss.csv", "samples = out.d/samples")
+    )
+    assert main(["sample", str(spec_file), "--out-dir", str(tmp_path)]) == 0
+    for i in range(2):
+        assert (tmp_path / "out.d" / f"samples_chain{i}.csv").is_file()
 
 
 def test_cli_divergence_storm_exits_3_but_writes(tmp_path):

@@ -1,6 +1,7 @@
 """Integrators: hand-checked steps, reversibility, volume, reflections."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ from ghmc.model import Constraint, TargetModel, builtin_target, potential_grad
 
 def _harmonic():
     return builtin_target("std_gaussian", n=1), euclidean_quadratic(np.eye(1))
+
+
+def _energy_trace(model, kinetic, state, config):
+    # H before the first step and after each step of integrate(config), from
+    # one-step integrate calls chained through state.energy
+    state = PhaseState(state.q, state.p, hamiltonian(model, kinetic, state.q, state.p))
+    energies = [state.energy]
+    for _ in range(config.num_steps):
+        state = integrate(model, kinetic, state, replace(config, num_steps=1)).state
+        energies.append(state.energy)
+    return state, np.array(energies)
 
 
 def _rk4(model, kinetic, q, p, dt, steps):
@@ -129,11 +141,11 @@ def test_generalized_step_tracks_the_exact_flow():
     model = builtin_target("std_gaussian", n=1)
     kin = riemannian_quadratic(GraphMetric(model))
     cfg = IntegratorConfig(0.01, 100, fp_tol=1e-13)
-    traj = integrate(model, kin, PhaseState(np.array([1.0]), np.array([0.5])), cfg)
-    assert np.max(np.abs(traj.energies - traj.energies[0])) < 1e-4
+    end, energies = _energy_trace(model, kin, PhaseState(np.array([1.0]), np.array([0.5])), cfg)
+    assert np.max(np.abs(energies - energies[0])) < 1e-4
     q_ref, p_ref = _rk4(model, kin, [1.0], [0.5], 1e-5, 100 * 1000)
-    assert abs(traj.state.q[0] - q_ref[0]) < 1e-4
-    assert abs(traj.state.p[0] - p_ref[0]) < 1e-4
+    assert abs(end.q[0] - q_ref[0]) < 1e-4
+    assert abs(end.p[0] - p_ref[0]) < 1e-4
 
 
 def test_generalized_step_halving_is_second_order():
@@ -142,8 +154,8 @@ def test_generalized_step_halving_is_second_order():
 
     def drift(eps, steps):
         cfg = IntegratorConfig(eps, steps, fp_tol=1e-13)
-        traj = integrate(model, kin, PhaseState(np.array([1.0]), np.array([0.5])), cfg)
-        return np.max(np.abs(traj.energies - traj.energies[0]))
+        _, energies = _energy_trace(model, kin, PhaseState(np.array([1.0]), np.array([0.5])), cfg)
+        return np.max(np.abs(energies - energies[0]))
 
     ratio = drift(0.02, 100) / drift(0.01, 200)
     assert 3.5 <= ratio <= 4.5
@@ -194,9 +206,13 @@ def test_reflection_degenerate_normal_is_a_geometry_error():
 def test_integrate_unconstrained_harmonic():
     model, kin = _harmonic()
     cfg = IntegratorConfig(0.1, 20)
-    traj = integrate(model, kin, PhaseState(np.array([1.0]), np.array([0.0])), cfg)
+    start = PhaseState(np.array([1.0]), np.array([0.0]))
+    traj = integrate(model, kin, start, cfg)
     assert traj.reflection_count == 0
-    assert np.max(np.abs(traj.energies - traj.energies[0])) < 5e-3
+    end, energies = _energy_trace(model, kin, start, cfg)
+    np.testing.assert_array_equal(end.q, traj.state.q)
+    assert end.energy == traj.state.energy
+    assert np.max(np.abs(energies - energies[0])) < 5e-3
     # closed-form rotation of the harmonic oscillator as an oracle
     t = 0.1 * 20
     assert traj.state.q[0] == pytest.approx(math.cos(t), abs=5e-3)
@@ -340,8 +356,9 @@ def test_energy_error_is_second_order_explicit():
     model, kin = _harmonic()
 
     def drift(eps, steps):
-        traj = integrate(model, kin, PhaseState(np.array([1.0]), np.array([0.5])), IntegratorConfig(eps, steps))
-        return np.max(np.abs(traj.energies - traj.energies[0]))
+        start = PhaseState(np.array([1.0]), np.array([0.5]))
+        _, energies = _energy_trace(model, kin, start, IntegratorConfig(eps, steps))
+        return np.max(np.abs(energies - energies[0]))
 
     ratio = drift(0.2, 10) / drift(0.1, 20)
     assert 3.5 <= ratio <= 4.5
@@ -381,23 +398,26 @@ def test_graph_metric_round_trip_small_step_on_banana():
     assert np.max(np.abs(-back.state.p - p0)) <= 1e-8
 
 
-def test_trajectory_energy_trace_shape():
-    model, kin = _harmonic()
-    traj = integrate(model, kin, PhaseState(np.array([0.3]), np.array([0.1])), IntegratorConfig(0.1, 7))
-    assert traj.energies.shape == (8,)
-    assert traj.state.energy == pytest.approx(traj.energies[-1])
-
-
 def test_integrate_reuses_the_given_initial_energy():
-    model = builtin_target("banana")
+    base = builtin_target("banana")
+    calls = []
+
+    def potential(q):
+        calls.append(q)
+        return base.potential(q)
+
+    model = replace(base, potential=potential)
     kin = student_t(GraphMetric(model), nu=4.0)
     q, p = np.array([0.3, 0.2]), np.array([0.5, -0.4])
-    cfg = IntegratorConfig(0.05, 4)
-    fresh = integrate(model, kin, PhaseState(q=q, p=p), cfg)
-    # a given energy is taken as H(q, p), not evaluated again
-    given = integrate(model, kin, PhaseState(q=q, p=p, energy=1.5), cfg)
-    assert given.energies[0] == 1.5
-    np.testing.assert_array_equal(given.energies[1:], fresh.energies[1:])
-    # the kinetic energy is even in p, so the final energy is H at the
-    # flipped momentum, bit for bit
-    assert hamiltonian(model, kin, fresh.state.q, -fresh.state.p) == fresh.state.energy
+    for steps in (1, 4, 9):
+        cfg = IntegratorConfig(0.05, steps)
+        fresh = integrate(model, kin, PhaseState(q=q, p=p), cfg)
+        # a given energy is taken as H(q, p), not evaluated again: the only
+        # potential evaluation left is the one for the final energy
+        calls.clear()
+        given = integrate(model, kin, PhaseState(q=q, p=p, energy=1.5), cfg)
+        assert len(calls) == 1
+        assert given.state.energy == fresh.state.energy
+        # the kinetic energy is even in p, so the final energy is H at the
+        # flipped momentum, bit for bit
+        assert hamiltonian(model, kin, fresh.state.q, -fresh.state.p) == fresh.state.energy

@@ -117,14 +117,28 @@ def test_momentum_draws_follow_the_inverse_metric():
     assert abs(var[1] - 1.0) < 0.05
 
 
-def test_student_t_draws_scale_mixture_covariance():
+@pytest.mark.parametrize(
+    "field, q, sigma",
+    [
+        (np.diag([4.0, 1.0]), np.zeros(2), np.diag([0.25, 1.0])),
+        # graph metric at a point with gradient g = q: Sigma = I + g g^T
+        (
+            GraphMetric(builtin_target("std_gaussian", n=2)),
+            np.array([1.0, -0.5]),
+            np.eye(2) + np.outer([1.0, -0.5], [1.0, -0.5]),
+        ),
+    ],
+    ids=["constant", "graph"],
+)
+def test_student_t_draws_scale_mixture_covariance(field, q, sigma):
     # t_nu with inverse scale Lam has covariance nu/(nu-2) Lam^{-1}
-    kin = student_t(np.diag([4.0, 1.0]), nu=5.0)
+    kin = student_t(field, nu=5.0)
     rng = np.random.default_rng(11)
-    draws = np.array([kin.sample_momentum(np.zeros(2), rng) for _ in range(50000)])
-    var = draws.var(axis=0)
-    expect = (5.0 / 3.0) * np.array([0.25, 1.0])
-    assert np.max(np.abs(var - expect) / expect) < 0.07
+    draws = np.array([kin.sample_momentum(q, rng) for _ in range(50000)])
+    cov = np.cov(draws.T, bias=True)
+    expect = (5.0 / 3.0) * sigma
+    scale = np.sqrt(np.outer(np.diag(expect), np.diag(expect)))
+    assert np.max(np.abs(cov - expect) / scale) < 0.07
 
 
 def test_momentum_draws_are_deterministic_for_a_seed():

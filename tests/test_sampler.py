@@ -173,7 +173,7 @@ def test_stationarity_of_one_transition(variant):
     assert abs(np.mean(np.sum(out**2, axis=1)) - 2.0) <= 4.0 * 2.0 / math.sqrt(n_chains)
 
 
-def test_one_transition_evaluates_the_hamiltonian_once_per_step_and_once_at_the_start():
+def test_one_transition_evaluates_the_hamiltonian_once_at_the_start_and_once_at_the_end():
     base = builtin_target("std_gaussian", n=2)
     calls = []
 
@@ -186,7 +186,7 @@ def test_one_transition_evaluates_the_hamiltonian_once_per_step_and_once_at_the_
     q, cfg, rng = np.array([0.3, -0.2]), _config(eps=0.2, steps=5), np.random.default_rng(1)
     _, accepted, _ = hmc_transition(model, kin, q, cfg, rng)
     assert accepted
-    assert len(calls) == 1 + 5
+    assert len(calls) == 2
 
 
 def test_jitter_defeats_the_periodicity_trap():
