@@ -8,6 +8,9 @@ and performs the plain kick-drift-kick leapfrog.  The step is a symmetric
 second-order map, hence reversible and volume-preserving, which is what the
 Metropolis correction in the sampler assumes.
 
+Each point is evaluated once, as the potential gradient and the field's
+metric state there: a step starts from the point its predecessor ended on.
+
 Strict inequality constraints are handled inside the drift: when a constraint
 function changes sign across a drift substep, the crossing is located by
 bisection, the trajectory advances to the boundary, and the momentum reflects
@@ -112,14 +115,21 @@ def hamiltonian(model: TargetModel, kinetic, q, p) -> float:
     v = potential_eval(model, q)
     if not math.isfinite(v):
         return math.inf
-    return v + kinetic.energy(q, p)
+    return v + kinetic.energy(kinetic.field.state_at(q), as_position(p, model.n))
+
+
+def _point(model, kinetic, q):
+    # (dV, field state) at q: all that a kick or a drift reads at a point
+    return potential_grad(model, q), kinetic.field.state_at(
+        q, with_hessian=kinetic.position_dependent
+    )
 
 
 def flow_derivatives(model: TargetModel, kinetic, q, p):
     """(dq/dt, dp/dt) of the energy-conserving flow at a feasible point."""
-    dq = kinetic.grad_p(q, p)
-    dp = -(potential_grad(model, q) + kinetic.grad_q(q, p))
-    return dq, dp
+    dv, state = _point(model, kinetic, as_position(q, model.n))
+    p = as_position(p, model.n)
+    return kinetic.grad_p(state, p), -(dv + kinetic.grad_q(state, p))
 
 
 def reflect_momentum(p, dc, lam) -> np.ndarray:
@@ -179,12 +189,12 @@ def _first_crossing(model, path, q_end, s_total, tol):
     return min(hits) if hits else None
 
 
-def _drift_with_events(model, kinetic, q, p, config, implicit, events, step_index):
+def _drift_with_events(model, kinetic, q, p, state, config, implicit, events, step_index):
     remaining = config.step_size
     n_events = 0
     while True:
         q0, p0 = q, p
-        u0 = kinetic.grad_p(q0, p0)
+        u0 = kinetic.grad_p(state, p0)
 
         def path(s):
             # solves y = q0 + s/2 (u0 + grad_p(y, p0)); explicit when grad_p
@@ -194,7 +204,7 @@ def _drift_with_events(model, kinetic, q, p, config, implicit, events, step_inde
             y = q0 + s * u0
             if implicit:
                 def drift(y):
-                    return q0 + 0.5 * s * (u0 + kinetic.grad_p(y, p0))
+                    return q0 + 0.5 * s * (u0 + kinetic.grad_p(kinetic.field.state_at(y), p0))
 
                 y = _solve(drift, y, config, "position")
             return y
@@ -225,27 +235,31 @@ def _drift_with_events(model, kinetic, q, p, config, implicit, events, step_inde
         remaining -= s_hit
         if remaining <= 0.0:
             return q, p
+        state = kinetic.field.state_at(q)
 
 
-def _step(model, kinetic, q, p, config, events, step_index):
-    # Implicit kick, reflective drift, explicit kick.  A constant metric has
-    # grad_q = 0 and a q-independent grad_p, so the first iterates solve the
-    # implicit equations exactly and neither grad_q nor the solver is called.
+def _step(model, kinetic, q, p, point, config, events, step_index):
+    # Implicit kick, reflective drift, explicit kick from the point (dV, state)
+    # at q; returns the end q, p and point.  A constant metric has grad_q = 0
+    # and a q-independent grad_p, so the first iterates solve the implicit
+    # equations exactly and neither grad_q nor the solver is called.
     eps = config.step_size
     implicit = kinetic.position_dependent
-    dv = potential_grad(model, q)
+    dv, state = point
     if implicit:
         def kick(x):
-            return p - 0.5 * eps * (dv + kinetic.grad_q(q, x))
+            return p - 0.5 * eps * (dv + kinetic.grad_q(state, x))
 
         p_half = _solve(kick, kick(p), config, "momentum")
     else:
         p_half = p - 0.5 * eps * dv
-    q, p = _drift_with_events(model, kinetic, q, p_half, config, implicit, events, step_index)
-    dv = potential_grad(model, q)
+    q, p = _drift_with_events(
+        model, kinetic, q, p_half, state, config, implicit, events, step_index
+    )
+    dv, state = point = _point(model, kinetic, q)
     if implicit:
-        dv = dv + kinetic.grad_q(q, p)
-    return q, p - 0.5 * eps * dv
+        dv = dv + kinetic.grad_q(state, p)
+    return q, p - 0.5 * eps * dv, point
 
 
 def generalized_leapfrog_step(
@@ -267,7 +281,7 @@ def generalized_leapfrog_step(
     p = as_position(p, model.n)
     config = IntegratorConfig(step_size, 1, fp_tol=fp_tol, fp_max_iter=fp_max_iter)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step(model, kinetic, q, p, config, [], 0)
+        return _step(model, kinetic, q, p, _point(model, kinetic, q), config, [], 0)[:2]
 
 
 def integrate(model: TargetModel, kinetic, state: PhaseState, config: IntegratorConfig) -> Trajectory:
@@ -288,14 +302,16 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
     events = []
     # blowups surface as a divergence signal, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(config.num_steps):
-            try:
-                q, p = _step(model, kinetic, q, p, config, events, step)
-            except (ConstraintViolationError, GeometryError, NumericError) as exc:
-                raise DivergenceError(str(exc)) from exc
-            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-                raise DivergenceError("non-finite state during integration")
-        h = hamiltonian(model, kinetic, q, p)
+        try:
+            point = _point(model, kinetic, q)
+            for step in range(config.num_steps):
+                q, p, point = _step(model, kinetic, q, p, point, config, events, step)
+                if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+                    raise DivergenceError("non-finite state during integration")
+        except (ConstraintViolationError, GeometryError, NumericError) as exc:
+            raise DivergenceError(str(exc)) from exc
+        # q is feasible: the last step evaluated the gradient there
+        h = potential_eval(model, q) + kinetic.energy(point[1], p)
     if not math.isfinite(h):
         raise DivergenceError("non-finite energy during integration")
     return Trajectory(state=PhaseState(q=q, p=p, energy=float(h)), reflections=tuple(events))

@@ -11,6 +11,9 @@ T is even in p with odd momentum gradient, which is what the reversible
 transition kernel requires.  Both derivatives follow from f' alone,
 grad_p = 2 f' Lam p and grad_q = f' ds/dq + d(log|Sigma|/2)/dq, and the
 conditional is drawn exactly: a Gaussian, over a chi-square scale for finite nu.
+
+T depends on q only through Lam(q), so energy and both gradients take the
+field's state at q (with its Hessian, for grad_q on a moving field) and p.
 """
 
 import math
@@ -19,7 +22,6 @@ import numpy as np
 
 from .errors import UsageError, ValidationError
 from .metric import ConstantMetric, GraphMetric
-from .model import as_position
 
 __all__ = ["Kinetic", "euclidean_quadratic", "riemannian_quadratic", "student_t"]
 
@@ -39,9 +41,6 @@ class Kinetic:
     def position_dependent(self) -> bool:
         return self.field.position_dependent
 
-    def _check(self, q, p):
-        return as_position(q, self.n), as_position(p, self.n)
-
     def _slope(self, state, p) -> float:
         # 2 f'(s), the factor of Lam p in grad_p
         if self.nu == math.inf:
@@ -49,9 +48,7 @@ class Kinetic:
         s = float(p @ state.lam @ p)
         return (self.nu + self.n) / (self.nu + s)
 
-    def energy(self, q, p) -> float:
-        q, p = self._check(q, p)
-        state = self.field.state_at(q)
+    def energy(self, state, p) -> float:
         s = float(p @ state.lam @ p)
         if self.nu == math.inf:
             f = 0.5 * s
@@ -59,18 +56,16 @@ class Kinetic:
             f = 0.5 * (self.nu + self.n) * math.log1p(s / self.nu)
         return f + 0.5 * state.logdet_sigma
 
-    def grad_p(self, q, p) -> np.ndarray:
-        q, p = self._check(q, p)
-        state = self.field.state_at(q)
+    def grad_p(self, state, p) -> np.ndarray:
         return self._slope(state, p) * (state.lam @ p)
 
-    def grad_q(self, q, p) -> np.ndarray:
+    def grad_q(self, state, p) -> np.ndarray:
         # on the graph field, in O(n^2): ds/dq = -2 (g.w) H w with w = Lam p,
         # and d(log|Sigma|/2)/dq = H grad_up / denom
-        q, p = self._check(q, p)
         if not self.position_dependent:
             return np.zeros(self.n)
-        state = self.field.state_at(q, with_hessian=True)
+        if state.hessian is None:
+            raise UsageError("grad_q needs a metric state built with_hessian=True")
         slope = self._slope(state, p)
         w = state.lam @ p
         ds = (-2.0 * float(state.grad @ w)) * (state.hessian @ w)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError, MetricDegeneracyError, NumericError, UsageError
-from .model import TargetModel, as_position, hessian_eval, potential_grad
+from .model import TargetModel, as_position, hessian_eval, potential_grad, spd_factor
 
 __all__ = [
     "BackgroundMetric",
@@ -46,16 +46,7 @@ class BackgroundMetric:
 
     @classmethod
     def from_matrix(cls, sigma) -> "BackgroundMetric":
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise MetricDegeneracyError("background metric must be a square matrix")
-        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12):
-            raise MetricDegeneracyError("background metric must be symmetric")
-        sigma = 0.5 * (sigma + sigma.T)
-        try:
-            chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            raise MetricDegeneracyError("background metric must be positive-definite") from None
+        sigma, chol = spd_factor(sigma, "background metric", MetricDegeneracyError)
         lam = np.linalg.inv(sigma)
         lam = 0.5 * (lam + lam.T)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -97,16 +88,7 @@ class ConstantMetric:
     position_dependent = False
 
     def __init__(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
-            raise MetricDegeneracyError("inverse metric must be a square matrix")
-        if not np.allclose(lam, lam.T, rtol=0.0, atol=1e-12):
-            raise MetricDegeneracyError("inverse metric must be symmetric")
-        lam = 0.5 * (lam + lam.T)
-        try:
-            chol_lam = np.linalg.cholesky(lam)
-        except np.linalg.LinAlgError:
-            raise MetricDegeneracyError("inverse metric must be positive-definite") from None
+        lam, chol_lam = spd_factor(lam, "inverse metric", MetricDegeneracyError)
         self.lam = lam
         # log|Sigma| = -log|Lam|
         self.logdet_sigma = -2.0 * float(np.sum(np.log(np.diag(chol_lam))))

@@ -78,6 +78,22 @@ def as_position(q, n: int) -> np.ndarray:
     return q
 
 
+def spd_factor(mat, what: str, error=ValidationError):
+    """(symmetrized mat, its lower Cholesky factor); raises ``error`` if not SPD."""
+    mat = np.asarray(mat, dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise error(f"{what} must have finite entries")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise error(f"{what} must be a square matrix")
+    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
+        raise error(f"{what} must be symmetric")
+    mat = 0.5 * (mat + mat.T)
+    try:
+        return mat, np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        raise error(f"{what} must be positive-definite") from None
+
+
 def is_feasible(model: TargetModel, q) -> bool:
     """True when every constraint is strictly satisfied."""
     q = as_position(q, model.n)
@@ -165,19 +181,6 @@ def _check_params(name: str, given: dict, allowed: dict):
             )
 
 
-def _spd_check(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"{what} must be a square matrix")
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
-        raise ValidationError(f"{what} must be symmetric")
-    try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise ValidationError(f"{what} must be positive-definite") from None
-    return 0.5 * (mat + mat.T)
-
-
 def _std_gaussian(n: int = 1) -> TargetModel:
     n = int(n)
     ident = np.eye(n)
@@ -194,7 +197,7 @@ def _std_gaussian(n: int = 1) -> TargetModel:
 
 def _mvn(mean, cov) -> TargetModel:
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = _spd_check(cov, "mvn covariance")
+    cov, _ = spd_factor(cov, "mvn covariance")
     n = mean.size
     if cov.shape != (n, n):
         raise ValidationError("mvn mean and covariance sizes do not match")

@@ -120,18 +120,18 @@ def _parse_vector(raw, line):
 
 
 def _parse_matrix_spec(raw, line):
-    """Validate the grammar only; materialization waits for the dimension."""
+    """Validate the grammar and finite entries; materialization waits for the dimension."""
     text = raw.strip()
     if text == "identity":
         return text
     if text.startswith("scale:"):
-        _parse_float(text.split(":", 1)[1], line)
-        return text
-    if text.startswith("diag:"):
-        _parse_vector(text.split(":", 1)[1], line)
-        return text
-    for row in text.split(";"):
-        _parse_vector(row, line)
+        entries = [_parse_float(text.split(":", 1)[1], line)]
+    elif text.startswith("diag:"):
+        entries = _parse_vector(text.split(":", 1)[1], line)
+    else:
+        entries = np.concatenate([_parse_vector(row, line) for row in text.split(";")])
+    if not np.all(np.isfinite(entries)):
+        raise SpecError(f"matrix entries must be finite, got {text!r}", line)
     return text
 
 

@@ -290,10 +290,10 @@ def check_reflection(probes: int = 1000):
         dc = rng.normal(size=n)
         while float(np.linalg.norm(dc)) < 1e-6:
             dc = rng.normal(size=n)
-        q = np.zeros(n)
         p_ref = reflect_momentum(p, dc, lam)
         for kin in (kq, kt):
-            worst_energy = max(worst_energy, abs(kin.energy(q, p_ref) - kin.energy(q, p)))
+            state = kin.field.state_at(np.zeros(n))
+            worst_energy = max(worst_energy, abs(kin.energy(state, p_ref) - kin.energy(state, p)))
         p_back = reflect_momentum(p_ref, dc, lam)
         # involution error measured at unit momentum scale
         scale = max(1.0, float(np.max(np.abs(p))), float(np.max(np.abs(p_ref))))
@@ -326,8 +326,9 @@ def check_momentum_symmetry(probes: int = 1000):
         q = rng.normal(size=2) * 0.8
         p = rng.normal(size=2) * 2.0
         for _, kin, _tag in kinetics:
-            even = abs(kin.energy(q, -p) - kin.energy(q, p))
-            odd = float(np.max(np.abs(kin.grad_p(q, -p) + kin.grad_p(q, p))))
+            state = kin.field.state_at(q)
+            even = abs(kin.energy(state, -p) - kin.energy(state, p))
+            odd = float(np.max(np.abs(kin.grad_p(state, -p) + kin.grad_p(state, p))))
             worst = max(worst, even, odd)
     return _finish("momentum-symmetry", worst <= 1e-12, worst, "<= 1e-12", "", t0)
 
@@ -367,8 +368,8 @@ def check_coordinate_invariance(maps: int = 20):
         q_t = amat @ q
         p_t = ainv.T @ p
         for kin, kin_t in zip(kinetics, kinetics_t):
-            h = base.potential(q) + kin.energy(q, p)
-            h_t = transformed.potential(q_t) + kin_t.energy(q_t, p_t)
+            h = base.potential(q) + kin.energy(kin.field.state_at(q), p)
+            h_t = transformed.potential(q_t) + kin_t.energy(kin_t.field.state_at(q_t), p_t)
             worst = max(worst, abs(h_t - h))
     return _finish("coordinate-invariance", worst <= 1e-12, worst, "<= 1e-12", "", t0)
 

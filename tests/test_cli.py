@@ -287,6 +287,18 @@ def test_scale_spec_takes_exactly_one_number(tmp_path, capsys):
     assert "line 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrix", ["diag:1,nan", "scale:inf", "1,0;0,-inf"])
+def test_non_finite_matrix_entries_are_refused_with_their_line(matrix, tmp_path, capsys):
+    bad = GAUSS_SPEC.replace("lambda = identity", f"lambda = {matrix}")
+    with pytest.raises(SpecError, match="finite") as err:
+        parse_run_spec(bad)
+    assert err.value.line == 8
+    spec_file = tmp_path / "bad.spec"
+    spec_file.write_text(bad)
+    assert main(["sample", str(spec_file), "--out-dir", str(tmp_path)]) == 2
+    assert "line 8" in capsys.readouterr().err
+
+
 def test_multi_chain_paths_split_the_extension_not_a_directory_dot(tmp_path):
     assert _chain_paths("samples.csv", 2) == ["samples_chain0.csv", "samples_chain1.csv"]
     assert _chain_paths("samples", 2) == ["samples_chain0.csv", "samples_chain1.csv"]

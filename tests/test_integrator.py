@@ -171,8 +171,8 @@ def test_reflection_hand_checked_with_anisotropic_metric():
     p_new = reflect_momentum([1.0, 1.0], [1.0, 0.0], lam)
     np.testing.assert_allclose(p_new, [-1.0, 1.0], atol=1e-15)
     kin = euclidean_quadratic(lam)
-    q = np.zeros(2)
-    assert kin.energy(q, p_new) == pytest.approx(kin.energy(q, [1.0, 1.0]), abs=1e-15)
+    state = kin.field.state_at(np.zeros(2))
+    assert kin.energy(state, p_new) == pytest.approx(kin.energy(state, [1.0, 1.0]), abs=1e-15)
 
 
 def test_reflection_is_an_involution():
@@ -243,8 +243,9 @@ def test_reflection_event_conserves_kinetic_energy_exactly():
     )
     assert traj.reflection_count >= 1
     for event in traj.reflections:
-        before = kin.energy(event.q, event.p_before)
-        after = kin.energy(event.q, event.p_after)
+        state = kin.field.state_at(event.q)
+        before = kin.energy(state, event.p_before)
+        after = kin.energy(state, event.p_after)
         assert abs(after - before) <= 1e-13
 
 
@@ -421,3 +422,55 @@ def test_integrate_reuses_the_given_initial_energy():
         # the kinetic energy is even in p, so the final energy is H at the
         # flipped momentum, bit for bit
         assert hamiltonian(model, kin, fresh.state.q, -fresh.state.p) == fresh.state.energy
+
+
+def _counted(model, name):
+    # model whose callable ``name`` appends its argument to the returned list
+    calls = []
+    fn = getattr(model, name)
+
+    def counted(q):
+        calls.append(q)
+        return fn(q)
+
+    return replace(model, **{name: counted}), calls
+
+
+@pytest.mark.parametrize("steps", [1, 4, 9])
+def test_explicit_integrate_evaluates_the_gradient_once_per_point(steps):
+    # the gradient at a step's end is the one the next step starts from
+    base = builtin_target("mvn", mean=[0.0, 0.0], cov=[[1.0, 0.9], [0.9, 1.0]])
+    model, calls = _counted(base, "gradient")
+    kin = euclidean_quadratic(np.eye(2))
+    integrate(model, kin, PhaseState(np.array([0.3, -0.2]), np.array([0.5, 1.0])),
+              IntegratorConfig(0.1, steps))
+    assert len(calls) == steps + 1
+
+
+@pytest.mark.parametrize("steps", [1, 4, 9])
+def test_graph_integrate_evaluates_the_hessian_once_per_point(steps):
+    model, calls = _counted(builtin_target("std_gaussian", n=3), "hessian")
+    kin = student_t(GraphMetric(model), nu=5.0)
+    start = PhaseState(np.array([0.3, -0.2, 0.1]), np.array([0.5, 1.0, -0.4]))
+    integrate(model, kin, start, IntegratorConfig(0.1, steps))
+    assert len(calls) == steps + 1
+
+
+def test_momentum_solve_builds_no_metric_state():
+    # the implicit kick iterates at fixed q on the state the step starts from
+    model = builtin_target("banana")
+    field = GraphMetric(model)
+    kin = riemannian_quadratic(field)
+    built, state_at = [], field.state_at
+
+    def counted_state_at(q, with_hessian=False):
+        built.append(np.array(q))
+        return state_at(q, with_hessian)
+
+    field.state_at = counted_state_at
+    grad_q_calls, grad_q = [], kin.grad_q
+    kin.grad_q = lambda *args: grad_q_calls.append(args) or grad_q(*args)
+    q = np.array([0.3, 0.2])
+    generalized_leapfrog_step(model, kin, q, np.array([0.5, -0.4]), 0.05)
+    assert len(grad_q_calls) > 3  # the solve iterated
+    assert sum(np.array_equal(b, q) for b in built) == 1

@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ghmc.errors import MetricDegeneracyError, ValidationError
+from ghmc.errors import MetricDegeneracyError, UsageError, ValidationError
 from ghmc.kinetic import euclidean_quadratic, riemannian_quadratic, student_t
 from ghmc.metric import GraphMetric
 from ghmc.model import builtin_target
+
+
+def _at(kin, q):
+    # the field's state at q, with the Hessian that grad_q reads
+    return kin.field.state_at(q, with_hessian=True)
 
 
 def _all_variants():
@@ -26,25 +31,25 @@ def _all_variants():
 
 def test_energy_identity_metric():
     kin = euclidean_quadratic(np.eye(2))
-    assert kin.energy([0.0, 0.0], [3.0, 4.0]) == pytest.approx(12.5)
+    assert kin.energy(_at(kin, [0.0, 0.0]), [3.0, 4.0]) == pytest.approx(12.5)
 
 
 def test_energy_includes_the_normalizing_logdet():
     kin = euclidean_quadratic(np.diag([4.0, 1.0]))
     expected = 2.0 - 0.5 * math.log(4.0)
-    assert kin.energy([0.0, 0.0], [1.0, 0.0]) == pytest.approx(expected, abs=1e-12)
+    assert kin.energy(_at(kin, [0.0, 0.0]), [1.0, 0.0]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_student_t_energy_at_zero_momentum():
     kin = student_t(np.eye(1), nu=1.0)
-    assert kin.energy([0.0], [0.0]) == pytest.approx(0.0, abs=1e-15)
+    assert kin.energy(_at(kin, [0.0]), [0.0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_momentum_gradient_examples():
     kin = euclidean_quadratic(np.eye(2))
-    np.testing.assert_allclose(kin.grad_p([0.0, 0.0], [3.0, 4.0]), [3.0, 4.0])
+    np.testing.assert_allclose(kin.grad_p(_at(kin, [0.0, 0.0]), [3.0, 4.0]), [3.0, 4.0])
     kin = euclidean_quadratic(np.diag([4.0, 1.0]))
-    np.testing.assert_allclose(kin.grad_p([0.0, 0.0], [1.0, 1.0]), [4.0, 1.0])
+    np.testing.assert_allclose(kin.grad_p(_at(kin, [0.0, 0.0]), [1.0, 1.0]), [4.0, 1.0])
 
 
 @pytest.mark.parametrize("name,kin", _all_variants(), ids=lambda v: v if isinstance(v, str) else "")
@@ -53,28 +58,29 @@ def test_evenness_and_odd_gradient(name, kin):
     for _ in range(250):
         q = rng.normal(size=2) * 0.8
         p = rng.normal(size=2) * 2.0
-        assert abs(kin.energy(q, -p) - kin.energy(q, p)) <= 1e-12
-        np.testing.assert_allclose(kin.grad_p(q, -p), -kin.grad_p(q, p), atol=1e-12)
+        state = _at(kin, q)
+        assert abs(kin.energy(state, -p) - kin.energy(state, p)) <= 1e-12
+        np.testing.assert_allclose(kin.grad_p(state, -p), -kin.grad_p(state, p), atol=1e-12)
 
 
 def test_constant_metric_has_no_position_force():
     kin = euclidean_quadratic(np.diag([4.0, 1.0]))
-    np.testing.assert_array_equal(kin.grad_q([0.3, -0.2], [1.0, 2.0]), np.zeros(2))
+    np.testing.assert_array_equal(kin.grad_q(_at(kin, [0.3, -0.2]), [1.0, 2.0]), np.zeros(2))
     kin_t = student_t(np.diag([4.0, 1.0]), nu=3.0)
-    np.testing.assert_array_equal(kin_t.grad_q([0.3, -0.2], [1.0, 2.0]), np.zeros(2))
+    np.testing.assert_array_equal(kin_t.grad_q(_at(kin_t, [0.3, -0.2]), [1.0, 2.0]), np.zeros(2))
 
 
 def test_position_gradient_one_dimensional_values():
     model = builtin_target("std_gaussian", n=1)
     kin = riemannian_quadratic(GraphMetric(model))
     # at p = 0 only the log-determinant term acts: d/dq log(1+q^2)/2 = q/(1+q^2)
-    assert kin.grad_q([1.0], [0.0])[0] == pytest.approx(0.5, abs=1e-14)
+    assert kin.grad_q(_at(kin, [1.0]), [0.0])[0] == pytest.approx(0.5, abs=1e-14)
 
     # finite differences of the energy, rel err < 1e-5
     q, p = np.array([1.0]), np.array([1.0])
     h = 1e-5
-    fd = (kin.energy(q + h, p) - kin.energy(q - h, p)) / (2 * h)
-    assert abs(kin.grad_q(q, p)[0] - fd) / abs(fd) < 1e-5
+    fd = (kin.energy(_at(kin, q + h), p) - kin.energy(_at(kin, q - h), p)) / (2 * h)
+    assert abs(kin.grad_q(_at(kin, q), p)[0] - fd) / abs(fd) < 1e-5
 
 
 @pytest.mark.parametrize("name,kin", _all_variants(), ids=lambda v: v if isinstance(v, str) else "")
@@ -84,14 +90,15 @@ def test_gradients_match_finite_differences(name, kin):
     for _ in range(10):
         q = rng.normal(size=2) * 0.7
         p = rng.normal(size=2) * 1.5
-        grad_p = kin.grad_p(q, p)
-        grad_q = kin.grad_q(q, p)
+        state = _at(kin, q)
+        grad_p = kin.grad_p(state, p)
+        grad_q = kin.grad_q(state, p)
         for i in range(2):
             dp = np.zeros(2)
             dp[i] = h
-            fd_p = (kin.energy(q, p + dp) - kin.energy(q, p - dp)) / (2 * h)
+            fd_p = (kin.energy(state, p + dp) - kin.energy(state, p - dp)) / (2 * h)
             assert abs(grad_p[i] - fd_p) / max(1.0, abs(fd_p)) < 1e-5
-            fd_q = (kin.energy(q + dp, p) - kin.energy(q - dp, p)) / (2 * h)
+            fd_q = (kin.energy(_at(kin, q + dp), p) - kin.energy(_at(kin, q - dp), p)) / (2 * h)
             assert abs(grad_q[i] - fd_q) / max(1.0, abs(fd_q)) < 1e-5
 
 
@@ -149,7 +156,8 @@ def test_momentum_draws_are_deterministic_for_a_seed():
 
 
 def _normalizer(kin, q):
-    return quad(lambda p: math.exp(-kin.energy([q], [p])), -np.inf, np.inf)[0]
+    state = _at(kin, [q])
+    return quad(lambda p: math.exp(-kin.energy(state, np.array([p]))), -np.inf, np.inf)[0]
 
 
 def test_conditional_normalizer_is_position_independent():
@@ -177,8 +185,6 @@ def test_student_t_parameter_validation_and_default():
 
 
 def test_euclidean_requires_constant_field():
-    from ghmc.errors import UsageError
-
     model = builtin_target("std_gaussian", n=1)
     with pytest.raises(UsageError):
         euclidean_quadratic(GraphMetric(model))
@@ -210,10 +216,22 @@ def test_infinite_degrees_of_freedom_is_the_gaussian_profile():
     q, p = np.array([0.5, -0.4]), np.array([1.3, -0.7])
     for field in (lam, graph):
         gauss, limit = riemannian_quadratic(field), student_t(field, nu=math.inf)
-        assert limit.energy(q, p) == gauss.energy(q, p)
-        np.testing.assert_array_equal(limit.grad_p(q, p), gauss.grad_p(q, p))
-        np.testing.assert_array_equal(limit.grad_q(q, p), gauss.grad_q(q, p))
+        state = _at(gauss, q)
+        assert limit.energy(state, p) == gauss.energy(state, p)
+        np.testing.assert_array_equal(limit.grad_p(state, p), gauss.grad_p(state, p))
+        np.testing.assert_array_equal(limit.grad_q(state, p), gauss.grad_q(state, p))
         # no chi-square scale is drawn, so the generator stream is the same
         one, two = np.random.default_rng(4), np.random.default_rng(4)
         np.testing.assert_array_equal(limit.sample_momentum(q, one), gauss.sample_momentum(q, two))
         assert one.uniform() == two.uniform()
+
+
+def test_position_gradient_needs_the_state_hessian():
+    model = builtin_target("std_gaussian", n=2)
+    kin = riemannian_quadratic(GraphMetric(model))
+    q, p = np.array([0.4, -0.3]), np.array([1.0, 0.5])
+    with pytest.raises(UsageError):
+        kin.grad_q(kin.field.state_at(q), p)
+    # energy and grad_p read the same values with or without the Hessian
+    assert kin.energy(kin.field.state_at(q), p) == kin.energy(_at(kin, q), p)
+    np.testing.assert_array_equal(kin.grad_p(kin.field.state_at(q), p), kin.grad_p(_at(kin, q), p))

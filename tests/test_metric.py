@@ -103,6 +103,13 @@ def test_background_rejects_bad_matrices():
         BackgroundMetric.from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("build", [ConstantMetric, BackgroundMetric.from_matrix])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_metric_entries_are_named_as_such(build, bad):
+    with pytest.raises(MetricDegeneracyError, match="must have finite entries"):
+        build(np.diag([1.0, bad]))
+
+
 def test_constant_metric_state_and_validation():
     lam = np.array([[2.0, 0.5], [0.5, 1.0]])
     field = ConstantMetric(lam)

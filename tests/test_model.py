@@ -177,6 +177,11 @@ def test_mvn_moments_and_validation():
         builtin_target("mvn", mean=[0.0, 0.0], cov=[[1.0, 2.0], [2.0, 1.0]])
 
 
+def test_mvn_non_finite_covariance_is_named_as_such():
+    with pytest.raises(ValidationError, match="must have finite entries"):
+        builtin_target("mvn", mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, np.nan]])
+
+
 def test_unknown_target_and_parameter():
     with pytest.raises(UsageError):
         builtin_target("gaussian")

@@ -237,3 +237,70 @@ def test_chain_moment_diagnostics_match_samples():
     np.testing.assert_allclose(res.mean, res.samples.mean(axis=0))
     np.testing.assert_allclose(res.cov, np.cov(res.samples, rowvar=False))
     assert res.ess.shape == (2,)
+
+
+# Samples and energy errors of seed-5 chains of 4 jittered transitions.  A
+# change that leaves the arithmetic alone keeps them bit for bit; the 1e-9
+# tolerance only absorbs BLAS differences between machines.
+_GOLDEN = {
+    "euclidean-mvn": (
+        [
+            [-0.7595061052979305, -0.8531251259090764],
+            [-0.09100438848139669, 0.02829088791687223],
+            [-0.29923998843110505, 0.22489104930564843],
+            [-1.4733278606033904, -1.3352839561347123],
+        ],
+        [0.003992085579053839, -0.0004315211637746508, 0.06512159985640453, -0.05845532251363217],
+    ),
+    "student_t-orthant": (
+        [
+            [0.12883206138209322, 0.22557746461102918, 0.5043681597195521],
+            [0.8060465739137228, 0.8311167550790883, 1.8167398553107978],
+            [1.3271209223069045, 0.16204167771753158, 1.4597157671627319],
+            [1.3531470824799596, 0.5479285475381765, 0.6849792244862172],
+        ],
+        [-0.00911891563566991, 0.04777173288153902, -0.001518802245895401, -0.01316591241348597],
+    ),
+    "student_t-graph": (
+        [
+            [-0.4926893422061046, -0.8136575545652781, -0.15258801484263587, 0.2583124706837897,
+             0.6979624456429694, 0.06740124157197014, -0.33953457397047193, -0.482152095397241,
+             0.46001322512861914, 1.004375382633745],
+            [-0.8219368181192643, 1.2498920716349298, -0.8430596147120731, -1.0126133068109258,
+             -1.5977850395626143, -0.7798024364309033, 1.073952296438562, 0.727987160880414,
+             -1.3045117779182354, -1.2552434403708688],
+            [0.26355450647394657, -1.3290803588436169, 0.38887876861197457, 0.42958133993256753,
+             0.5316193570182376, -0.27824579220420237, -0.7164881761558266, -0.9775702404489468,
+             -0.22762058335528623, 0.694978029169061],
+            [-0.5390251265419508, -0.804341018791193, 0.2693430087136998, -1.0014846116542073,
+             0.18127896609760666, -0.33595470289621815, 0.16861566375458226, -1.3606802462920424,
+             0.32937996531711566, -0.26933927706521843],
+        ],
+        [-0.6356590468980627, -0.1532563925424668, 0.073676166648875, 0.0072634491229379705],
+    ),
+}
+
+
+def _golden_case(name):
+    if name == "euclidean-mvn":
+        model = builtin_target("mvn", mean=[0.0, 0.0], cov=[[1.0, 0.9], [0.9, 1.0]])
+        return model, euclidean_quadratic(np.eye(2)), 0.2, 8, None
+    if name == "student_t-orthant":
+        model = builtin_target(
+            "halfspace_gaussian", n=3, constraints=[(row, 0.0) for row in np.eye(3)]
+        )
+        return model, student_t(np.eye(3), nu=5.0), 0.3, 10, np.ones(3)
+    model = builtin_target("std_gaussian", n=10)
+    return model, student_t(GraphMetric(model), nu=5.0), 0.3, 10, None
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_fixed_seed_chain_matches_the_golden_samples(name):
+    model, kin, eps, steps, initial = _golden_case(name)
+    cfg = ChainConfig(
+        seed=5, num_samples=4, integrator=IntegratorConfig(eps, steps), jitter_steps=True
+    )
+    result = run_chain(model, kin, cfg, initial)
+    samples, delta_h = _GOLDEN[name]
+    np.testing.assert_allclose(result.samples, samples, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(result.delta_h, delta_h, rtol=1e-9, atol=1e-12)
