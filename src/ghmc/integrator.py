@@ -9,7 +9,12 @@ second-order map, hence reversible and volume-preserving, which is what the
 Metropolis correction in the sampler assumes.
 
 Each point is evaluated once, as the potential gradient and the field's
-metric state there: a step starts from the point its predecessor ended on.
+metric state there (a graph field's state carries the gradient): a step
+starts from the point its predecessor ended on.  Non-finite values are caught
+where they would first reach the model: a fixed-point solve checks its first
+iterate and then only the scalar change between iterates, and a drift checks
+its end position before scanning the constraints there.  A scan that finds
+every constraint positive at the end of a step is its feasibility check.
 
 Strict inequality constraints are handled inside the drift: when a constraint
 function changes sign across a drift substep, the crossing is located by
@@ -118,11 +123,16 @@ def hamiltonian(model: TargetModel, kinetic, q, p) -> float:
     return v + kinetic.energy(kinetic.field.state_at(q), as_position(p, model.n))
 
 
-def _point(model, kinetic, q):
-    # (dV, field state) at q: all that a kick or a drift reads at a point
-    return potential_grad(model, q), kinetic.field.state_at(
-        q, with_hessian=kinetic.position_dependent
-    )
+def _point(model, kinetic, q, feasible=False):
+    # (dV, field state) at q: all that a kick or a drift reads at a point.  A
+    # graph field's state carries dV; ``feasible`` says that the caller's
+    # constraint scan has already shown q strictly feasible.
+    state = kinetic.field.state_at(q, with_hessian=kinetic.position_dependent)
+    if state.grad is not None:
+        return state.grad, state
+    if feasible:
+        return np.asarray(model.gradient(q), dtype=float), state
+    return potential_grad(model, q), state
 
 
 def flow_derivatives(model: TargetModel, kinetic, q, p):
@@ -148,18 +158,19 @@ def reflect_momentum(p, dc, lam) -> np.ndarray:
     return p - (2.0 * float(lam_dc @ p) / norm2) * dc
 
 
-def _solve(update, x0, config, what):
-    # iterate x = update(x) from the first iterate x0 until successive
-    # iterates agree within fp_tol
-    x = x0
-    for _ in range(config.fp_max_iter):
-        if not np.all(np.isfinite(x)):
-            break
-        x_new = update(x)
-        delta = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        if delta <= config.fp_tol:
-            return x
+def _solve(update, x, config, what):
+    # iterate x = update(x) from the first iterate x until successive iterates
+    # agree within fp_tol.  Only finite iterates reach update: x is checked
+    # once, and then a finite delta shows the next iterate finite.
+    if np.isfinite(x).all():
+        for _ in range(config.fp_max_iter):
+            x_new = update(x)
+            delta = float(np.abs(x_new - x).max())
+            if delta <= config.fp_tol:
+                return x_new
+            if not math.isfinite(delta):
+                break
+            x = x_new
     raise DivergenceError(f"implicit {what} update did not converge")
 
 
@@ -210,9 +221,12 @@ def _drift_with_events(model, kinetic, q, p, state, config, implicit, events, st
             return y
 
         q_end = path(remaining)
+        if not np.isfinite(q_end).all():
+            raise DivergenceError("non-finite position during integration")
         hit = _first_crossing(model, path, q_end, remaining, config.reflection_tol)
         if hit is None:
-            return q_end, p
+            # the scan found every constraint positive at q_end
+            return q_end, p, True
         s_hit, k = hit
         n_events += 1
         if n_events > config.reflection_max_events:
@@ -234,7 +248,7 @@ def _drift_with_events(model, kinetic, q, p, state, config, implicit, events, st
         p = p_new
         remaining -= s_hit
         if remaining <= 0.0:
-            return q, p
+            return q, p, False
         state = kinetic.field.state_at(q)
 
 
@@ -253,10 +267,10 @@ def _step(model, kinetic, q, p, point, config, events, step_index):
         p_half = _solve(kick, kick(p), config, "momentum")
     else:
         p_half = p - 0.5 * eps * dv
-    q, p = _drift_with_events(
+    q, p, feasible = _drift_with_events(
         model, kinetic, q, p_half, state, config, implicit, events, step_index
     )
-    dv, state = point = _point(model, kinetic, q)
+    dv, state = point = _point(model, kinetic, q, feasible)
     if implicit:
         dv = dv + kinetic.grad_q(state, p)
     return q, p - 0.5 * eps * dv, point
@@ -306,7 +320,7 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
             point = _point(model, kinetic, q)
             for step in range(config.num_steps):
                 q, p, point = _step(model, kinetic, q, p, point, config, events, step)
-                if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+                if not (np.isfinite(q).all() and np.isfinite(p).all()):
                     raise DivergenceError("non-finite state during integration")
         except (ConstraintViolationError, GeometryError, NumericError) as exc:
             raise DivergenceError(str(exc)) from exc

@@ -14,6 +14,8 @@ conditional is drawn exactly: a Gaussian, over a chi-square scale for finite nu.
 
 T depends on q only through Lam(q), so energy and both gradients take the
 field's state at q (with its Hessian, for grad_q on a moving field) and p.
+Each computes w = Lam p once, through the state's operator, and reads
+s = p.w from it; grad_q adds the state's p-independent log-determinant term.
 """
 
 import math
@@ -41,15 +43,14 @@ class Kinetic:
     def position_dependent(self) -> bool:
         return self.field.position_dependent
 
-    def _slope(self, state, p) -> float:
-        # 2 f'(s), the factor of Lam p in grad_p
+    def _slope(self, p, w) -> float:
+        # 2 f'(s) with s = p.w, the factor of w = Lam p in grad_p
         if self.nu == math.inf:
             return 1.0
-        s = float(p @ state.lam @ p)
-        return (self.nu + self.n) / (self.nu + s)
+        return (self.nu + self.n) / (self.nu + float(p @ w))
 
     def energy(self, state, p) -> float:
-        s = float(p @ state.lam @ p)
+        s = float(p @ state.lam_dot(p))
         if self.nu == math.inf:
             f = 0.5 * s
         else:
@@ -57,20 +58,19 @@ class Kinetic:
         return f + 0.5 * state.logdet_sigma
 
     def grad_p(self, state, p) -> np.ndarray:
-        return self._slope(state, p) * (state.lam @ p)
+        w = state.lam_dot(p)
+        return self._slope(p, w) * w
 
     def grad_q(self, state, p) -> np.ndarray:
         # on the graph field, in O(n^2): ds/dq = -2 (g.w) H w with w = Lam p,
-        # and d(log|Sigma|/2)/dq = H grad_up / denom
+        # and d(log|Sigma|/2)/dq = H grad_up / denom is the state's dlogdet
         if not self.position_dependent:
             return np.zeros(self.n)
         if state.hessian is None:
             raise UsageError("grad_q needs a metric state built with_hessian=True")
-        slope = self._slope(state, p)
-        w = state.lam @ p
+        w = state.lam_dot(p)
         ds = (-2.0 * float(state.grad @ w)) * (state.hessian @ w)
-        dlogdet = (state.hessian @ state.grad_up) / state.denom
-        return 0.5 * slope * ds + dlogdet
+        return 0.5 * self._slope(p, w) * ds + state.dlogdet
 
     def sample_momentum(self, q, rng) -> np.ndarray:
         """Exact draw: N(0, Lam^{-1}), over a chi-square scale for finite nu."""

@@ -17,9 +17,16 @@ coefficients from the outer product of the raised gradient with the Hessian
 of V divided by the same denominator.  Only homogeneous (position-independent)
 backgrounds are supported; for those the log|sigma| correction to the
 potential is constant and drops out of every gradient.
+
+A field's state at q is an operator: it keeps (lam, g_up = lam g, denom) and
+applies Lam(q) v = lam v - g_up (g_up.v) / denom with one matrix-vector
+product, so no n x n array is formed per position.  The dense
+Lam(q) is built only on request (reflections and dense-algebra checks).
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -65,21 +72,42 @@ class BackgroundMetric:
 
 @dataclass
 class MetricState:
-    """Per-position snapshot of an inverse-metric field.
+    """Per-position snapshot of an inverse-metric field, kept as an operator.
 
-    ``lam`` is the inverse metric at q and ``logdet_sigma`` the log-determinant
-    of the metric itself.  The graph field also carries the potential gradient
-    ``grad``, its raised version ``grad_up``, the rank-1 denominator
-    ``denom`` = 1 + grad.grad_up >= 1, and (on request) the Hessian of V.
+    The inverse metric at q is Lam = base - grad_up grad_up^T / denom, where
+    ``base`` is the constant field's matrix or the graph field's background
+    inverse, and the rank-1 term exists on the graph field only.
+    ``lam_dot(v)`` applies Lam without forming it; the dense ``lam`` is built
+    on first request.  ``logdet_sigma`` is the log-determinant of the metric
+    itself.  The graph field also carries the potential gradient ``grad``,
+    its raised version ``grad_up``, the denominator ``denom`` =
+    1 + grad.grad_up >= 1 and, on request, the Hessian of V with the
+    momentum-independent term ``dlogdet`` = hessian grad_up / denom, the
+    position gradient of log|Sigma|/2.
     """
 
     q: np.ndarray
-    lam: np.ndarray
+    base: np.ndarray
     logdet_sigma: float
     grad: Optional[np.ndarray] = None
     grad_up: Optional[np.ndarray] = None
     denom: float = 1.0
     hessian: Optional[np.ndarray] = None
+    dlogdet: Optional[np.ndarray] = None
+
+    def lam_dot(self, v) -> np.ndarray:
+        """Lam v, in O(n^2) work and with no n x n temporary."""
+        w = self.base @ v
+        if self.grad_up is None:
+            return w
+        return w - self.grad_up * (float(self.grad_up @ v) / self.denom)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """The dense inverse metric at q."""
+        if self.grad_up is None:
+            return self.base
+        return self.base - np.outer(self.grad_up, self.grad_up) / self.denom
 
 
 class ConstantMetric:
@@ -103,7 +131,7 @@ class ConstantMetric:
 
     def state_at(self, q, with_hessian: bool = False) -> MetricState:
         q = as_position(q, self.n)
-        return MetricState(q=q, lam=self.lam, logdet_sigma=self.logdet_sigma)
+        return MetricState(q=q, base=self.lam, logdet_sigma=self.logdet_sigma)
 
     def sample_gaussian(self, q, rng) -> np.ndarray:
         """Draw from N(0, lam^{-1})."""
@@ -141,22 +169,23 @@ class GraphMetric:
     def state_at(self, q, with_hessian: bool = False) -> MetricState:
         q = as_position(q, self.n)
         g = potential_grad(self.model, q)
-        if not np.all(np.isfinite(g)):
-            raise NumericError("potential gradient is non-finite; metric undefined")
         g_up = self.background.lam @ g
         denom = 1.0 + float(g @ g_up)
-        lam_bar = self.background.lam - np.outer(g_up, g_up) / denom
-        logdet = self.background.logdet_sigma + np.log(denom)
-        hess = hessian_eval(self.model, q) if with_hessian else None
-        return MetricState(
+        # a non-finite entry of g makes the quadratic form non-finite
+        if not math.isfinite(denom):
+            raise NumericError("potential gradient is non-finite or overflows; metric undefined")
+        state = MetricState(
             q=q,
-            lam=lam_bar,
-            logdet_sigma=logdet,
+            base=self.background.lam,
+            logdet_sigma=self.background.logdet_sigma + math.log(denom),
             grad=g,
             grad_up=g_up,
             denom=denom,
-            hessian=hess,
         )
+        if with_hessian:
+            state.hessian = hessian_eval(self.model, q)
+            state.dlogdet = (state.hessian @ g_up) / denom
+        return state
 
     def sample_gaussian(self, q, rng) -> np.ndarray:
         """Draw from N(0, sigma + g g^T) by adding a rank-1 scalar draw.

@@ -517,10 +517,12 @@ def _best_time(fn, repeats):
 
 
 def check_cost_scaling(sizes=(64, 128, 256, 512)):
-    """Fitted wall-time exponent of the rank-1 inverse versus dense inversion."""
+    """Fitted wall-time exponents of the rank-1 inverse and of one generalized
+    leapfrog step on the graph field, versus dense inversion."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     smw_times = []
+    step_times = []
     dense_times = []
     for n in sizes:
         a = rng.normal(size=(n, n))
@@ -532,6 +534,12 @@ def check_cost_scaling(sizes=(64, 128, 256, 512)):
         reps = max(5, 8192 // n)
         smw_times.append(_best_time(lambda: field.state_at(q), reps))
 
+        kin = riemannian_quadratic(field)
+        p = kin.sample_momentum(q, np.random.default_rng(n))
+        step_times.append(
+            _best_time(lambda: generalized_leapfrog_step(model, kin, q, p, 0.2), max(5, reps // 2))
+        )
+
         def dense(q=q, model=model, sigma=sigma):
             g = potential_grad(model, q)
             mat = sigma + np.outer(g, g)
@@ -541,13 +549,14 @@ def check_cost_scaling(sizes=(64, 128, 256, 512)):
         dense_times.append(_best_time(dense, max(3, reps // 4)))
     logs = np.log(np.asarray(sizes, dtype=float))
     smw_exp = float(np.polyfit(logs, np.log(smw_times), 1)[0])
+    step_exp = float(np.polyfit(logs, np.log(step_times), 1)[0])
     dense_exp = float(np.polyfit(logs, np.log(dense_times), 1)[0])
     return _finish(
         "cost-scaling",
-        smw_exp < 2.3,
-        smw_exp,
-        "rank-1 exponent < 2.3",
-        f"rank-1 {smw_exp:.2f}; dense oracle {dense_exp:.2f}",
+        max(step_exp, smw_exp) < 2.3,
+        step_exp,
+        "step exponent < 2.3, rank-1 too",
+        f"rank-1 {smw_exp:.2f}; step {step_exp:.2f}; dense oracle {dense_exp:.2f}",
         t0,
     )
 

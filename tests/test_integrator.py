@@ -23,7 +23,7 @@ from ghmc.integrator import (
     volume_check,
 )
 from ghmc.kinetic import euclidean_quadratic, riemannian_quadratic, student_t
-from ghmc.metric import GraphMetric
+from ghmc.metric import GraphMetric, MetricState
 from ghmc.model import Constraint, TargetModel, builtin_target, potential_grad
 
 
@@ -474,3 +474,71 @@ def test_momentum_solve_builds_no_metric_state():
     generalized_leapfrog_step(model, kin, q, np.array([0.5, -0.4]), 0.05)
     assert len(grad_q_calls) > 3  # the solve iterated
     assert sum(np.array_equal(b, q) for b in built) == 1
+
+
+def test_unconstrained_graph_integrate_never_builds_the_dense_inverse(monkeypatch):
+    # the kinetic applies Lam through the state's operator; only reflections
+    # and dense-algebra checks ask for the n x n matrix
+    def refuse(state):
+        raise AssertionError("dense inverse metric built")
+
+    monkeypatch.setattr(MetricState, "lam", property(refuse))
+    model = builtin_target("std_gaussian", n=3)
+    kin = student_t(GraphMetric(model), nu=5.0)
+    start = PhaseState(np.array([0.3, -0.2, 0.1]), np.array([0.5, 1.0, -0.4]))
+    traj = integrate(model, kin, start, IntegratorConfig(0.1, 9))
+    assert math.isfinite(traj.state.energy)
+
+
+@pytest.mark.parametrize("steps", [1, 4, 9])
+def test_graph_integrate_reads_the_gradient_from_the_state(steps):
+    # every gradient evaluation is the one inside a metric state build: a
+    # point takes dV from its state instead of evaluating it again
+    model, calls = _counted(builtin_target("std_gaussian", n=3), "gradient")
+    field = GraphMetric(model)
+    built, state_at = [], field.state_at
+
+    def counted_state_at(q, with_hessian=False):
+        built.append(np.array(q))
+        return state_at(q, with_hessian)
+
+    field.state_at = counted_state_at
+    kin = student_t(field, nu=5.0)
+    start = PhaseState(np.array([0.3, -0.2, 0.1]), np.array([0.5, 1.0, -0.4]))
+    integrate(model, kin, start, IntegratorConfig(0.1, steps))
+    assert len(built) > 2 * steps  # the drift iterated
+    assert len(calls) == len(built)
+
+
+def test_non_finite_first_momentum_iterate_is_a_divergence():
+    # p.Lam p overflows, so the momentum solve's first iterate is not finite;
+    # the step stops there, and the model never sees a non-finite position
+    base = builtin_target("banana")
+    model, grads = _counted(base, "gradient")
+    model, hessians = _counted(model, "hessian")
+    kin = riemannian_quadratic(GraphMetric(model))
+    start = PhaseState(np.array([0.3, 0.2]), np.array([1e200, -1e200]), energy=1.0)
+    with pytest.raises(DivergenceError, match="momentum"):
+        integrate(model, kin, start, IntegratorConfig(0.05, 3))
+    assert grads and hessians
+    assert all(np.isfinite(q).all() for q in grads + hessians)
+
+
+@pytest.mark.parametrize("steps", [1, 4, 9])
+def test_unreflected_step_scans_the_constraints_once(steps):
+    # the drift's crossing scan at its end q shows q feasible, so the end
+    # point takes the gradient without scanning again; besides one scan per
+    # step, only the start (energy and point) and the final energy scan
+    walls = [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)]
+    base = builtin_target("halfspace_gaussian", n=2, constraints=walls)
+    calls = []
+
+    def counted(con):
+        return replace(con, value=lambda q, value=con.value: calls.append(q) or value(q))
+
+    model = replace(base, constraints=tuple(counted(c) for c in base.constraints))
+    kin = euclidean_quadratic(np.eye(2))
+    traj = integrate(model, kin, PhaseState(np.array([2.0, 2.5]), np.array([0.3, -0.2])),
+                     IntegratorConfig(0.1, steps))
+    assert traj.reflection_count == 0
+    assert len(calls) == len(model.constraints) * (steps + 3)

@@ -121,6 +121,26 @@ def test_constant_metric_state_and_validation():
         ConstantMetric(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("n", [1, 3, 20])
+def test_lam_dot_applies_the_dense_inverse_metric(n):
+    # the operator and the lazily built dense Lam agree, for the constant
+    # field and for the graph field over the identity and a dense background
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    spd = a @ a.T + n * np.eye(n)
+    model = builtin_target("mvn", mean=np.zeros(n), cov=spd)
+    fields = [
+        ConstantMetric(np.linalg.inv(spd)),
+        GraphMetric(model),
+        GraphMetric(model, BackgroundMetric.from_matrix(spd)),
+    ]
+    for field in fields:
+        for _ in range(5):
+            state = field.state_at(rng.normal(size=n) * 3.0)
+            v = rng.normal(size=n)
+            np.testing.assert_allclose(state.lam_dot(v), state.lam @ v, rtol=1e-12)
+
+
 def test_christoffel_one_dimensional_value():
     model = builtin_target("std_gaussian", n=1)
     field = GraphMetric(model)
