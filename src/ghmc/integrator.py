@@ -17,12 +17,17 @@ its end position before scanning the constraints there.  A scan that finds
 every constraint positive at the end of a step is its feasibility check.
 
 Strict inequality constraints are handled inside the drift: when a constraint
-function changes sign across a drift substep, the crossing is located by
-bisection, the trajectory advances to the boundary, and the momentum reflects
-through Delta p = -2 (n, p)_Lam n with n the unit constraint normal under the
-inverse-metric inner product (a, b)_Lam = a.Lam b.  The reflection conserves
-any kinetic energy built on the quadratic form p.Lam p exactly, so only the
-discretization of the partial steps contributes to the energy error.
+function changes sign across a drift substep, the crossing is located by a
+bracketed secant search (Illinois regula falsi) that aims at the middle of
+the band 0 < C <= reflection_tol, so the trajectory advances to just inside
+the boundary, and the momentum reflects through Delta p = -2 (n, p)_Lam n
+with n the unit constraint normal under the inverse-metric inner product
+(a, b)_Lam = a.Lam b.  Aiming at one level set inside the band, and not at
+the root, also puts the landing point on a linear wall at the same place on
+the way out and on the way back, which keeps the reflective step reversible.
+The reflection conserves any kinetic energy built on the quadratic form
+p.Lam p exactly, so only the discretization of the partial steps contributes
+to the energy error.
 Crossings are found only at drift-substep endpoints, so a substep can tunnel
 through an excluded region that it enters and leaves again.
 
@@ -174,28 +179,50 @@ def _solve(update, x, config, what):
     raise DivergenceError(f"implicit {what} update did not converge")
 
 
-def _bisect_crossing(c_fun, s_hi, tol, max_iter=120):
-    # c_fun(0) > 0 >= c_fun(s_hi); return s on the feasible side with |C| <= tol
+_CROSSING_MAX_ITER = 120
+
+
+def _find_crossing(c_fun, s_hi, c_hi, tol):
+    # c_fun(0) > 0 >= c_hi = c_fun(s_hi); return s on the feasible side with
+    # 0 < C <= tol.  Illinois regula falsi on the bracket [lo, hi], each probe
+    # aimed at C = tol/2, the middle of the band: a probe aimed at the root
+    # lands on the infeasible side about half the time, the feasible end then
+    # never moves, and the search stalls.  On a wall that is linear in s the
+    # first probe lands in the band.  f_lo and f_hi are the bracket's
+    # C - tol/2, with Illinois halving; the stop test reads the true c_lo.
+    target = 0.5 * tol
     lo, hi = 0.0, s_hi
     c_lo = c_fun(0.0)
-    for _ in range(max_iter):
-        if abs(c_lo) <= tol or (hi - lo) <= 1e-16 * max(1.0, abs(s_hi)):
+    f_lo, f_hi = c_lo - target, c_hi - target
+    kept = 0  # which end the last probe moved: +1 lo, -1 hi
+    for _ in range(_CROSSING_MAX_ITER):
+        if c_lo <= tol or (hi - lo) <= 1e-16 * max(1.0, abs(s_hi)):
             break
-        mid = 0.5 * (lo + hi)
-        c_mid = c_fun(mid)
-        if c_mid > 0.0:
-            lo, c_lo = mid, c_mid
+        s = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        c = c_fun(s)
+        if c > 0.0:
+            lo, c_lo, f_lo = s, c, c - target
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
+            hi, f_hi = s, c - target
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
     return lo
 
 
 def _first_crossing(model, path, q_end, s_total, tol):
-    # earliest constraint crossing along path(s), ties broken by constraint index
+    # earliest constraint crossing along path(s), ties broken by constraint
+    # index; path(s_total) is q_end, so its constraint value brackets the search
     hits = []
     for k, con in enumerate(model.constraints):
-        if float(con.value(q_end)) <= 0.0:
-            s_k = _bisect_crossing(lambda s, c=con: float(c.value(path(s))), s_total, tol)
+        c_end = float(con.value(q_end))
+        if c_end <= 0.0:
+            s_k = _find_crossing(lambda s, c=con: float(c.value(path(s))), s_total, c_end, tol)
             hits.append((s_k, k))
     return min(hits) if hits else None
 

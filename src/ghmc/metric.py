@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError, MetricDegeneracyError, NumericError, UsageError
-from .model import TargetModel, as_position, hessian_eval, potential_grad, spd_factor
+from .model import TargetModel, _gradient_at, _hessian_at, as_position, potential_grad, spd_factor
 
 __all__ = [
     "BackgroundMetric",
@@ -167,8 +167,12 @@ class GraphMetric:
         return self.model.n
 
     def state_at(self, q, with_hessian: bool = False) -> MetricState:
+        # one shape check, one finite check and one feasibility scan before
+        # the model sees q
         q = as_position(q, self.n)
-        g = potential_grad(self.model, q)
+        if not np.isfinite(q).all():
+            raise NumericError("position has non-finite entries; metric undefined")
+        g = _gradient_at(self.model, q)
         g_up = self.background.lam @ g
         denom = 1.0 + float(g @ g_up)
         # a non-finite entry of g makes the quadratic form non-finite
@@ -183,7 +187,7 @@ class GraphMetric:
             denom=denom,
         )
         if with_hessian:
-            state.hessian = hessian_eval(self.model, q)
+            state.hessian = _hessian_at(self.model, q)
             state.dlogdet = (state.hessian @ g_up) / denom
         return state
 

@@ -116,8 +116,12 @@ def potential_grad(model: TargetModel, q) -> np.ndarray:
     Raises ConstraintViolationError off the feasible region: the potential
     jumps to infinity across the boundary so no gradient exists there.
     """
-    q = as_position(q, model.n)
-    if not is_feasible(model, q):
+    return _gradient_at(model, as_position(q, model.n))
+
+
+def _gradient_at(model, q):
+    # potential_grad at a q that as_position has already shaped
+    if not all(float(c.value(q)) > 0.0 for c in model.constraints):
         raise ConstraintViolationError(
             "gradient requested at an infeasible point; it is undefined on the boundary"
         )
@@ -129,8 +133,16 @@ def hessian_eval(model: TargetModel, q) -> np.ndarray:
     q = as_position(q, model.n)
     if model.hessian is None:
         raise CapabilityError(f"target {model.name!r} does not provide a Hessian")
+    return _hessian_at(model, q)
+
+
+def _hessian_at(model, q):
+    # hessian_eval at a q that as_position has already shaped; halving the sum
+    # in place gives the bits of 0.5 * (h + h.T) with one n x n array fewer
     h = np.asarray(model.hessian(q), dtype=float)
-    return 0.5 * (h + h.T)
+    s = h + h.T
+    s *= 0.5
+    return s
 
 
 def grad_check(model: TargetModel, q, h: float = 1e-6) -> float:

@@ -17,8 +17,10 @@ import numpy as np
 
 from .integrator import (
     IntegratorConfig,
+    PhaseState,
     generalized_leapfrog_step,
     hamiltonian,
+    integrate,
     reflect_momentum,
     volume_check,
 )
@@ -54,14 +56,13 @@ def _finish(name, passed, measured, requirement, detail, t0):
 
 
 def _roundtrip(model, kin, q0, p0, eps, num_steps, fp_tol=1e-12):
-    q, p = q0.copy(), p0.copy()
-    for _ in range(num_steps):
-        q, p = generalized_leapfrog_step(model, kin, q, p, eps, fp_tol, 200)
-    p = -p
-    for _ in range(num_steps):
-        q, p = generalized_leapfrog_step(model, kin, q, p, eps, fp_tol, 200)
-    p = -p
-    return max(float(np.max(np.abs(q - q0))), float(np.max(np.abs(p - p0))))
+    # (round-trip error, fewest reflections of the two legs) of num_steps
+    # steps forward, a momentum flip, and num_steps steps back
+    cfg = IntegratorConfig(eps, num_steps, fp_tol=fp_tol, fp_max_iter=200)
+    fwd = integrate(model, kin, PhaseState(q0, p0), cfg)
+    back = integrate(model, kin, PhaseState(fwd.state.q, -fwd.state.p), cfg)
+    err = max(float(np.max(np.abs(back.state.q - q0))), float(np.max(np.abs(back.state.p + p0))))
+    return err, min(fwd.reflection_count, back.reflection_count)
 
 
 def _catalog_suite():
@@ -74,17 +75,22 @@ def _catalog_suite():
 
 
 def check_reversibility():
-    """Round-trip error of the step kernel on the unconstrained catalog.
+    """Round-trip error of the step kernel, without walls and through them.
 
     Explicit rows use a Euclidean kinetic.  Implicit rows use the graph-metric
     kinetic except on the banana target, whose graph flow is too stiff for a
     contractive fixed point at this step size; there the implicit row repeats
-    the constant metric (its equations degrade to the explicit ones).
+    the constant metric (its equations degrade to the explicit ones).  Wall
+    rows run the Euclidean and the Student-t kinetic into linear walls; each
+    leg must reflect, and the round trip is held to the explicit bound, since
+    where a reflection lands decides whether the reflective step reverses.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst_explicit = 0.0
     worst_implicit = 0.0
+    worst_walls = 0.0
+    fewest_reflections = math.inf
     detail = []
     for model in _catalog_suite():
         if model.name == "banana":
@@ -97,21 +103,42 @@ def check_reversibility():
             q0 = rng.normal(size=model.n) * 0.5
             p0 = rng.normal(size=model.n)
         ke = euclidean_quadratic(np.eye(model.n))
-        err_e = _roundtrip(model, ke, q0, p0, 0.1, 20)
+        err_e, _ = _roundtrip(model, ke, q0, p0, 0.1, 20)
         if model.name == "banana":
             ki = ke
         else:
             ki = riemannian_quadratic(GraphMetric(model))
-        err_i = _roundtrip(model, ki, q0, p0, 0.1, 20)
+        err_i, _ = _roundtrip(model, ki, q0, p0, 0.1, 20)
         worst_explicit = max(worst_explicit, err_e)
         worst_implicit = max(worst_implicit, err_i)
         detail.append(f"{model.name}: explicit {err_e:.1e} implicit {err_i:.1e}")
-    passed = worst_explicit <= 1e-10 and worst_implicit <= 1e-8
+    orthant = builtin_target("halfspace_gaussian", n=3, constraints=[(r, 0.0) for r in np.eye(3)])
+    walls = [
+        ("halfspace", builtin_target("halfspace_gaussian", n=2), [0.4, 0.0], [-1.5, 0.7]),
+        # the corner of the orthant q > 0, where one step can reflect off several walls
+        ("orthant", orthant, [1.0, 1.0, 1.0], [-1.5, 0.7, -2.0]),
+    ]
+    for label, model, q0, p0 in walls:
+        q0, p0 = np.array(q0), np.array(p0)
+        row = []
+        for name, kin in (("euclidean", euclidean_quadratic(np.eye(model.n))),
+                          ("student-t", student_t(np.eye(model.n), nu=5.0))):
+            err, reflections = _roundtrip(model, kin, q0, p0, 0.1, 30)
+            worst_walls = max(worst_walls, err)
+            fewest_reflections = min(fewest_reflections, reflections)
+            row.append(f"{name} {err:.1e} ({reflections} refl)")
+        detail.append(f"{label}: " + " ".join(row))
+    passed = (
+        worst_explicit <= 1e-10
+        and worst_implicit <= 1e-8
+        and worst_walls <= 1e-10
+        and fewest_reflections >= 1
+    )
     return _finish(
         "reversibility",
         passed,
-        max(worst_explicit, worst_implicit),
-        "explicit <= 1e-10, implicit <= 1e-8",
+        max(worst_explicit, worst_implicit, worst_walls),
+        "explicit <= 1e-10, implicit <= 1e-8, walls <= 1e-10 with >= 1 reflection",
         "; ".join(detail),
         t0,
     )

@@ -249,18 +249,30 @@ def test_reflection_event_conserves_kinetic_energy_exactly():
         assert abs(after - before) <= 1e-13
 
 
-@pytest.mark.parametrize(
-    "kin",
-    [euclidean_quadratic(np.array([[1.5, 0.3], [0.3, 0.8]])), student_t(np.eye(2))],
-    ids=["euclidean", "student-t"],
-)
-def test_round_trip_through_reflections(kin):
-    model = builtin_target("halfspace_gaussian", n=2)
-    q0, p0 = np.array([0.4, 0.0]), np.array([-1.5, 0.7])
+def _orthant(n):
+    return builtin_target("halfspace_gaussian", n=n, constraints=[(row, 0.0) for row in np.eye(n)])
+
+
+_HALFSPACE_START = (np.array([0.4, 0.0]), np.array([-1.5, 0.7]))
+_REFLECTIVE_ROUND_TRIPS = {
+    "euclidean": (builtin_target("halfspace_gaussian", n=2),
+                  euclidean_quadratic(np.array([[1.5, 0.3], [0.3, 0.8]])), *_HALFSPACE_START, 1),
+    "student-t": (builtin_target("halfspace_gaussian", n=2), student_t(np.eye(2)),
+                  *_HALFSPACE_START, 1),
+    # the corner of the 3-d orthant: one trajectory reflects off several walls
+    "student-t-orthant": (_orthant(3), student_t(np.eye(3), nu=5.0),
+                          np.ones(3), np.array([-1.5, 0.7, -2.0]), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFLECTIVE_ROUND_TRIPS))
+def test_round_trip_through_reflections(case):
+    model, kin, q0, p0, min_reflections = _REFLECTIVE_ROUND_TRIPS[case]
     cfg = IntegratorConfig(0.1, 30)
     fwd = integrate(model, kin, PhaseState(q0, p0), cfg)
     back = integrate(model, kin, PhaseState(fwd.state.q, -fwd.state.p), cfg)
-    assert fwd.reflection_count >= 1 and back.reflection_count >= 1
+    assert fwd.reflection_count >= min_reflections
+    assert back.reflection_count >= min_reflections
     assert np.max(np.abs(back.state.q - q0)) <= 1e-10
     assert np.max(np.abs(-back.state.p - p0)) <= 1e-10
 
@@ -524,21 +536,68 @@ def test_non_finite_first_momentum_iterate_is_a_divergence():
     assert all(np.isfinite(q).all() for q in grads + hessians)
 
 
-@pytest.mark.parametrize("steps", [1, 4, 9])
-def test_unreflected_step_scans_the_constraints_once(steps):
-    # the drift's crossing scan at its end q shows q feasible, so the end
-    # point takes the gradient without scanning again; besides one scan per
-    # step, only the start (energy and point) and the final energy scan
-    walls = [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)]
-    base = builtin_target("halfspace_gaussian", n=2, constraints=walls)
+def _counted_constraints(model):
+    # model whose constraint values append their argument to the returned list
     calls = []
 
     def counted(con):
         return replace(con, value=lambda q, value=con.value: calls.append(q) or value(q))
 
-    model = replace(base, constraints=tuple(counted(c) for c in base.constraints))
+    return replace(model, constraints=tuple(counted(c) for c in model.constraints)), calls
+
+
+@pytest.mark.parametrize("steps", [1, 4, 9])
+def test_unreflected_step_scans_the_constraints_once(steps):
+    # the drift's crossing scan at its end q shows q feasible, so the end
+    # point takes the gradient without scanning again; besides one scan per
+    # step, only the start (energy and point) and the final energy scan
+    model, calls = _counted_constraints(_orthant(2))
     kin = euclidean_quadratic(np.eye(2))
     traj = integrate(model, kin, PhaseState(np.array([2.0, 2.5]), np.array([0.3, -0.2])),
                      IntegratorConfig(0.1, steps))
     assert traj.reflection_count == 0
     assert len(calls) == len(model.constraints) * (steps + 3)
+
+
+def test_linear_wall_crossing_takes_one_probe():
+    # the drift is linear in s, so C along it is too: the first secant probe,
+    # aimed at C = tol/2, lands inside the band 0 < C <= tol.  A search then
+    # makes 2 evaluations, C(0) and that probe, and the drift after the
+    # reflection scans its new end once; besides, one scan per step plus three
+    # at the start and end (bisection made 50 calls here)
+    model, calls = _counted_constraints(builtin_target("halfspace_gaussian"))
+    kin = euclidean_quadratic(np.eye(1))
+    cfg = IntegratorConfig(0.05, 20)
+    traj = integrate(model, kin, PhaseState(np.array([0.5]), np.array([-2.0])), cfg)
+    assert traj.reflection_count == 1
+    assert 0.0 < traj.reflections[0].q[0] <= cfg.reflection_tol
+    assert len(calls) == (cfg.num_steps + 3) + 3 * traj.reflection_count
+
+
+def test_curved_wall_crossings_land_inside_the_band():
+    # C = 1 - q.q is quadratic along the drift: the secant converges in a few
+    # probes (bisection made 122 calls here)
+    disk = Constraint(value=lambda q: 1.0 - float(q @ q), grad=lambda q: -2.0 * q)
+    model, calls = _counted_constraints(
+        replace(builtin_target("std_gaussian", n=2), constraints=(disk,))
+    )
+    kin = euclidean_quadratic(np.eye(2))
+    cfg = IntegratorConfig(0.1, 20)
+    traj = integrate(model, kin, PhaseState(np.array([0.2, 0.1]), np.array([3.0, 1.0])), cfg)
+    assert traj.reflection_count == 3
+    for event in traj.reflections:
+        assert 0.0 < 1.0 - float(event.q @ event.q) <= cfg.reflection_tol
+    assert len(calls) < 61
+
+
+def test_triple_root_wall_still_lands_on_the_feasible_side():
+    # C = q1^3 is flat at its root, where secant steps creep; the search still
+    # ends inside the band within its iteration cap
+    cube = Constraint(value=lambda q: q[0] ** 3, grad=lambda q: np.array([3.0 * q[0] ** 2, 0.0]))
+    model = replace(builtin_target("std_gaussian", n=2), constraints=(cube,))
+    kin = euclidean_quadratic(np.eye(2))
+    cfg = IntegratorConfig(0.1, 20)
+    traj = integrate(model, kin, PhaseState(np.array([0.5, 0.1]), np.array([-3.0, 1.0])), cfg)
+    assert traj.reflection_count == 1
+    assert 0.0 < traj.reflections[0].q[0] ** 3 <= cfg.reflection_tol
+    assert traj.state.q[0] > 0.0
