@@ -10,11 +10,15 @@ Metropolis correction in the sampler assumes.
 
 Each point is evaluated once, as the potential gradient and the field's
 metric state there (a graph field's state carries the gradient): a step
-starts from the point its predecessor ended on.  Non-finite values are caught
-where they would first reach the model: a fixed-point solve checks its first
-iterate and then only the scalar change between iterates, and a drift checks
-its end position before scanning the constraints there.  A scan that finds
-every constraint positive at the end of a step is its feasibility check.
+starts from the point its predecessor ended on, and ``integrate`` starts from
+the point its caller passes in, which for a chain is the point it holds.  The
+end point goes back with the final state, and V there is read without a
+further constraint scan.  Non-finite values are caught where they would first
+reach the model: a fixed-point solve checks its first iterate and then only
+the scalar change between iterates, a drift checks its end position before
+scanning the constraints there, and a non-finite momentum left by the last
+kick makes the final energy non-finite.  A scan that finds every constraint
+positive at the end of a step is its feasibility check.
 
 Strict inequality constraints are handled inside the drift: when a constraint
 function changes sign across a drift substep, the crossing is located by a
@@ -90,11 +94,17 @@ class IntegratorConfig:
 
 @dataclass
 class PhaseState:
-    """A phase-space point with an optionally cached energy value."""
+    """A phase-space point with an optionally cached energy and point.
+
+    ``point`` is the evaluated position: the potential gradient and the
+    field's metric state at q, with its Hessian when the kinetic is
+    position-dependent.
+    """
 
     q: np.ndarray
     p: np.ndarray
     energy: Optional[float] = None
+    point: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -110,9 +120,10 @@ class ReflectionEvent:
 
 @dataclass
 class Trajectory:
-    """Integration output: final state, with its energy, and reflection events."""
+    """Integration output: the final state with its energy and point, V at its q, and reflections."""
 
     state: PhaseState
+    potential: float
     reflections: tuple = field(default_factory=tuple)
 
     @property
@@ -329,33 +340,44 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
     """Run num_steps leapfrog steps, reflecting off constraints.
 
     The Hamiltonian is evaluated only at the two ends, the values the
-    Metropolis test reads: ``state.energy``, when given, is taken as H(q, p)
-    and not evaluated again, and the final state carries H at the endpoint.
+    Metropolis test reads.  ``state.energy`` and ``state.point``, when given,
+    are trusted: they are taken as H(q, p) and as the point at q, and are not
+    evaluated again; a finite energy shows q feasible.  The final state
+    carries H and the point at the endpoint, and the trajectory V there, so
+    a chain can start its next transition from it.
     Raises UsageError when the initial state has infinite energy and
     DivergenceError when the trajectory fails numerically, including a step
     that evaluates the model at an infeasible point.
     """
-    q = as_position(state.q, model.n).copy()
-    p = as_position(state.p, model.n).copy()
+    q = as_position(state.q, model.n)
+    p = as_position(state.p, model.n)
     h0 = hamiltonian(model, kinetic, q, p) if state.energy is None else state.energy
     if not math.isfinite(h0):
         raise UsageError("initial state must be feasible with finite energy")
     events = []
-    # blowups surface as a divergence signal, not as numpy warnings
+    # blowups surface as a divergence signal, not as numpy warnings; a
+    # non-finite q is caught by the drift, a non-finite p by the next kick's
+    # drift or momentum solve, or by the final energy
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            point = _point(model, kinetic, q)
+            point = state.point
+            if point is None:
+                point = _point(model, kinetic, q, feasible=True)
             for step in range(config.num_steps):
                 q, p, point = _step(model, kinetic, q, p, point, config, events, step)
-                if not (np.isfinite(q).all() and np.isfinite(p).all()):
-                    raise DivergenceError("non-finite state during integration")
         except (ConstraintViolationError, GeometryError, NumericError) as exc:
             raise DivergenceError(str(exc)) from exc
-        # q is feasible: the last step evaluated the gradient there
-        h = potential_eval(model, q) + kinetic.energy(point[1], p)
+        # q is finite and strictly feasible: the last step's drift scan or
+        # its gradient evaluation showed it
+        v = float(model.potential(q))
+        h = v + kinetic.energy(point[1], p)
     if not math.isfinite(h):
         raise DivergenceError("non-finite energy during integration")
-    return Trajectory(state=PhaseState(q=q, p=p, energy=float(h)), reflections=tuple(events))
+    return Trajectory(
+        state=PhaseState(q=q, p=p, energy=float(h), point=point),
+        potential=v,
+        reflections=tuple(events),
+    )
 
 
 def volume_check(

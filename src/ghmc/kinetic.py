@@ -59,6 +59,8 @@ class Kinetic:
 
     def grad_p(self, state, p) -> np.ndarray:
         w = state.lam_dot(p)
+        if self.nu == math.inf:
+            return w
         return self._slope(p, w) * w
 
     def grad_q(self, state, p) -> np.ndarray:

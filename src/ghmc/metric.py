@@ -86,7 +86,6 @@ class MetricState:
     position gradient of log|Sigma|/2.
     """
 
-    q: np.ndarray
     base: np.ndarray
     logdet_sigma: float
     grad: Optional[np.ndarray] = None
@@ -124,14 +123,16 @@ class ConstantMetric:
         self._chol_cov = np.linalg.cholesky(0.5 * (cov + cov.T))
         for arr in (self.lam, self._chol_cov):
             arr.flags.writeable = False
+        self._state = MetricState(base=self.lam, logdet_sigma=self.logdet_sigma)
 
     @property
     def n(self) -> int:
         return self.lam.shape[0]
 
     def state_at(self, q, with_hessian: bool = False) -> MetricState:
-        q = as_position(q, self.n)
-        return MetricState(q=q, base=self.lam, logdet_sigma=self.logdet_sigma)
+        # the field is the same everywhere: one state serves every position
+        as_position(q, self.n)
+        return self._state
 
     def sample_gaussian(self, q, rng) -> np.ndarray:
         """Draw from N(0, lam^{-1})."""
@@ -179,7 +180,6 @@ class GraphMetric:
         if not math.isfinite(denom):
             raise NumericError("potential gradient is non-finite or overflows; metric undefined")
         state = MetricState(
-            q=q,
             base=self.background.lam,
             logdet_sigma=self.background.logdet_sigma + math.log(denom),
             grad=g,

@@ -7,6 +7,11 @@ accepts with probability min(1, exp(H_start - H_end)).  The momentum is
 discarded after the decision; only positions are retained.  Trajectories that
 fail numerically count as divergences and are rejected outright.
 
+A transition starts from the point the chain holds: V, its gradient and the
+field's metric state at the current position, evaluated when the chain
+started or when the trajectory that proposed the position ended.  So the
+start energy costs one kinetic energy, and no position is evaluated twice.
+
 Only energy differences ever enter the accept decision, so potentials defined
 up to an additive constant are fine.  Chains own their generator: runs are
 bit-reproducible from the seed, and independent chains can execute in
@@ -19,7 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, UsageError
-from .integrator import IntegratorConfig, PhaseState, hamiltonian, integrate
+from .integrator import (  # noqa: F401  (hamiltonian stays importable from here)
+    IntegratorConfig,
+    PhaseState,
+    _point,
+    hamiltonian,
+    integrate,
+)
 from .model import TargetModel, as_position, potential_eval
 
 __all__ = [
@@ -70,38 +81,63 @@ class ChainResult:
         return float(np.mean(self.accepted))
 
 
-def hmc_transition(model: TargetModel, kinetic, q, cfg: ChainConfig, rng):
-    """One transition from position q; returns (position, accepted, delta_h).
+def _evaluate(model, kinetic, q):
+    # (V, point) at a chain's initial point, which must be feasible with
+    # finite potential
+    v = potential_eval(model, q)
+    if not math.isfinite(v):
+        raise UsageError("initial point is infeasible or has non-finite potential")
+    return v, _point(model, kinetic, q, feasible=True)
 
-    Divergent trajectories never contribute a proposal: the chain stays put
-    and delta_h is +inf so the caller can count them.
-    """
-    q = as_position(q, model.n)
+
+def _transition(model, kinetic, q, v, point, cfg, configs, rng):
+    # The transition kernel, from q with V and the point there evaluated.
+    # Returns the chain's next (q, V, point), accepted and delta_h: the
+    # trajectory's end on accept, the start otherwise.  ``configs`` holds the
+    # integrator config of each step count drawn so far.
     p = kinetic.sample_momentum(q, rng)
-    h_start = hamiltonian(model, kinetic, q, p)
+    h_start = v + kinetic.energy(point[1], p)
     num_steps = cfg.integrator.num_steps
     if cfg.jitter_steps:
-        num_steps = int(rng.integers(1, cfg.integrator.num_steps + 1))
-    icfg = replace(cfg.integrator, num_steps=num_steps)
+        num_steps = int(rng.integers(1, num_steps + 1))
+    icfg = configs.get(num_steps)
+    if icfg is None:
+        icfg = configs[num_steps] = replace(cfg.integrator, num_steps=num_steps)
     try:
-        traj = integrate(model, kinetic, PhaseState(q=q, p=p, energy=h_start), icfg)
+        traj = integrate(model, kinetic, PhaseState(q, p, h_start, point), icfg)
     except DivergenceError:
-        return q, False, math.inf
+        return q, v, point, False, math.inf
     # The momentum flip makes the proposal an involution; the kinetic energy
     # is even in p, so it costs nothing and H(q_end, -p_end) is the
     # trajectory's final energy.
-    h_end = traj.state.energy
-    delta_h = h_end - h_start
-    if math.log(rng.uniform()) < h_start - h_end:
-        return traj.state.q, True, delta_h
-    return q, False, delta_h
+    end = traj.state
+    delta_h = end.energy - h_start
+    if math.log(rng.uniform()) < h_start - end.energy:
+        return end.q, traj.potential, end.point, True, delta_h
+    return q, v, point, False, delta_h
+
+
+def hmc_transition(model: TargetModel, kinetic, q, cfg: ChainConfig, rng):
+    """One transition from position q; returns (position, accepted, delta_h).
+
+    Evaluates q, which must be feasible with finite potential, and runs the
+    kernel ``run_chain`` runs.  Divergent trajectories never contribute a
+    proposal: the chain stays put and delta_h is +inf so the caller can
+    count them.
+    """
+    q = as_position(q, model.n)
+    v, point = _evaluate(model, kinetic, q)
+    q, _, _, accepted, delta_h = _transition(model, kinetic, q, v, point, cfg, {}, rng)
+    return q, accepted, delta_h
 
 
 def run_chain(model: TargetModel, kinetic, cfg: ChainConfig, initial=None) -> ChainResult:
     """Run warmup + num_samples transitions and summarize the retained ones.
 
     The initial point defaults to the target's catalog-provided one; either
-    way it must be feasible with finite potential.
+    way it must be feasible with finite potential.  The chain evaluates it
+    once and then carries the point it stands on, so each transition starts
+    from a point already evaluated.
     """
     if initial is None:
         initial = model.initial_point
@@ -110,8 +146,8 @@ def run_chain(model: TargetModel, kinetic, cfg: ChainConfig, initial=None) -> Ch
             f"target {model.name!r} provides no initial point; pass one explicitly"
         )
     q = as_position(initial, model.n).copy()
-    if not math.isfinite(potential_eval(model, q)):
-        raise UsageError("initial point is infeasible or has non-finite potential")
+    v, point = _evaluate(model, kinetic, q)
+    configs = {}
 
     rng = np.random.default_rng(cfg.seed)
     n = model.n
@@ -119,7 +155,7 @@ def run_chain(model: TargetModel, kinetic, cfg: ChainConfig, initial=None) -> Ch
     accepted = np.zeros(cfg.num_samples, dtype=bool)
     delta_h = np.empty(cfg.num_samples)
     for t in range(cfg.warmup + cfg.num_samples):
-        q, acc, dh = hmc_transition(model, kinetic, q, cfg, rng)
+        q, v, point, acc, dh = _transition(model, kinetic, q, v, point, cfg, configs, rng)
         k = t - cfg.warmup
         if k >= 0:
             samples[k] = q

@@ -536,6 +536,33 @@ def test_non_finite_first_momentum_iterate_is_a_divergence():
     assert all(np.isfinite(q).all() for q in grads + hessians)
 
 
+@pytest.mark.parametrize("steps", [6, 9])
+def test_infinite_gradient_at_a_step_end_is_a_divergence(steps):
+    # dV is inf from q = 1 on; the harmonic trajectory from (0, 2) first ends
+    # a step past it at step 6.  At the last step the inf reaches only the
+    # final momentum, and so the final energy; at an earlier step it reaches
+    # the next kick, whose drift ends at a non-finite q.  Either way the
+    # model sees finite positions only.
+    seen = []
+
+    def potential(q):
+        seen.append(q)
+        return 0.5 * float(q @ q)
+
+    def gradient(q):
+        seen.append(q)
+        return q.copy() if q[0] < 1.0 else np.array([math.inf])
+
+    model = TargetModel(n=1, potential=potential, gradient=gradient, name="inf-wall")
+    kin = euclidean_quadratic(np.eye(1))
+    start = PhaseState(np.array([0.0]), np.array([2.0]))
+    assert integrate(model, kin, start, IntegratorConfig(0.1, 5)).state.q[0] < 1.0
+    match = "non-finite energy" if steps == 6 else "non-finite position"
+    with pytest.raises(DivergenceError, match=match):
+        integrate(model, kin, start, IntegratorConfig(0.1, steps))
+    assert seen and all(np.isfinite(q).all() for q in seen)
+
+
 def _counted_constraints(model):
     # model whose constraint values append their argument to the returned list
     calls = []
@@ -549,29 +576,30 @@ def _counted_constraints(model):
 @pytest.mark.parametrize("steps", [1, 4, 9])
 def test_unreflected_step_scans_the_constraints_once(steps):
     # the drift's crossing scan at its end q shows q feasible, so the end
-    # point takes the gradient without scanning again; besides one scan per
-    # step, only the start (energy and point) and the final energy scan
+    # point and the final energy read the model without scanning again;
+    # besides one scan per step, only the start energy scans, and its finite
+    # value lets the start point skip its scan
     model, calls = _counted_constraints(_orthant(2))
     kin = euclidean_quadratic(np.eye(2))
     traj = integrate(model, kin, PhaseState(np.array([2.0, 2.5]), np.array([0.3, -0.2])),
                      IntegratorConfig(0.1, steps))
     assert traj.reflection_count == 0
-    assert len(calls) == len(model.constraints) * (steps + 3)
+    assert len(calls) == len(model.constraints) * (steps + 1)
 
 
 def test_linear_wall_crossing_takes_one_probe():
     # the drift is linear in s, so C along it is too: the first secant probe,
     # aimed at C = tol/2, lands inside the band 0 < C <= tol.  A search then
     # makes 2 evaluations, C(0) and that probe, and the drift after the
-    # reflection scans its new end once; besides, one scan per step plus three
-    # at the start and end (bisection made 50 calls here)
+    # reflection scans its new end once; besides, one scan per step plus one
+    # for the start energy (bisection made 50 calls here)
     model, calls = _counted_constraints(builtin_target("halfspace_gaussian"))
     kin = euclidean_quadratic(np.eye(1))
     cfg = IntegratorConfig(0.05, 20)
     traj = integrate(model, kin, PhaseState(np.array([0.5]), np.array([-2.0])), cfg)
     assert traj.reflection_count == 1
     assert 0.0 < traj.reflections[0].q[0] <= cfg.reflection_tol
-    assert len(calls) == (cfg.num_steps + 3) + 3 * traj.reflection_count
+    assert len(calls) == (cfg.num_steps + 1) + 3 * traj.reflection_count
 
 
 def test_curved_wall_crossings_land_inside_the_band():

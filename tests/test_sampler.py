@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ghmc.sampler
 from ghmc.errors import UsageError
 from ghmc.integrator import IntegratorConfig
 from ghmc.kinetic import euclidean_quadratic, riemannian_quadratic, student_t
@@ -304,3 +305,100 @@ def test_fixed_seed_chain_matches_the_golden_samples(name):
     samples, delta_h = _GOLDEN[name]
     np.testing.assert_allclose(result.samples, samples, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(result.delta_h, delta_h, rtol=1e-9, atol=1e-12)
+
+
+def _chain_case(name, model=None):
+    # (model, kinetic, step size, steps, initial point) of a jittered chain;
+    # ``model``, when given, replaces the catalog target of the case
+    if name == "euclidean-mvn":
+        model = model or builtin_target("mvn", mean=[0.0, 0.0], cov=[[1.0, 0.9], [0.9, 1.0]])
+        return model, euclidean_quadratic(np.eye(2)), 0.2, 8, None
+    if name == "student_t-orthant":
+        model = model or builtin_target(
+            "halfspace_gaussian", n=3, constraints=[(row, 0.0) for row in np.eye(3)]
+        )
+        return model, student_t(np.eye(3), nu=5.0), 0.3, 10, np.ones(3)
+    model = model or builtin_target("std_gaussian", n=3)
+    return model, student_t(GraphMetric(model), nu=5.0), 0.3, 10, None
+
+
+_CHAIN_CASES = ["euclidean-mvn", "student_t-orthant", "student_t-graph"]
+
+
+def _steps_and_reflections(monkeypatch):
+    # record each trajectory's step count and reflections through the
+    # integrate that the sampler looks up
+    record = {"steps": [], "reflections": 0}
+    integrate = ghmc.sampler.integrate
+
+    def counted(model, kinetic, state, config):
+        record["steps"].append(config.num_steps)
+        traj = integrate(model, kinetic, state, config)
+        record["reflections"] += traj.reflection_count
+        return traj
+
+    monkeypatch.setattr(ghmc.sampler, "integrate", counted)
+    return record
+
+
+@pytest.mark.parametrize("name", _CHAIN_CASES)
+def test_run_chain_is_a_loop_of_hmc_transitions(name, monkeypatch):
+    # the chain carries its evaluated point; a fresh evaluation of each
+    # position gives the same samples, decisions and energy errors, bit for bit
+    model, kin, eps, steps, initial = _chain_case(name)
+    cfg = ChainConfig(
+        seed=9, num_samples=40, warmup=5, integrator=IntegratorConfig(eps, steps),
+        jitter_steps=True,
+    )
+    record = _steps_and_reflections(monkeypatch)
+    result = run_chain(model, kin, cfg, initial)
+    if name == "student_t-orthant":
+        assert record["reflections"] > 0
+    rng = np.random.default_rng(cfg.seed)
+    q = model.initial_point if initial is None else initial
+    rows = []
+    for _ in range(cfg.warmup + cfg.num_samples):
+        q, accepted, delta_h = hmc_transition(model, kin, q, cfg, rng)
+        rows.append((q, accepted, delta_h))
+    rows = rows[cfg.warmup:]
+    np.testing.assert_array_equal(result.samples, np.array([r[0] for r in rows]))
+    np.testing.assert_array_equal(result.accepted, np.array([r[1] for r in rows]))
+    np.testing.assert_array_equal(result.delta_h, np.array([r[2] for r in rows]))
+
+
+@pytest.mark.parametrize("name", _CHAIN_CASES)
+def test_a_chain_evaluates_each_position_once(name, monkeypatch):
+    # V at the start and at each trajectory end that reaches the Metropolis
+    # test; the gradient (explicit) or the Hessian (graph) at the start and at
+    # each step end; never the Hamiltonian of a start point again
+    calls = {"potential": 0, "gradient": 0, "hessian": 0}
+    base = _chain_case(name)[0]
+
+    def counted(key):
+        fn = getattr(base, key)
+
+        def call(q):
+            calls[key] += 1
+            return fn(q)
+
+        return call
+
+    model = replace(base, **{key: counted(key) for key in calls if getattr(base, key)})
+    model, kin, eps, steps, initial = _chain_case(name, model)
+
+    def refuse(*args):
+        raise AssertionError("the chain evaluated a start Hamiltonian")
+
+    monkeypatch.setattr(ghmc.sampler, "hamiltonian", refuse)
+    record = _steps_and_reflections(monkeypatch)
+    cfg = ChainConfig(
+        seed=4, num_samples=30, integrator=IntegratorConfig(eps, steps), jitter_steps=True
+    )
+    result = run_chain(model, kin, cfg, initial)
+    assert calls["potential"] == 1 + int(np.isfinite(result.delta_h).sum())
+    assert result.divergence_count == 0
+    total_steps = sum(record["steps"])
+    if kin.position_dependent:
+        assert calls["hessian"] == 1 + total_steps
+    else:
+        assert calls["gradient"] == 1 + total_steps
