@@ -13,12 +13,15 @@ metric state there (a graph field's state carries the gradient): a step
 starts from the point its predecessor ended on, and ``integrate`` starts from
 the point its caller passes in, which for a chain is the point it holds.  The
 end point goes back with the final state, and V there is read without a
-further constraint scan.  Non-finite values are caught where they would first
-reach the model: a fixed-point solve checks its first iterate and then only
-the scalar change between iterates, a drift checks its end position before
-scanning the constraints there, and a non-finite momentum left by the last
-kick makes the final energy non-finite.  A scan that finds every constraint
-positive at the end of a step is its feasibility check.
+further constraint scan.  A graph drift's fixed-point iterate at y is not a
+point: it evaluates dV at y, applies Lam(y) to the segment's momentum p0 from
+lam p0 (computed once per segment), and builds no metric state.  Non-finite
+values are caught where they would first reach the model: a fixed-point
+solve checks its first iterate and then only the scalar change between
+iterates, a drift checks its end position before scanning the constraints
+there, and a non-finite momentum left by the last kick makes the final
+energy non-finite.  A scan that finds every constraint positive at the end
+of a step is its feasibility check.
 
 Strict inequality constraints are handled inside the drift: when a constraint
 function changes sign across a drift substep, the crossing is located by a
@@ -167,11 +170,11 @@ def reflect_momentum(p, dc, lam) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     dc = np.asarray(dc, dtype=float)
-    lam_dc = np.asarray(lam, dtype=float) @ dc
-    norm2 = float(dc @ lam_dc)
+    lam_dc = np.asarray(lam, dtype=float).dot(dc)
+    norm2 = float(dc.dot(lam_dc))
     if not math.isfinite(norm2) or norm2 <= 0.0:
         raise GeometryError("constraint normal has non-positive norm under the inverse metric")
-    return p - (2.0 * float(lam_dc @ p) / norm2) * dc
+    return p - (2.0 * float(lam_dc.dot(p)) / norm2) * dc
 
 
 def _solve(update, x, config, what):
@@ -241,19 +244,24 @@ def _first_crossing(model, path, q_end, s_total, tol):
 def _drift_with_events(model, kinetic, q, p, state, config, implicit, events, step_index):
     remaining = config.step_size
     n_events = 0
+    field = kinetic.field
     while True:
         q0, p0 = q, p
         u0 = kinetic.grad_p(state, p0)
+        if implicit:
+            lam_p0 = state.base.dot(p0)
 
         def path(s):
             # solves y = q0 + s/2 (u0 + grad_p(y, p0)); explicit when grad_p
-            # does not depend on y
+            # does not depend on y.  An iterate applies Lam(y) to p0 from the
+            # segment's lam p0 and builds no metric state.
             if s <= 0.0:
                 return q0
             y = q0 + s * u0
             if implicit:
                 def drift(y):
-                    return q0 + 0.5 * s * (u0 + kinetic.grad_p(kinetic.field.state_at(y), p0))
+                    w = field._lam_dot_at(y, p0, lam_p0)
+                    return q0 + 0.5 * s * (u0 + kinetic._momentum_grad(p0, w))
 
                 y = _solve(drift, y, config, "position")
             return y
@@ -287,7 +295,7 @@ def _drift_with_events(model, kinetic, q, p, state, config, implicit, events, st
         remaining -= s_hit
         if remaining <= 0.0:
             return q, p, False
-        state = kinetic.field.state_at(q)
+        state = field.state_at(q)
 
 
 def _step(model, kinetic, q, p, point, config, events, step_index):
@@ -342,7 +350,9 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
     The Hamiltonian is evaluated only at the two ends, the values the
     Metropolis test reads.  ``state.energy`` and ``state.point``, when given,
     are trusted: they are taken as H(q, p) and as the point at q, and are not
-    evaluated again; a finite energy shows q feasible.  The final state
+    evaluated again; a finite energy shows q feasible.  Without an energy, q
+    is scanned once for V, and H is read from the given point or from the one
+    point built there, which the first step then starts from.  The final state
     carries H and the point at the endpoint, and the trajectory V there, so
     a chain can start its next transition from it.
     Raises UsageError when the initial state has infinite energy and
@@ -351,7 +361,15 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
     """
     q = as_position(state.q, model.n)
     p = as_position(state.p, model.n)
-    h0 = hamiltonian(model, kinetic, q, p) if state.energy is None else state.energy
+    h0, point = state.energy, state.point
+    if h0 is None:
+        # H = V + T from one scan and one point at q, the point kept for the
+        # first step
+        h0 = potential_eval(model, q)
+        if math.isfinite(h0):
+            if point is None:
+                point = _point(model, kinetic, q, feasible=True)
+            h0 += kinetic.energy(point[1], p)
     if not math.isfinite(h0):
         raise UsageError("initial state must be feasible with finite energy")
     events = []
@@ -360,7 +378,6 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
     # drift or momentum solve, or by the final energy
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            point = state.point
             if point is None:
                 point = _point(model, kinetic, q, feasible=True)
             for step in range(config.num_steps):

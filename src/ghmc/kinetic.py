@@ -47,10 +47,16 @@ class Kinetic:
         # 2 f'(s) with s = p.w, the factor of w = Lam p in grad_p
         if self.nu == math.inf:
             return 1.0
-        return (self.nu + self.n) / (self.nu + float(p @ w))
+        return (self.nu + self.n) / (self.nu + float(w.dot(p)))
+
+    def _momentum_grad(self, p, w) -> np.ndarray:
+        # grad_p from w = Lam p: the profile's 2 f'(s) w
+        if self.nu == math.inf:
+            return w
+        return self._slope(p, w) * w
 
     def energy(self, state, p) -> float:
-        s = float(p @ state.lam_dot(p))
+        s = float(state.lam_dot(p).dot(p))
         if self.nu == math.inf:
             f = 0.5 * s
         else:
@@ -58,10 +64,7 @@ class Kinetic:
         return f + 0.5 * state.logdet_sigma
 
     def grad_p(self, state, p) -> np.ndarray:
-        w = state.lam_dot(p)
-        if self.nu == math.inf:
-            return w
-        return self._slope(p, w) * w
+        return self._momentum_grad(p, state.lam_dot(p))
 
     def grad_q(self, state, p) -> np.ndarray:
         # on the graph field, in O(n^2): ds/dq = -2 (g.w) H w with w = Lam p,
@@ -71,7 +74,7 @@ class Kinetic:
         if state.hessian is None:
             raise UsageError("grad_q needs a metric state built with_hessian=True")
         w = state.lam_dot(p)
-        ds = (-2.0 * float(state.grad @ w)) * (state.hessian @ w)
+        ds = (-2.0 * float(state.grad.dot(w))) * state.hessian.dot(w)
         return 0.5 * self._slope(p, w) * ds + state.dlogdet
 
     def sample_momentum(self, q, rng) -> np.ndarray:

@@ -22,6 +22,10 @@ A field's state at q is an operator: it keeps (lam, g_up = lam g, denom) and
 applies Lam(q) v = lam v - g_up (g_up.v) / denom with one matrix-vector
 product, so no n x n array is formed per position.  The dense
 Lam(q) is built only on request (reflections and dense-algebra checks).
+The implicit drift's fixed-point iterate needs Lam(y) p0 alone, at a y its
+solver has already shown finite: ``GraphMetric._lam_dot_at`` gives it from
+the segment's lam p0 with the gradient at y, the same raised gradient and
+rank-1 correction a state uses, and builds no state.
 """
 
 import math
@@ -96,10 +100,10 @@ class MetricState:
 
     def lam_dot(self, v) -> np.ndarray:
         """Lam v, in O(n^2) work and with no n x n temporary."""
-        w = self.base @ v
+        w = self.base.dot(v)
         if self.grad_up is None:
             return w
-        return w - self.grad_up * (float(self.grad_up @ v) / self.denom)
+        return _rank1_dot(w, self.grad_up, self.denom, v)
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -107,6 +111,11 @@ class MetricState:
         if self.grad_up is None:
             return self.base
         return self.base - np.outer(self.grad_up, self.grad_up) / self.denom
+
+
+def _rank1_dot(base_v, grad_up, denom, v) -> np.ndarray:
+    # Lam v = base v - grad_up (grad_up.v) / denom, from base v
+    return base_v - grad_up * (float(grad_up.dot(v)) / denom)
 
 
 class ConstantMetric:
@@ -136,7 +145,7 @@ class ConstantMetric:
 
     def sample_gaussian(self, q, rng) -> np.ndarray:
         """Draw from N(0, lam^{-1})."""
-        return self._chol_cov @ rng.standard_normal(self.n)
+        return self._chol_cov.dot(rng.standard_normal(self.n))
 
 
 class GraphMetric:
@@ -173,12 +182,7 @@ class GraphMetric:
         q = as_position(q, self.n)
         if not np.isfinite(q).all():
             raise NumericError("position has non-finite entries; metric undefined")
-        g = _gradient_at(self.model, q)
-        g_up = self.background.lam @ g
-        denom = 1.0 + float(g @ g_up)
-        # a non-finite entry of g makes the quadratic form non-finite
-        if not math.isfinite(denom):
-            raise NumericError("potential gradient is non-finite or overflows; metric undefined")
+        g, g_up, denom = self._raised_gradient(q)
         state = MetricState(
             base=self.background.lam,
             logdet_sigma=self.background.logdet_sigma + math.log(denom),
@@ -188,8 +192,25 @@ class GraphMetric:
         )
         if with_hessian:
             state.hessian = _hessian_at(self.model, q)
-            state.dlogdet = (state.hessian @ g_up) / denom
+            state.dlogdet = state.hessian.dot(g_up) / denom
         return state
+
+    def _raised_gradient(self, q):
+        # (g, g_up = lam g, denom = 1 + g.g_up) at a shaped, finite q, after
+        # the feasibility scan that comes with the gradient
+        g = _gradient_at(self.model, q)
+        g_up = self.background.lam.dot(g)
+        denom = 1.0 + float(g.dot(g_up))
+        # a non-finite entry of g makes the quadratic form non-finite
+        if not math.isfinite(denom):
+            raise NumericError("potential gradient is non-finite or overflows; metric undefined")
+        return g, g_up, denom
+
+    def _lam_dot_at(self, q, v, lam_v) -> np.ndarray:
+        # Lam(q) v from lam v at a shaped, finite q, for the drift's
+        # fixed-point iterate: no log-determinant and no MetricState
+        _, g_up, denom = self._raised_gradient(q)
+        return _rank1_dot(lam_v, g_up, denom, v)
 
     def sample_gaussian(self, q, rng) -> np.ndarray:
         """Draw from N(0, sigma + g g^T) by adding a rank-1 scalar draw.
@@ -201,7 +222,7 @@ class GraphMetric:
         g = potential_grad(self.model, q)
         z1 = rng.standard_normal(self.n)
         z2 = rng.standard_normal()
-        return self.background.chol_sigma @ z1 + g * z2
+        return self.background.chol_sigma.dot(z1) + g * z2
 
     def christoffel(self, q) -> np.ndarray:
         """Connection coefficients G[i, j, k] = grad_up[i] H[j, k] / denom."""

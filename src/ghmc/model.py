@@ -198,7 +198,7 @@ def _std_gaussian(n: int = 1) -> TargetModel:
     ident = np.eye(n)
     return TargetModel(
         n=n,
-        potential=lambda q: 0.5 * float(q @ q),
+        potential=lambda q: 0.5 * float(q.dot(q)),
         gradient=lambda q: q.copy(),
         hessian=lambda q: ident.copy(),
         name="std_gaussian",
@@ -218,12 +218,12 @@ def _mvn(mean, cov) -> TargetModel:
 
     def pot(q, mean=mean, prec=prec):
         d = q - mean
-        return 0.5 * float(d @ prec @ d)
+        return 0.5 * float(d.dot(prec).dot(d))
 
     return TargetModel(
         n=n,
         potential=pot,
-        gradient=lambda q: prec @ (q - mean),
+        gradient=lambda q: prec.dot(q - mean),
         hessian=lambda q: prec.copy(),
         name="mvn",
         initial_point=mean.copy(),
@@ -272,13 +272,13 @@ def _funnel(n: int = 2) -> TargetModel:
 
     def pot(q):
         v = q[0]
-        return v * v / 18.0 + 0.5 * (n - 1) * v + 0.5 * math.exp(-v) * float(q[1:] @ q[1:])
+        return v * v / 18.0 + 0.5 * (n - 1) * v + 0.5 * math.exp(-v) * float(q[1:].dot(q[1:]))
 
     def grad(q):
         v = q[0]
         ev = math.exp(-v)
         g = np.empty(n)
-        g[0] = v / 9.0 + 0.5 * (n - 1) - 0.5 * ev * float(q[1:] @ q[1:])
+        g[0] = v / 9.0 + 0.5 * (n - 1) - 0.5 * ev * float(q[1:].dot(q[1:]))
         g[1:] = ev * q[1:]
         return g
 
@@ -286,7 +286,7 @@ def _funnel(n: int = 2) -> TargetModel:
         v = q[0]
         ev = math.exp(-v)
         h = np.zeros((n, n))
-        h[0, 0] = 1.0 / 9.0 + 0.5 * ev * float(q[1:] @ q[1:])
+        h[0, 0] = 1.0 / 9.0 + 0.5 * ev * float(q[1:].dot(q[1:]))
         h[0, 1:] = -ev * q[1:]
         h[1:, 0] = -ev * q[1:]
         h[1:, 1:] = ev * np.eye(n - 1)
@@ -328,7 +328,7 @@ def _halfspace_gaussian(n: int = 1, constraints=None) -> TargetModel:
         w.flags.writeable = False
         cons.append(
             Constraint(
-                value=lambda q, w=w, b=b: float(w @ q) + b,
+                value=lambda q, w=w, b=b: float(w.dot(q)) + b,
                 grad=lambda q, w=w: w.copy(),
             )
         )
@@ -346,7 +346,7 @@ def _halfspace_gaussian(n: int = 1, constraints=None) -> TargetModel:
 
     return TargetModel(
         n=n,
-        potential=lambda q: 0.5 * float(q @ q),
+        potential=lambda q: 0.5 * float(q.dot(q)),
         gradient=lambda q: q.copy(),
         hessian=lambda q: ident.copy(),
         constraints=tuple(cons),

@@ -448,6 +448,22 @@ def _counted(model, name):
     return replace(model, **{name: counted}), calls
 
 
+def _counted_state_at(field):
+    # replace field.state_at by a wrapper; returns the list of built positions
+    built, state_at = [], field.state_at
+
+    def counted_state_at(q, with_hessian=False):
+        built.append(np.array(q))
+        return state_at(q, with_hessian)
+
+    field.state_at = counted_state_at
+    return built
+
+
+def _distinct(arrays):
+    return len({a.tobytes() for a in arrays}) == len(arrays)
+
+
 @pytest.mark.parametrize("steps", [1, 4, 9])
 def test_explicit_integrate_evaluates_the_gradient_once_per_point(steps):
     # the gradient at a step's end is the one the next step starts from
@@ -473,13 +489,7 @@ def test_momentum_solve_builds_no_metric_state():
     model = builtin_target("banana")
     field = GraphMetric(model)
     kin = riemannian_quadratic(field)
-    built, state_at = [], field.state_at
-
-    def counted_state_at(q, with_hessian=False):
-        built.append(np.array(q))
-        return state_at(q, with_hessian)
-
-    field.state_at = counted_state_at
+    built = _counted_state_at(field)
     grad_q_calls, grad_q = [], kin.grad_q
     kin.grad_q = lambda *args: grad_q_calls.append(args) or grad_q(*args)
     q = np.array([0.3, 0.2])
@@ -504,22 +514,37 @@ def test_unconstrained_graph_integrate_never_builds_the_dense_inverse(monkeypatc
 
 @pytest.mark.parametrize("steps", [1, 4, 9])
 def test_graph_integrate_reads_the_gradient_from_the_state(steps):
-    # every gradient evaluation is the one inside a metric state build: a
-    # point takes dV from its state instead of evaluating it again
+    # one metric state per point (the start and each step's end), and no
+    # position's dV evaluated twice: a point takes dV from its state, and a
+    # drift iterate evaluates dV at its own y without building a state
     model, calls = _counted(builtin_target("std_gaussian", n=3), "gradient")
     field = GraphMetric(model)
-    built, state_at = [], field.state_at
-
-    def counted_state_at(q, with_hessian=False):
-        built.append(np.array(q))
-        return state_at(q, with_hessian)
-
-    field.state_at = counted_state_at
+    built = _counted_state_at(field)
     kin = student_t(field, nu=5.0)
     start = PhaseState(np.array([0.3, -0.2, 0.1]), np.array([0.5, 1.0, -0.4]))
     integrate(model, kin, start, IntegratorConfig(0.1, steps))
-    assert len(built) > 2 * steps  # the drift iterated
-    assert len(calls) == len(built)
+    assert len(built) == steps + 1
+    assert len(calls) > 2 * len(built)  # the drift iterated
+    assert _distinct(calls)
+    assert {b.tobytes() for b in built} <= {c.tobytes() for c in calls}
+
+
+@pytest.mark.parametrize("given_point", [False, True])
+def test_integrate_evaluates_its_start_once(given_point):
+    # with no energy given, H at the start comes from one scan and the one
+    # point the first step starts from; a given point is reused
+    model, calls = _counted(builtin_target("std_gaussian", n=3), "gradient")
+    field = GraphMetric(model)
+    kin = student_t(field, nu=5.0)
+    q = np.array([0.3, -0.2, 0.1])
+    p = np.array([0.5, 1.0, -0.4])
+    point = (field.state_at(q).grad, field.state_at(q, with_hessian=True)) if given_point else None
+    calls.clear()
+    built = _counted_state_at(field)
+    integrate(model, kin, PhaseState(q, p, point=point), IntegratorConfig(0.1, 1))
+    at_start = [c for c in calls if np.array_equal(c, q)]
+    assert len(at_start) == (0 if given_point else 1)
+    assert len(built) == (1 if given_point else 2)
 
 
 def test_non_finite_first_momentum_iterate_is_a_divergence():

@@ -235,3 +235,20 @@ def test_position_gradient_needs_the_state_hessian():
     # energy and grad_p read the same values with or without the Hessian
     assert kin.energy(kin.field.state_at(q), p) == kin.energy(_at(kin, q), p)
     np.testing.assert_array_equal(kin.grad_p(kin.field.state_at(q), p), kin.grad_p(_at(kin, q), p))
+
+
+@pytest.mark.parametrize("name,kin", _all_variants(), ids=lambda v: v if isinstance(v, str) else "")
+def test_list_momentum_gives_the_bits_of_an_array(name, kin):
+    # the kinetic and the state's operator keep the ndarray on the left of
+    # every product, so a Python-list p is coerced and gives the same bits
+    state = _at(kin, [0.4, -0.3])
+    p_list = [0.7, -1.2]
+    p = np.array(p_list)
+    assert kin.energy(state, p_list) == kin.energy(state, p)
+    for got, want in [
+        (kin.grad_p(state, p_list), kin.grad_p(state, p)),
+        (kin.grad_q(state, p_list), kin.grad_q(state, p)),
+        (state.lam_dot(p_list), state.lam_dot(p)),
+    ]:
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == want.tobytes()
