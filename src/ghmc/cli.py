@@ -47,15 +47,7 @@ def build_parser():
 
 def cmd_sample(args) -> int:
     try:
-        spec = load_run_spec(args.spec)
-    except FileNotFoundError:
-        print(f"spec error: {args.spec}: no such file", file=sys.stderr)
-        return 2
-    except SpecError as exc:
-        print(f"spec error: {args.spec}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = execute(spec, out_dir=args.out_dir, seed_override=args.seed)
+        report = execute(load_run_spec(args.spec), out_dir=args.out_dir, seed_override=args.seed)
     except SpecError as exc:
         print(f"spec error: {args.spec}: {exc}", file=sys.stderr)
         return 2

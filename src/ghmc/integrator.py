@@ -73,6 +73,9 @@ __all__ = [
 ]
 
 
+_START_REFUSED = "the start must be feasible with finite energy"
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step size, step count, and tolerances for implicit solves and reflections."""
@@ -152,6 +155,17 @@ def _point(model, kinetic, q, feasible=False):
     if feasible:
         return np.asarray(model.gradient(q), dtype=float), state
     return potential_grad(model, q), state
+
+
+def _start(model, kinetic, q, point=None):
+    # (V, point) at the start of a trajectory or a chain, which must be
+    # feasible with finite V; a given point is trusted and not built again
+    v = potential_eval(model, q)
+    if not math.isfinite(v):
+        raise UsageError(_START_REFUSED)
+    if point is None:
+        point = _point(model, kinetic, q, feasible=True)
+    return v, point
 
 
 def flow_derivatives(model: TargetModel, kinetic, q, p):
@@ -365,13 +379,10 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
     if h0 is None:
         # H = V + T from one scan and one point at q, the point kept for the
         # first step
-        h0 = potential_eval(model, q)
-        if math.isfinite(h0):
-            if point is None:
-                point = _point(model, kinetic, q, feasible=True)
-            h0 += kinetic.energy(point[1], p)
+        v, point = _start(model, kinetic, q, point)
+        h0 = v + kinetic.energy(point[1], p)
     if not math.isfinite(h0):
-        raise UsageError("initial state must be feasible with finite energy")
+        raise UsageError(_START_REFUSED)
     events = []
     # blowups surface as a divergence signal, not as numpy warnings; a
     # non-finite q is caught by the drift, a non-finite p by the next kick's

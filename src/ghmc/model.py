@@ -207,7 +207,10 @@ def _std_gaussian(n: int = 1) -> TargetModel:
     )
 
 
-def _mvn(mean, cov) -> TargetModel:
+def _mvn(mean=None, cov=None) -> TargetModel:
+    for key, value in (("mean", mean), ("cov", cov)):
+        if value is None:
+            raise UsageError(f"target mvn requires {key!r}")
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov, _ = spd_factor(cov, "mvn covariance")
     n = mean.size
@@ -383,7 +386,10 @@ _CATALOG = {
     ),
     "mvn": CatalogEntry(
         name="mvn",
-        params={"mean": ("vector", "mean vector"), "cov": ("matrix", "SPD covariance matrix")},
+        params={
+            "mean": ("vector", "mean vector (required)"),
+            "cov": ("matrix", "SPD covariance matrix (required)"),
+        },
         has_moments=True,
         build=_mvn,
     ),

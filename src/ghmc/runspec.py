@@ -1,15 +1,22 @@
 """Run-specification files: parsing, validation, and execution.
 
 A run spec is a flat key-value text file with [target], [kinetic], [metric],
-[chain], and [output] sections.  Parsing is strict: unknown sections, unknown
-keys, duplicates, and malformed values are all rejected with the offending
-line number, since silent misconfiguration is the usual failure mode of
-sampler tooling.  Matrix-valued keys accept ``identity``, ``scale:c``,
-``diag:v1,v2,...``, or explicit rows ``a,b;c,d``.
+[chain], and [output] sections.  One table, ``_KEYS``, maps each section to
+its keys and each key to its parser and default (or ``_REQUIRED``); the
+[chain] keys are the scalar fields of ChainConfig and IntegratorConfig, by
+name, plus ``chains``, and [target] also takes the catalog parameters of the
+named target.  Parsing is strict: unknown sections, unknown keys, duplicates,
+missing keys, and malformed values are all rejected with the offending line
+number, since silent misconfiguration is the usual failure mode of sampler
+tooling.  Matrix-valued keys have one grammar and one parser, ``identity``,
+``scale:c``, ``diag:v1,v2,...`` or rows ``a,b;c,d`` of equal length with
+finite entries; the spec keeps the text, shaped at the target's dimension
+when the run is built.
 
-Execution writes one CSV of samples per chain (header q1..qn, full-precision
-floats, byte-reproducible for a fixed seed) and a merged diagnostics JSON
-that validates against the schema shipped with the package.
+Execution checks the chain settings and the output directories before any
+chain runs, writes one CSV of samples per chain (header q1..qn, full-precision
+floats, byte-reproducible for a fixed seed), and pools the chain results into
+a diagnostics JSON that validates against the schema shipped with the package.
 """
 
 import csv
@@ -18,7 +25,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -44,30 +51,12 @@ class SpecError(UsageError):
         super().__init__(prefix + message)
 
 
-_SECTION_KEYS = {
-    "target": {"name"},  # plus per-target parameter keys
-    "kinetic": {"variant", "lambda", "nu"},
-    "metric": {"variant", "lambda", "sigma"},
-    "chain": {
-        "seed",
-        "num_samples",
-        "warmup",
-        "step_size",
-        "num_steps",
-        "jitter_steps",
-        "chains",
-        "fp_tol",
-        "fp_max_iter",
-        "reflection_tol",
-        "reflection_max_events",
-    },
-    "output": {"samples", "diagnostics"},
-}
-
-
 @dataclass
 class RunSpec:
-    """Validated run configuration, still symbolic (matrices unmaterialized)."""
+    """Validated run configuration, still symbolic (matrices unmaterialized).
+
+    ``integrator`` maps every IntegratorConfig field to its value.
+    """
 
     target_name: str
     target_params: dict
@@ -80,13 +69,11 @@ class RunSpec:
     seed: int
     num_samples: int
     warmup: int
-    step_size: float
-    num_steps: int
     jitter_steps: bool
     chains: int
-    integrator_extra: dict = field(default_factory=dict)
-    samples_path: str = "samples.csv"
-    diagnostics_path: str = "diagnostics.json"
+    integrator: dict
+    samples_path: str
+    diagnostics_path: str
 
 
 def _parse_bool(raw, line):
@@ -98,90 +85,149 @@ def _parse_bool(raw, line):
     raise SpecError(f"expected a boolean, got {raw!r}", line)
 
 
-def _parse_int(raw, line):
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise SpecError(f"expected an integer, got {raw!r}", line) from None
+def _converter(convert, expected):
+    # a parser that refuses, with its line, a value ``convert`` cannot read
+    def parse(raw, line):
+        try:
+            return convert(raw.strip())
+        except ValueError:
+            raise SpecError(f"expected {expected}, got {raw!r}", line) from None
+
+    return parse
 
 
-def _parse_float(raw, line):
-    try:
-        return float(raw.strip())
-    except ValueError:
-        raise SpecError(f"expected a number, got {raw!r}", line) from None
+_parse_int = _converter(int, "an integer")
+_parse_float = _converter(float, "a number")
+_parse_vector = _converter(
+    lambda raw: np.array([float(tok) for tok in raw.split(",")]), "comma-separated numbers"
+)
 
 
-def _parse_vector(raw, line):
-    try:
-        return np.array([float(tok) for tok in raw.split(",")])
-    except ValueError:
-        raise SpecError(f"expected comma-separated numbers, got {raw!r}", line) from None
+def _matrix(text, line=None):
+    # (form, entries) of a matrix spec: ("scale", c) for identity and scale:c,
+    # ("diag", vector) or ("rows", 2-d array)
+    text = text.strip()
+    if text == "identity":
+        return "scale", 1.0
+    if text.startswith("scale:"):
+        form, entries = "scale", _parse_float(text[len("scale:") :], line)
+    elif text.startswith("diag:"):
+        form, entries = "diag", _parse_vector(text[len("diag:") :], line)
+    else:
+        rows = [_parse_vector(row, line) for row in text.split(";")]
+        if len({row.size for row in rows}) > 1:
+            raise SpecError(f"matrix rows must have equal length, got {text!r}", line)
+        form, entries = "rows", np.vstack(rows)
+    if not np.all(np.isfinite(entries)):
+        raise SpecError(f"matrix entries must be finite, got {text!r}", line)
+    return form, entries
 
 
 def _parse_matrix_spec(raw, line):
-    """Validate the grammar and finite entries; materialization waits for the dimension."""
-    text = raw.strip()
-    if text == "identity":
-        return text
-    if text.startswith("scale:"):
-        entries = [_parse_float(text.split(":", 1)[1], line)]
-    elif text.startswith("diag:"):
-        entries = _parse_vector(text.split(":", 1)[1], line)
-    else:
-        entries = np.concatenate([_parse_vector(row, line) for row in text.split(";")])
-    if not np.all(np.isfinite(entries)):
-        raise SpecError(f"matrix entries must be finite, got {text!r}", line)
-    return text
+    """Check a matrix spec and keep its text; materialization waits for the dimension."""
+    _matrix(raw, line)
+    return raw.strip()
 
 
 def materialize_matrix(spec_text: str, n: int) -> np.ndarray:
     """Turn a matrix spec string into an (n, n) array."""
-    text = spec_text.strip()
-    if text == "identity":
-        return np.eye(n)
-    if text.startswith("scale:"):
-        return float(text.split(":", 1)[1]) * np.eye(n)
-    if text.startswith("diag:"):
-        vals = np.array([float(tok) for tok in text.split(":", 1)[1].split(",")])
-        if vals.size != n:
-            raise UsageError(f"diag spec has {vals.size} entries, expected {n}")
-        return np.diag(vals)
-    rows = [np.array([float(tok) for tok in row.split(",")]) for row in text.split(";")]
-    mat = np.vstack(rows)
-    if mat.shape != (n, n):
-        raise UsageError(f"matrix spec has shape {mat.shape}, expected ({n}, {n})")
-    return mat
+    form, entries = _matrix(spec_text)
+    if form == "scale":
+        return entries * np.eye(n)
+    if form == "diag":
+        if entries.size != n:
+            raise UsageError(f"diag spec has {entries.size} entries, expected {n}")
+        return np.diag(entries)
+    if entries.shape != (n, n):
+        raise UsageError(f"matrix spec has shape {entries.shape}, expected ({n}, {n})")
+    return entries
 
 
-_PARAM_PARSERS = {
+def _choice(what, options):
+    def parse(raw, line):
+        if raw not in options:
+            raise SpecError(f"unknown {what} {raw!r}; known: " + ", ".join(options), line)
+        return raw
+
+    return parse
+
+
+def _text(raw, line):
+    return raw
+
+
+_PARSERS = {
+    "bool": _parse_bool,
     "int": _parse_int,
     "float": _parse_float,
     "vector": _parse_vector,
     "matrix": _parse_matrix_spec,
 }
+_REQUIRED = object()
 
 
-def _unknown_key_error(key, section, allowed, line):
-    hint = difflib.get_close_matches(key, sorted(allowed), n=1)
-    suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
-    return SpecError(f"unknown key {key!r} in [{section}]{suffix}", line)
+def _config_keys(cls):
+    # the int, float and bool fields of a config dataclass, as spec keys with
+    # the fields' defaults
+    return {
+        f.name: (_PARSERS[f.type.__name__], _REQUIRED if f.default is MISSING else f.default)
+        for f in fields(cls)
+        if f.type in (bool, int, float)
+    }
 
 
-def parse_run_spec(text: str) -> RunSpec:
-    """Parse and validate a run spec; raises SpecError with a line number."""
+_TARGET_PARAMS = {entry.name: entry.params for entry in catalog_entries()}
+
+# section -> key -> (parser of (raw value, line), default or _REQUIRED)
+_KEYS = {
+    "target": {"name": (_choice("target", sorted(_TARGET_PARAMS)), _REQUIRED)},
+    "kinetic": {
+        "variant": (
+            _choice("kinetic variant", ("euclidean", "riemannian", "student_t")),
+            _REQUIRED,
+        ),
+        "lambda": (_parse_matrix_spec, None),
+        "nu": (_parse_float, None),
+    },
+    "metric": {  # the variant is required when the section is present
+        "variant": (_choice("metric variant", ("constant", "graph")), None),
+        "lambda": (_parse_matrix_spec, None),
+        "sigma": (_parse_matrix_spec, None),
+    },
+    "chain": {
+        **_config_keys(ChainConfig),
+        **_config_keys(IntegratorConfig),
+        "chains": (_parse_int, 1),
+    },
+    "output": {"samples": (_text, "samples.csv"), "diagnostics": (_text, "diagnostics.json")},
+}
+
+
+def _missing(section, key):
+    return SpecError(f"missing required key {key!r} in [{section}]")
+
+
+def _value(entries, section, key, parse, default):
+    if (section, key) in entries:
+        return parse(*entries[(section, key)])
+    if default is _REQUIRED:
+        raise _missing(section, key)
+    return default
+
+
+def _read_entries(text):
+    # (section, key) -> (raw value, line number) of every key line
     section = None
-    entries = {}  # (section, key) -> (raw value, line number)
+    entries = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTION_KEYS:
+            if section not in _KEYS:
                 raise SpecError(
-                    f"unknown section [{section}]; known: "
-                    + ", ".join(sorted(_SECTION_KEYS)),
+                    f"unknown section [{section}]; known: " + ", ".join(sorted(_KEYS)),
                     lineno,
                 )
             continue
@@ -193,172 +239,111 @@ def parse_run_spec(text: str) -> RunSpec:
         if (section, key) in entries:
             raise SpecError(f"duplicate key {key!r} in [{section}]", lineno)
         entries[(section, key)] = (raw, lineno)
+    return entries
 
-    # validate keys section by section
-    if ("target", "name") not in entries:
-        raise SpecError("missing required key 'name' in [target]")
-    target_name, name_line = entries[("target", "name")]
-    targets = {e.name: e.params for e in catalog_entries()}
-    if target_name not in targets:
-        raise SpecError(
-            f"unknown target {target_name!r}; known: " + ", ".join(sorted(targets)),
-            name_line,
-        )
-    for (section, key), (raw, lineno) in entries.items():
-        allowed = set(_SECTION_KEYS[section])
-        if section == "target":
-            allowed |= set(targets[target_name])
-        if key not in allowed:
-            raise _unknown_key_error(key, section, allowed, lineno)
 
-    def need(section, key):
-        if (section, key) not in entries:
-            raise SpecError(f"missing required key {key!r} in [{section}]")
-        return entries[(section, key)]
-
-    def get(section, key, default=None):
-        return entries.get((section, key), (default, None))
-
+def parse_run_spec(text: str) -> RunSpec:
+    """Parse and validate a run spec; raises SpecError with a line number."""
+    entries = _read_entries(text)
+    name = _value(entries, "target", "name", *_KEYS["target"]["name"])
+    allowed = {section: set(keys) for section, keys in _KEYS.items()}
+    allowed["target"] |= set(_TARGET_PARAMS[name])
+    for (section, key), (_, line) in entries.items():
+        if key not in allowed[section]:
+            hint = difflib.get_close_matches(key, sorted(allowed[section]), n=1)
+            suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
+            raise SpecError(f"unknown key {key!r} in [{section}]{suffix}", line)
     target_params = {}
-    for key, (kind, _) in targets[target_name].items():
+    for key, (kind, _) in _TARGET_PARAMS[name].items():
         if ("target", key) in entries:
-            raw, lineno = entries[("target", key)]
+            raw, line = entries[("target", key)]
             if kind is None:
                 raise SpecError(
                     f"{key!r} can be passed only to builtin_target: a custom value "
-                    f"leaves {target_name!r} without the initial point a spec run needs",
-                    lineno,
+                    f"leaves {name!r} without the initial point a spec run needs",
+                    line,
                 )
-            target_params[key] = _PARAM_PARSERS[kind](raw, lineno)
+            target_params[key] = _PARSERS[kind](raw, line)
+    kinetic, metric, chain, output = (
+        {key: _value(entries, section, key, *entry) for key, entry in _KEYS[section].items()}
+        for section in ("kinetic", "metric", "chain", "output")
+    )
 
-    raw, line = need("kinetic", "variant")
-    kinetic_variant = raw
-    if kinetic_variant not in ("euclidean", "riemannian", "student_t"):
+    variant, kinetic_lambda = kinetic["variant"], kinetic["lambda"]
+    if kinetic_lambda is not None and variant == "riemannian":
         raise SpecError(
-            f"unknown kinetic variant {kinetic_variant!r}; "
-            "known: euclidean, riemannian, student_t",
-            line,
+            "the riemannian kinetic takes its metric from [metric]; "
+            "remove 'lambda' from [kinetic]",
+            entries[("kinetic", "lambda")][1],
         )
-    kinetic_lambda = None
-    if ("kinetic", "lambda") in entries:
-        raw, lineno = entries[("kinetic", "lambda")]
-        if kinetic_variant == "riemannian":
-            raise SpecError(
-                "the riemannian kinetic takes its metric from [metric]; "
-                "remove 'lambda' from [kinetic]",
-                lineno,
-            )
-        kinetic_lambda = _parse_matrix_spec(raw, lineno)
-    nu = 5.0 if kinetic_variant == "student_t" else math.inf
-    if ("kinetic", "nu") in entries:
-        raw, lineno = entries[("kinetic", "nu")]
-        if kinetic_variant != "student_t":
-            raise SpecError("'nu' applies to the student_t kinetic only", lineno)
-        nu = _parse_float(raw, lineno)
-
-    has_metric = any(section == "metric" for section, _ in entries)
-    metric_variant = metric_lambda = metric_sigma = None
-    if has_metric:
-        if kinetic_variant == "euclidean":
+    if kinetic["nu"] is not None and variant != "student_t":
+        raise SpecError(
+            "'nu' applies to the student_t kinetic only", entries[("kinetic", "nu")][1]
+        )
+    if any(section == "metric" for section, _ in entries):
+        if variant == "euclidean":
             raise SpecError(
                 "the euclidean kinetic uses [kinetic] lambda; remove the [metric] section"
             )
-        if kinetic_variant == "student_t" and kinetic_lambda is not None:
+        if variant == "student_t" and kinetic_lambda is not None:
             raise SpecError(
                 "give the student_t kinetic either a [metric] section or a "
                 "[kinetic] lambda, not both"
             )
-        raw, line = need("metric", "variant")
-        metric_variant = raw
-        if metric_variant not in ("constant", "graph"):
+        if metric["variant"] is None:
+            raise _missing("metric", "variant")
+        if metric["variant"] == "constant":
+            if metric["lambda"] is None:
+                raise _missing("metric", "lambda")
+            if metric["sigma"] is not None:
+                raise SpecError(
+                    "'sigma' applies to the graph metric only", entries[("metric", "sigma")][1]
+                )
+        elif metric["lambda"] is not None:
             raise SpecError(
-                f"unknown metric variant {metric_variant!r}; known: constant, graph", line
+                "'lambda' applies to the constant metric only", entries[("metric", "lambda")][1]
             )
-        if metric_variant == "constant":
-            raw, line = need("metric", "lambda")
-            metric_lambda = _parse_matrix_spec(raw, line)
-            if ("metric", "sigma") in entries:
-                raise SpecError(
-                    "'sigma' applies to the graph metric only",
-                    entries[("metric", "sigma")][1],
-                )
-        else:
-            if ("metric", "lambda") in entries:
-                raise SpecError(
-                    "'lambda' applies to the constant metric only",
-                    entries[("metric", "lambda")][1],
-                )
-            if ("metric", "sigma") in entries:
-                raw, line = entries[("metric", "sigma")]
-                metric_sigma = _parse_matrix_spec(raw, line)
-    elif kinetic_variant == "riemannian":
+    elif variant == "riemannian":
         raise SpecError("the riemannian kinetic requires a [metric] section")
+    nu = kinetic["nu"]
+    if nu is None:
+        nu = 5.0 if variant == "student_t" else math.inf
+    if chain["chains"] < 1:
+        raise SpecError("chains must be at least 1", entries[("chain", "chains")][1])
 
-    raw, line = need("chain", "seed")
-    seed = _parse_int(raw, line)
-    raw, line = need("chain", "num_samples")
-    num_samples = _parse_int(raw, line)
-    raw, line = need("chain", "step_size")
-    step_size = _parse_float(raw, line)
-    raw, line = need("chain", "num_steps")
-    num_steps = _parse_int(raw, line)
-    raw, line = get("chain", "warmup", "0")
-    warmup = _parse_int(raw, line)
-    raw, line = get("chain", "jitter_steps", "false")
-    jitter_steps = _parse_bool(raw, line)
-    raw, line = get("chain", "chains", "1")
-    chains = _parse_int(raw, line)
-    if chains < 1:
-        raise SpecError("chains must be at least 1", line)
-
-    integrator_extra = {}
-    for key, parser in (
-        ("fp_tol", _parse_float),
-        ("fp_max_iter", _parse_int),
-        ("reflection_tol", _parse_float),
-        ("reflection_max_events", _parse_int),
-    ):
-        if ("chain", key) in entries:
-            raw, lineno = entries[("chain", key)]
-            integrator_extra[key] = parser(raw, lineno)
-
-    samples_path = get("output", "samples", "samples.csv")[0]
-    diagnostics_path = get("output", "diagnostics", "diagnostics.json")[0]
-
+    # what is left of [chain] after the integrator keys are RunSpec fields
+    integrator = {f.name: chain.pop(f.name) for f in fields(IntegratorConfig)}
     return RunSpec(
-        target_name=target_name,
+        target_name=name,
         target_params=target_params,
-        kinetic_variant=kinetic_variant,
+        kinetic_variant=variant,
         kinetic_lambda=kinetic_lambda,
         nu=nu,
-        metric_variant=metric_variant,
-        metric_lambda=metric_lambda,
-        metric_sigma=metric_sigma,
-        seed=seed,
-        num_samples=num_samples,
-        warmup=warmup,
-        step_size=step_size,
-        num_steps=num_steps,
-        jitter_steps=jitter_steps,
-        chains=chains,
-        integrator_extra=integrator_extra,
-        samples_path=samples_path,
-        diagnostics_path=diagnostics_path,
+        metric_variant=metric["variant"],
+        metric_lambda=metric["lambda"],
+        metric_sigma=metric["sigma"],
+        integrator=integrator,
+        samples_path=output["samples"],
+        diagnostics_path=output["diagnostics"],
+        **chain,
     )
 
 
 def load_run_spec(path) -> RunSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_run_spec(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SpecError(f"cannot read it: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_run_spec(text)
 
 
 def build_model(spec: RunSpec):
     params = dict(spec.target_params)
-    if spec.target_name == "mvn":
-        if "mean" not in params or "cov" not in params:
-            raise SpecError("target mvn requires both 'mean' and 'cov'")
-        mean = params["mean"]
-        params["cov"] = materialize_matrix(params["cov"], mean.size)
+    if "mean" in params and "cov" in params:  # mvn's cov is a matrix spec
+        params["cov"] = materialize_matrix(params["cov"], params["mean"].size)
     return builtin_target(spec.target_name, **params)
 
 
@@ -371,19 +356,6 @@ def build_kinetic(spec: RunSpec, model) -> Kinetic:
         lam = spec.metric_lambda or spec.kinetic_lambda or "identity"
         field_obj = ConstantMetric(materialize_matrix(lam, n))
     return Kinetic(field_obj, spec.nu)
-
-
-def _chain_config(spec: RunSpec, seed: int) -> ChainConfig:
-    icfg = IntegratorConfig(
-        step_size=spec.step_size, num_steps=spec.num_steps, **spec.integrator_extra
-    )
-    return ChainConfig(
-        seed=seed,
-        num_samples=spec.num_samples,
-        warmup=spec.warmup,
-        integrator=icfg,
-        jitter_steps=spec.jitter_steps,
-    )
 
 
 def _write_samples_csv(path, samples):
@@ -431,56 +403,62 @@ class RunReport:
 
 
 def execute(spec: RunSpec, out_dir=None, seed_override=None) -> RunReport:
-    """Run every chain, write samples CSVs and the diagnostics JSON."""
+    """Run every chain, write samples CSVs and the diagnostics JSON.
+
+    The chain settings, the model, the kinetic and the output directories are
+    checked before the first chain runs; the pooled figures are computed from
+    the chain results once every chain has run.
+    """
+    seed = spec.seed if seed_override is None else int(seed_override)
+    config = ChainConfig(  # refuses a negative seed before SeedSequence sees it
+        seed=seed,
+        num_samples=spec.num_samples,
+        warmup=spec.warmup,
+        integrator=IntegratorConfig(**spec.integrator),
+        jitter_steps=spec.jitter_steps,
+    )
     model = build_model(spec)
     kinetic = build_kinetic(spec, model)
-    seed = spec.seed if seed_override is None else int(seed_override)
+    sample_paths = [
+        os.path.join(out_dir or "", p) for p in _chain_paths(spec.samples_path, spec.chains)
+    ]
+    diagnostics_file = os.path.join(out_dir or "", spec.diagnostics_path)
+    for path in sample_paths + [diagnostics_file]:
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise UsageError(f"output directory {folder!r} does not exist")
     if spec.chains == 1:
         seeds = [seed]
     else:
         seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(spec.chains)]
 
-    def resolve(path):
-        return os.path.join(out_dir, path) if out_dir else path
-
-    sample_paths = [resolve(p) for p in _chain_paths(spec.samples_path, spec.chains)]
     t_start = time.perf_counter()
-    per_chain = []
-    all_samples = []
-    total_transitions = 0
-    total_divergences = 0
-    total_accepted = 0
-    ess_total = np.zeros(model.n)
-    ess_defined = True
-    for i, chain_seed in enumerate(seeds):
+    results, walls = [], []
+    for chain_seed, path in zip(seeds, sample_paths):
         t0 = time.perf_counter()
-        result = run_chain(model, kinetic, _chain_config(spec, chain_seed))
-        wall = time.perf_counter() - t0
-        _write_samples_csv(sample_paths[i], result.samples)
-        all_samples.append(result.samples)
-        total_transitions += spec.num_samples
-        total_divergences += result.divergence_count
-        total_accepted += int(np.sum(result.accepted))
-        if np.all(np.isfinite(result.ess)):
-            ess_total += result.ess
-        else:
-            ess_defined = False
-        per_chain.append(
-            {
-                "seed": chain_seed,
-                "samples_file": os.path.basename(sample_paths[i]),
-                "accept_rate": result.accept_rate,
-                "divergence_count": result.divergence_count,
-                "mean": result.mean.tolist(),
-                "ess": result.ess.tolist() if np.all(np.isfinite(result.ess)) else None,
-                "delta_h": _finite_stats(result.delta_h),
-                "wall_time_s": wall,
-            }
-        )
+        results.append(run_chain(model, kinetic, replace(config, seed=chain_seed)))
+        walls.append(time.perf_counter() - t0)
+        _write_samples_csv(path, results[-1].samples)
 
-    pooled = np.vstack(all_samples)
+    per_chain = [
+        {
+            "seed": chain_seed,
+            "samples_file": os.path.basename(path),
+            "accept_rate": result.accept_rate,
+            "divergence_count": result.divergence_count,
+            "mean": result.mean.tolist(),
+            "ess": result.ess.tolist() if np.all(np.isfinite(result.ess)) else None,
+            "delta_h": _finite_stats(result.delta_h),
+            "wall_time_s": wall,
+        }
+        for chain_seed, path, result, wall in zip(seeds, sample_paths, results, walls)
+    ]
+    pooled = np.vstack([result.samples for result in results])
+    transitions = pooled.shape[0]
+    divergences = sum(result.divergence_count for result in results)
+    ess = sum(result.ess for result in results)
     covariance = (
-        np.atleast_2d(np.cov(pooled, rowvar=False)).tolist() if pooled.shape[0] > 1 else None
+        np.atleast_2d(np.cov(pooled, rowvar=False)).tolist() if transitions > 1 else None
     )
     diagnostics = {
         "schema_version": SCHEMA_VERSION,
@@ -494,17 +472,16 @@ def execute(spec: RunSpec, out_dir=None, seed_override=None) -> RunReport:
         "chains": spec.chains,
         "num_samples": spec.num_samples,
         "warmup": spec.warmup,
-        "accept_rate": total_accepted / max(total_transitions, 1),
-        "divergence_count": total_divergences,
-        "divergence_fraction": total_divergences / max(total_transitions, 1),
-        "delta_h": _merge_delta_h(per_chain),
+        "accept_rate": sum(int(np.sum(result.accepted)) for result in results) / transitions,
+        "divergence_count": divergences,
+        "divergence_fraction": divergences / transitions,
+        "delta_h": _finite_stats(np.concatenate([result.delta_h for result in results])),
         "mean": pooled.mean(axis=0).tolist(),
         "covariance": covariance,
-        "ess": ess_total.tolist() if ess_defined else None,
+        "ess": ess.tolist() if np.all(np.isfinite(ess)) else None,
         "wall_time_s": time.perf_counter() - t_start,
         "per_chain": per_chain,
     }
-    diagnostics_file = resolve(spec.diagnostics_path)
     with open(diagnostics_file, "w", encoding="utf-8") as fh:
         json.dump(diagnostics, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -514,15 +491,3 @@ def execute(spec: RunSpec, out_dir=None, seed_override=None) -> RunReport:
         diagnostics_file=diagnostics_file,
         divergence_fraction=diagnostics["divergence_fraction"],
     )
-
-
-def _merge_delta_h(per_chain):
-    counts = [c["delta_h"]["finite_count"] for c in per_chain]
-    total = sum(counts)
-    if total == 0:
-        return {"mean_abs": None, "max_abs": None, "finite_count": 0}
-    mean_abs = (
-        sum(c["delta_h"]["mean_abs"] * n for c, n in zip(per_chain, counts) if n) / total
-    )
-    max_abs = max(c["delta_h"]["max_abs"] for c in per_chain if c["delta_h"]["max_abs"] is not None)
-    return {"mean_abs": mean_abs, "max_abs": max_abs, "finite_count": total}

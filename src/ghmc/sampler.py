@@ -27,11 +27,11 @@ from .errors import DivergenceError, UsageError
 from .integrator import (  # noqa: F401  (hamiltonian stays importable from here)
     IntegratorConfig,
     PhaseState,
-    _point,
+    _start,
     hamiltonian,
     integrate,
 )
-from .model import TargetModel, as_position, potential_eval
+from .model import TargetModel, as_position
 
 __all__ = [
     "ChainConfig",
@@ -58,6 +58,8 @@ class ChainConfig:
     jitter_steps: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise UsageError("seed must be non-negative")
         if self.num_samples < 1:
             raise UsageError("num_samples must be at least 1")
         if self.warmup < 0:
@@ -79,15 +81,6 @@ class ChainResult:
     @property
     def accept_rate(self) -> float:
         return float(np.mean(self.accepted))
-
-
-def _evaluate(model, kinetic, q):
-    # (V, point) at a chain's initial point, which must be feasible with
-    # finite potential
-    v = potential_eval(model, q)
-    if not math.isfinite(v):
-        raise UsageError("initial point is infeasible or has non-finite potential")
-    return v, _point(model, kinetic, q, feasible=True)
 
 
 def _transition(model, kinetic, q, v, point, cfg, configs, rng):
@@ -126,7 +119,7 @@ def hmc_transition(model: TargetModel, kinetic, q, cfg: ChainConfig, rng):
     count them.
     """
     q = as_position(q, model.n)
-    v, point = _evaluate(model, kinetic, q)
+    v, point = _start(model, kinetic, q)
     q, _, _, accepted, delta_h = _transition(model, kinetic, q, v, point, cfg, {}, rng)
     return q, accepted, delta_h
 
@@ -146,7 +139,7 @@ def run_chain(model: TargetModel, kinetic, cfg: ChainConfig, initial=None) -> Ch
             f"target {model.name!r} provides no initial point; pass one explicitly"
         )
     q = as_position(initial, model.n).copy()
-    v, point = _evaluate(model, kinetic, q)
+    v, point = _start(model, kinetic, q)
     configs = {}
 
     rng = np.random.default_rng(cfg.seed)

@@ -3,12 +3,15 @@
 import importlib.resources
 import json
 import math
+import re
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
 from ghmc.cli import main
+from ghmc.integrator import IntegratorConfig
 from ghmc.kinetic import Kinetic
 from ghmc.metric import ConstantMetric, GraphMetric
 from ghmc.runspec import (
@@ -399,3 +402,115 @@ def test_verify_detects_an_injected_christoffel_bug(monkeypatch):
     result = check_christoffel(points=5)
     assert not result.passed
     assert result.measured > 1e-2  # a sign flip is a gross error, far past tolerance
+
+
+def _run_refused(tmp_path, capsys, spec_text, *options):
+    # `ghmc sample` on a spec that must be refused: exit 2, one line on
+    # stderr, and no chain run
+    spec_file = tmp_path / "refused.spec"
+    spec_file.write_text(spec_text)
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    assert main(["sample", str(spec_file), "--out-dir", str(out), *options]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not any(out.iterdir())
+    return err
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("lambda = identity", "lambda = 1,0;0", 8),
+        ("name = std_gaussian\nn = 1", "name = mvn\nmean = 0,0\ncov = 1,0.5;0.5", 5),
+    ],
+    ids=["kinetic-lambda", "mvn-cov"],
+)
+def test_unequal_matrix_rows_are_refused_with_their_line(old, new, line, tmp_path, capsys):
+    bad = GAUSS_SPEC.replace(old, new)
+    with pytest.raises(SpecError, match="equal length") as err:
+        parse_run_spec(bad)
+    assert err.value.line == line
+    assert f"line {line}" in _run_refused(tmp_path, capsys, bad)
+
+
+def test_a_negative_seed_exits_2(tmp_path, capsys):
+    bad = GAUSS_SPEC.replace("seed = 42", "seed = -1")
+    assert "seed" in _run_refused(tmp_path, capsys, bad)
+    assert "seed" in _run_refused(tmp_path, capsys, GAUSS_SPEC, "--seed", "-3")
+
+
+def test_a_missing_output_directory_exits_2_before_any_chain(tmp_path, capsys, monkeypatch):
+    import ghmc.runspec
+
+    ran = []
+    monkeypatch.setattr(ghmc.runspec, "run_chain", lambda *args: ran.append(args))
+    spec_file = tmp_path / "run.spec"
+    spec_file.write_text(GAUSS_SPEC)
+    missing = tmp_path / "missing"
+    assert main(["sample", str(spec_file), "--out-dir", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and str(missing) in err
+    assert ran == [] and not missing.exists()
+
+
+def test_a_spec_that_is_not_utf8_exits_2(tmp_path, capsys):
+    spec_file = tmp_path / "binary.spec"
+    spec_file.write_bytes(b"[target]\nname = std_gaussian\n\xff\xfe = 1\n")
+    assert main(["sample", str(spec_file), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "UTF-8" in err
+
+
+def test_integrator_keys_reach_the_integrator_config(tmp_path, monkeypatch):
+    import ghmc.runspec
+
+    configs = []
+    real_run_chain = ghmc.runspec.run_chain
+
+    def recording_run_chain(model, kinetic, cfg):
+        configs.append(cfg)
+        return real_run_chain(model, kinetic, cfg)
+
+    monkeypatch.setattr(ghmc.runspec, "run_chain", recording_run_chain)
+    text = GAUSS_SPEC.replace("num_samples = 1000", "num_samples = 20").replace(
+        "num_steps = 20",
+        "num_steps = 20\nfp_tol = 1e-9\nfp_max_iter = 7\n"
+        "reflection_tol = 1e-8\nreflection_max_events = 3",
+    )
+    execute(parse_run_spec(text), out_dir=str(tmp_path))
+    (cfg,) = configs
+    assert cfg.integrator == IntegratorConfig(
+        step_size=0.1,
+        num_steps=20,
+        fp_tol=1e-9,
+        fp_max_iter=7,
+        reflection_tol=1e-8,
+        reflection_max_events=3,
+    )
+
+
+def _readme_spec_block():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("### Spec files", 1)[1].split("```\n", 2)[1]
+
+
+def test_readme_spec_block_parses_builds_and_names_every_key():
+    from ghmc.model import catalog_entries
+    from ghmc.runspec import _KEYS
+
+    block = _readme_spec_block()
+    # trailing comments go; whole-line comments are the parser's to skip
+    spec = parse_run_spec("\n".join(re.sub(r"\s+#.*", "", line) for line in block.splitlines()))
+    build_kinetic(spec, build_model(spec))
+
+    documented, section = set(), None
+    for line in block.splitlines():
+        line = re.sub(r"\s+#.*", "", line.lstrip("# "))
+        if line.startswith("["):
+            section = line[1:-1]
+        elif "=" in line:
+            documented.add((section, line.split("=", 1)[0].strip()))
+    catalog = {("target", key) for entry in catalog_entries() for key in entry.params}
+    accepted = {(section, key) for section, keys in _KEYS.items() for key in keys}
+    assert documented - catalog == accepted

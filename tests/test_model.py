@@ -182,6 +182,14 @@ def test_mvn_non_finite_covariance_is_named_as_such():
         builtin_target("mvn", mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, np.nan]])
 
 
+@pytest.mark.parametrize("missing", ["mean", "cov"])
+def test_mvn_names_its_missing_parameter(missing):
+    given = {"mean": [0.0, 0.0], "cov": np.eye(2)}
+    del given[missing]
+    with pytest.raises(UsageError, match=f"requires '{missing}'"):
+        builtin_target("mvn", **given)
+
+
 def test_unknown_target_and_parameter():
     with pytest.raises(UsageError):
         builtin_target("gaussian")

@@ -8,7 +8,7 @@ import pytest
 
 import ghmc.sampler
 from ghmc.errors import UsageError
-from ghmc.integrator import IntegratorConfig
+from ghmc.integrator import IntegratorConfig, PhaseState, integrate
 from ghmc.kinetic import euclidean_quadratic, riemannian_quadratic, student_t
 from ghmc.metric import GraphMetric
 from ghmc.model import TargetModel, builtin_target
@@ -141,6 +141,28 @@ def test_infeasible_initial_point_is_a_usage_error():
     kin = euclidean_quadratic(np.eye(1))
     with pytest.raises(UsageError):
         run_chain(model, kin, _config(), initial=np.array([-1.0]))
+
+
+def test_an_infeasible_start_is_refused_with_one_message():
+    # run_chain, hmc_transition and integrate share one start evaluation
+    model = builtin_target("halfspace_gaussian")
+    kin = euclidean_quadratic(np.eye(1))
+    q = np.array([-1.0])
+    messages = set()
+    for start in (
+        lambda: run_chain(model, kin, _config(), initial=q),
+        lambda: hmc_transition(model, kin, q, _config(), np.random.default_rng(0)),
+        lambda: integrate(model, kin, PhaseState(q, np.ones(1)), IntegratorConfig(0.1, 1)),
+    ):
+        with pytest.raises(UsageError) as err:
+            start()
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+def test_a_negative_seed_is_refused_when_the_config_is_built():
+    with pytest.raises(UsageError, match="seed must be non-negative"):
+        _config(seed=-1)
 
 
 def test_warmup_is_discarded():
