@@ -13,9 +13,18 @@ metric state there (a graph field's state carries the gradient): a step
 starts from the point its predecessor ended on, and ``integrate`` starts from
 the point its caller passes in, which for a chain is the point it holds.  The
 end point goes back with the final state, and V there is read without a
-further constraint scan.  A graph drift's fixed-point iterate at y is not a
-point: it evaluates dV at y, applies Lam(y) to the segment's momentum p0 from
-lam p0 (computed once per segment), and builds no metric state.  Non-finite
+further constraint scan.
+
+On a graph field each fixed-point solve computes once what does not depend
+on its iterate, and an iterate does only the rest.  The momentum kick at the
+step's fixed q computes a = p - eps/2 (dV + dlogdet) once, and an iterate x
+adds the x-dependent part of grad_q, -slope (g.Lam x) H Lam x, where
+g.Lam x = g_up.x / denom by Sherman-Morrison: one lam product, one Hessian
+product and a dot or two, with no call of the kinetic's grad_q.  The drift
+over s computes c = q0 + s/2 u0 once, with u0 = grad_p(q0, p0) built from
+the lam p0 that its iterates share, and an iterate at y is not a point: it
+evaluates dV at y, applies Lam(y) to p0 from lam p0, scales it by the
+profile's slope and builds no metric state.  Non-finite
 values are caught where they would first reach the model: a fixed-point
 solve checks its first iterate and then only the scalar change between
 iterates, a drift checks its end position before scanning the constraints
@@ -57,6 +66,7 @@ from .errors import (
     NumericError,
     UsageError,
 )
+from .metric import _rank1_dot
 from .model import TargetModel, as_position, potential_eval, potential_grad
 
 __all__ = [
@@ -88,11 +98,12 @@ class IntegratorConfig:
     reflection_max_events: int = 8
 
     def __post_init__(self):
-        if self.step_size <= 0.0:
+        # written as "not > 0" so that NaN is refused too
+        if not self.step_size > 0.0:
             raise UsageError("step_size must be positive")
         if self.num_steps < 1:
             raise UsageError("num_steps must be at least 1")
-        if self.fp_tol <= 0.0 or self.reflection_tol <= 0.0:
+        if not self.fp_tol > 0.0 or not self.reflection_tol > 0.0:
             raise UsageError("tolerances must be positive")
         if self.fp_max_iter < 1 or self.reflection_max_events < 1:
             raise UsageError("iteration limits must be at least 1")
@@ -198,7 +209,7 @@ def _solve(update, x, config, what):
     if np.isfinite(x).all():
         for _ in range(config.fp_max_iter):
             x_new = update(x)
-            delta = float(np.abs(x_new - x).max())
+            delta = float(np.maximum.reduce(np.abs(x_new - x)))
             if delta <= config.fp_tol:
                 return x_new
             if not math.isfinite(delta):
@@ -255,29 +266,56 @@ def _first_crossing(model, path, q_end, s_total, tol):
     return min(hits) if hits else None
 
 
+def _kick_map(kinetic, p, dv, state, eps):
+    # x -> p - eps/2 (dv + grad_q(state, x)) at the step's fixed q.  What does
+    # not depend on x, a = p - eps/2 (dv + dlogdet), is computed once per
+    # solve, and an iterate adds only the p-dependent part of grad_q.
+    a = p - 0.5 * eps * (dv + state.dlogdet)
+    scale = -0.5 * eps
+
+    def kick(x):
+        return a + kinetic._scaled_force(state, x, scale)
+
+    return kick
+
+
+def _drift_map(kinetic, q0, p0, u0, lam_p0, s):
+    # y -> q0 + s/2 (u0 + grad_p(y, p0)) over a drift of length s.  What does
+    # not depend on y, c = q0 + s/2 u0, is computed once per solve; an
+    # iterate applies Lam(y) to p0 from the segment's lam p0, scales it by
+    # the profile's slope and builds no metric state.
+    half_s = 0.5 * s
+    c = q0 + half_s * u0
+    field = kinetic.field
+
+    def drift(y):
+        w = field._lam_dot_at(y, p0, lam_p0)
+        return c + (half_s * kinetic._slope(p0, w)) * w
+
+    return drift
+
+
 def _drift_with_events(model, kinetic, q, p, state, config, implicit, events, step_index):
     remaining = config.step_size
     n_events = 0
     field = kinetic.field
     while True:
         q0, p0 = q, p
-        u0 = kinetic.grad_p(state, p0)
         if implicit:
+            # u0 = grad_p(state, p0) from the lam p0 that the iterates share
             lam_p0 = state.base.dot(p0)
+            u0 = kinetic._momentum_grad(p0, _rank1_dot(lam_p0, state.grad_up, state.denom, p0))
+        else:
+            u0 = kinetic.grad_p(state, p0)
 
         def path(s):
             # solves y = q0 + s/2 (u0 + grad_p(y, p0)); explicit when grad_p
-            # does not depend on y.  An iterate applies Lam(y) to p0 from the
-            # segment's lam p0 and builds no metric state.
+            # does not depend on y
             if s <= 0.0:
                 return q0
             y = q0 + s * u0
             if implicit:
-                def drift(y):
-                    w = field._lam_dot_at(y, p0, lam_p0)
-                    return q0 + 0.5 * s * (u0 + kinetic._momentum_grad(p0, w))
-
-                y = _solve(drift, y, config, "position")
+                y = _solve(_drift_map(kinetic, q0, p0, u0, lam_p0, s), y, config, "position")
             return y
 
         q_end = path(remaining)
@@ -321,9 +359,7 @@ def _step(model, kinetic, q, p, point, config, events, step_index):
     implicit = kinetic.position_dependent
     dv, state = point
     if implicit:
-        def kick(x):
-            return p - 0.5 * eps * (dv + kinetic.grad_q(state, x))
-
+        kick = _kick_map(kinetic, p, dv, state, eps)
         p_half = _solve(kick, kick(p), config, "momentum")
     else:
         p_half = p - 0.5 * eps * dv

@@ -15,7 +15,9 @@ conditional is drawn exactly: a Gaussian, over a chi-square scale for finite nu.
 T depends on q only through Lam(q), so energy and both gradients take the
 field's state at q (with its Hessian, for grad_q on a moving field) and p.
 Each computes w = Lam p once, through the state's operator, and reads
-s = p.w from it; grad_q adds the state's p-independent log-determinant term.
+s = p.w from it; grad_q adds the state's p-independent log-determinant term
+to its p-dependent part, ``_scaled_force``, which the integrator's implicit
+kick calls on its own at each iterate.
 """
 
 import math
@@ -67,15 +69,22 @@ class Kinetic:
         return self._momentum_grad(p, state.lam_dot(p))
 
     def grad_q(self, state, p) -> np.ndarray:
-        # on the graph field, in O(n^2): ds/dq = -2 (g.w) H w with w = Lam p,
-        # and d(log|Sigma|/2)/dq = H grad_up / denom is the state's dlogdet
+        # on the graph field, in O(n^2): the p-dependent part f' ds/dq plus
+        # d(log|Sigma|/2)/dq = H grad_up / denom, the state's dlogdet
         if not self.position_dependent:
             return np.zeros(self.n)
         if state.hessian is None:
             raise UsageError("grad_q needs a metric state built with_hessian=True")
-        w = state.lam_dot(p)
-        ds = (-2.0 * float(state.grad.dot(w))) * state.hessian.dot(w)
-        return 0.5 * self._slope(p, w) * ds + state.dlogdet
+        return self._scaled_force(state, p, 1.0) + state.dlogdet
+
+    def _scaled_force(self, state, p, scale) -> np.ndarray:
+        # scale times f' ds/dq on a graph state with its Hessian, where
+        # ds/dq = -2 (g.w) H w and w = Lam p.  Sherman-Morrison gives
+        # g.w = t = g_up.p / denom, so w = lam p - t g_up and the whole term
+        # costs one lam matvec, one Hessian matvec and a dot or two
+        t = float(state.grad_up.dot(p)) / state.denom
+        w = state.base.dot(p) - t * state.grad_up
+        return (-scale * self._slope(p, w) * t) * state.hessian.dot(w)
 
     def sample_momentum(self, q, rng) -> np.ndarray:
         """Exact draw: N(0, Lam^{-1}), over a chi-square scale for finite nu."""

@@ -25,7 +25,11 @@ Lam(q) is built only on request (reflections and dense-algebra checks).
 The implicit drift's fixed-point iterate needs Lam(y) p0 alone, at a y its
 solver has already shown finite: ``GraphMetric._lam_dot_at`` gives it from
 the segment's lam p0 with the gradient at y, the same raised gradient and
-rank-1 correction a state uses, and builds no state.
+rank-1 correction a state uses, and builds no state.  The implicit kick's
+iterate reads a state's parts directly: since Lam g = g_up / denom, the
+scalar g.Lam x is g_up.x / denom, and Lam x = lam x - (g_up.x / denom) g_up
+costs one lam product, so the kinetic's position force needs no second
+product with Lam.
 """
 
 import math

@@ -440,6 +440,12 @@ def test_a_negative_seed_exits_2(tmp_path, capsys):
     assert "seed" in _run_refused(tmp_path, capsys, GAUSS_SPEC, "--seed", "-3")
 
 
+def test_a_nan_step_size_exits_2(tmp_path, capsys):
+    # refused when the integrator config is built, not run as a divergence storm
+    bad = GAUSS_SPEC.replace("step_size = 0.1", "step_size = nan")
+    assert "step_size" in _run_refused(tmp_path, capsys, bad)
+
+
 def test_a_missing_output_directory_exits_2_before_any_chain(tmp_path, capsys, monkeypatch):
     import ghmc.runspec
 

@@ -5,6 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ghmc import integrator
 
 from ghmc.errors import (
     ConstraintViolationError,
@@ -22,8 +26,8 @@ from ghmc.integrator import (
     reflect_momentum,
     volume_check,
 )
-from ghmc.kinetic import euclidean_quadratic, riemannian_quadratic, student_t
-from ghmc.metric import GraphMetric, MetricState
+from ghmc.kinetic import Kinetic, euclidean_quadratic, riemannian_quadratic, student_t
+from ghmc.metric import BackgroundMetric, GraphMetric, MetricState
 from ghmc.model import Constraint, TargetModel, builtin_target, potential_grad
 
 
@@ -330,6 +334,12 @@ def test_integrator_config_validation():
         IntegratorConfig(step_size=0.1, num_steps=10, fp_tol=-1.0)
 
 
+@pytest.mark.parametrize("name", ["step_size", "fp_tol", "reflection_tol"])
+def test_integrator_config_refuses_a_nan(name):
+    with pytest.raises(UsageError):
+        IntegratorConfig(**{"step_size": 0.1, "num_steps": 10, name: math.nan})
+
+
 def test_volume_preserved_by_leapfrog():
     model, kin = _harmonic()
     assert volume_check(model, kin, np.array([1.0]), np.array([0.0]), 0.1) < 1e-6
@@ -484,18 +494,97 @@ def test_graph_integrate_evaluates_the_hessian_once_per_point(steps):
     assert len(calls) == steps + 1
 
 
-def test_momentum_solve_builds_no_metric_state():
+def _counted_solves(monkeypatch):
+    # wrap the integrator's fixed-point solver; returns the list of what each
+    # update solved for ("momentum" or "position"), one entry per update
+    updates, solve = [], integrator._solve
+
+    def counted_solve(update, x, config, what):
+        def counted(x):
+            updates.append(what)
+            return update(x)
+
+        return solve(counted, x, config, what)
+
+    monkeypatch.setattr(integrator, "_solve", counted_solve)
+    return updates
+
+
+def test_momentum_solve_builds_no_metric_state(monkeypatch):
     # the implicit kick iterates at fixed q on the state the step starts from
     model = builtin_target("banana")
     field = GraphMetric(model)
     kin = riemannian_quadratic(field)
     built = _counted_state_at(field)
-    grad_q_calls, grad_q = [], kin.grad_q
-    kin.grad_q = lambda *args: grad_q_calls.append(args) or grad_q(*args)
+    updates = _counted_solves(monkeypatch)
     q = np.array([0.3, 0.2])
     generalized_leapfrog_step(model, kin, q, np.array([0.5, -0.4]), 0.05)
-    assert len(grad_q_calls) > 3  # the solve iterated
+    assert updates.count("momentum") > 3  # the solve iterated
     assert sum(np.array_equal(b, q) for b in built) == 1
+
+
+@pytest.mark.parametrize("steps", [1, 4, 9])
+@pytest.mark.parametrize("nu", [math.inf, 5.0], ids=["gaussian", "student_t"])
+def test_graph_integrate_calls_grad_q_only_for_the_explicit_kicks(steps, nu, monkeypatch):
+    # the implicit kick's iterates and the drift's build their terms from the
+    # state without the kinetic's public gradients; each step's closing kick
+    # reads grad_q once
+    model = builtin_target("std_gaussian", n=3)
+    kin = Kinetic(GraphMetric(model), nu=nu)
+    calls = {"grad_q": 0, "grad_p": 0}
+    for name in calls:
+        method = getattr(kin, name)
+
+        def counted(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        setattr(kin, name, counted)
+    updates = _counted_solves(monkeypatch)
+    start = PhaseState(np.array([0.3, -0.2, 0.1]), np.array([0.5, 1.0, -0.4]))
+    integrate(model, kin, start, IntegratorConfig(0.1, steps))
+    assert updates.count("momentum") > steps and updates.count("position") > steps
+    assert calls == {"grad_q": steps, "grad_p": 0}
+
+
+def _spd(n, seed):
+    # a random, well-conditioned SPD matrix that is not the identity
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    return a.dot(a.T) / n + 0.5 * np.eye(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nu=st.sampled_from([math.inf, 3.0]),
+    eps=st.floats(0.01, 0.5),
+)
+def test_lean_iterates_equal_the_implicit_equations(seed, nu, eps):
+    # one iterate of each lean map equals the implicit equation it solves,
+    # written with the kinetic's public gradients, on a non-identity
+    # background; 1e-12 relative to the size of the terms
+    n = 3
+    rng = np.random.default_rng(seed)
+    model = builtin_target("funnel", n=n)
+    field = GraphMetric(model, BackgroundMetric.from_matrix(_spd(n, seed)))
+    kin = Kinetic(field, nu=nu)
+    q, p, x = rng.normal(scale=0.7, size=n), rng.normal(size=n), rng.normal(size=n)
+    state = field.state_at(q, with_hessian=True)
+
+    kick = integrator._kick_map(kin, p, state.grad, state, eps)(x)
+    force = state.grad + kin.grad_q(state, x)
+    expected = p - 0.5 * eps * force
+    scale = np.abs(p).max() + 0.5 * eps * np.abs(force).max()
+    assert np.abs(kick - expected).max() <= 1e-12 * scale
+
+    u0 = kin.grad_p(state, p)
+    lam_p = field.background.lam.dot(p)
+    y = q + rng.normal(scale=0.1, size=n)
+    drift = integrator._drift_map(kin, q, p, u0, lam_p, eps)(y)
+    u_y = kin.grad_p(field.state_at(y), p)
+    expected = q + 0.5 * eps * (u0 + u_y)
+    scale = np.abs(q).max() + 0.5 * eps * (np.abs(u0).max() + np.abs(u_y).max())
+    assert np.abs(drift - expected).max() <= 1e-12 * scale
 
 
 def test_unconstrained_graph_integrate_never_builds_the_dense_inverse(monkeypatch):
