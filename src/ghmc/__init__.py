@@ -24,7 +24,6 @@ from .integrator import (
     IntegratorConfig,
     PhaseState,
     Trajectory,
-    flow_derivatives,
     generalized_leapfrog_step,
     hamiltonian,
     integrate,
@@ -88,7 +87,6 @@ __all__ = [
     "catalog_entries",
     "effective_sample_size",
     "euclidean_quadratic",
-    "flow_derivatives",
     "generalized_leapfrog_step",
     "grad_check",
     "hamiltonian",

@@ -1,12 +1,18 @@
 """Symplectic integration of the sampling dynamics, with boundary reflections.
 
-One step kernel serves both kinetic families: the generalized leapfrog, whose
-first half-kick and drift are implicit equations solved by fixed-point
-iteration.  For a position-independent kinetic energy (a separable
-Hamiltonian) those equations are explicit, so the kernel skips the iteration
-and performs the plain kick-drift-kick leapfrog.  The step is a symmetric
-second-order map, hence reversible and volume-preserving, which is what the
-Metropolis correction in the sampler assumes.
+One trajectory loop runs every step, for both kinetic families: the
+generalized leapfrog, whose first half-kick and drift are implicit equations
+solved by fixed-point iteration.  For a position-independent kinetic energy
+(a separable Hamiltonian) those equations are explicit, and the loop takes
+the plain kick-drift-kick leapfrog step inline: p - eps/2 dV, q + eps grad_p,
+a finite check, one scan of the constraints at the drift's end, dV there and
+the second half-kick.  What a trajectory does not change (eps/2, the model's
+gradient, the kinetic's grad_p, the constraint values and a constant field's
+one metric state) is bound once per trajectory, so a constant field builds a
+metric state only where a reflection asks for Lam.  ``integrate`` runs the
+loop over num_steps steps and ``generalized_leapfrog_step`` over one.  The
+step is a symmetric second-order map, hence reversible and volume-preserving,
+which is what the Metropolis correction in the sampler assumes.
 
 Each point is evaluated once, as the potential gradient and the field's
 metric state there (a graph field's state carries the gradient): a step
@@ -32,11 +38,16 @@ there, and a non-finite momentum left by the last kick makes the final
 energy non-finite.  A scan that finds every constraint positive at the end
 of a step is its feasibility check.
 
-Strict inequality constraints are handled inside the drift: when a constraint
-function changes sign across a drift substep, the crossing is located by a
-bracketed secant search (Illinois regula falsi) that aims at the middle of
-the band 0 < C <= reflection_tol, so the trajectory advances to just inside
-the boundary, and the momentum reflects through Delta p = -2 (n, p)_Lam n
+Strict inequality constraints are handled inside the drift.  Only when the
+end scan finds a constraint C <= 0 does the reflective drift run, from that
+segment's direction, end point and scan values; the values a step's end scan
+read are C at the next step's start, where a crossing search starts.  A NaN
+constraint value, at the end scan or at a search probe, is neither feasible
+nor past the wall and ends the trajectory.  When a constraint function
+changes sign across a drift substep, the crossing is located by a bracketed
+secant search (Illinois regula falsi) that aims at the middle of the band
+0 < C <= reflection_tol, so the trajectory advances to just inside the
+boundary, and the momentum reflects through Delta p = -2 (n, p)_Lam n
 with n the unit constraint normal under the inverse-metric inner product
 (a, b)_Lam = a.Lam b.  Aiming at one level set inside the band, and not at
 the root, also puts the landing point on a linear wall at the same place on
@@ -48,9 +59,9 @@ Crossings are found only at drift-substep endpoints, so a substep can tunnel
 through an excluded region that it enters and leaves again.
 
 Numerical failures (non-convergent implicit solves, too many reflections in
-one step, an infeasible iterate, a degenerate normal, non-finite values) raise
-DivergenceError from ``integrate``; the sampler treats that as an automatic
-rejection, equivalent to proposing a state of infinite energy.
+one step, an infeasible iterate, a degenerate normal, non-finite or NaN
+values) raise DivergenceError from ``integrate``; the sampler treats that as
+an automatic rejection, equivalent to proposing a state of infinite energy.
 """
 
 import math
@@ -75,7 +86,6 @@ __all__ = [
     "ReflectionEvent",
     "Trajectory",
     "hamiltonian",
-    "flow_derivatives",
     "generalized_leapfrog_step",
     "reflect_momentum",
     "integrate",
@@ -179,13 +189,6 @@ def _start(model, kinetic, q, point=None):
     return v, point
 
 
-def flow_derivatives(model: TargetModel, kinetic, q, p):
-    """(dq/dt, dp/dt) of the energy-conserving flow at a feasible point."""
-    dv, state = _point(model, kinetic, as_position(q, model.n))
-    p = as_position(p, model.n)
-    return kinetic.grad_p(state, p), -(dv + kinetic.grad_q(state, p))
-
-
 def reflect_momentum(p, dc, lam) -> np.ndarray:
     """Specular reflection of p off the surface with normal one-form dc.
 
@@ -219,19 +222,22 @@ def _solve(update, x, config, what):
 
 
 _CROSSING_MAX_ITER = 120
+_NAN_CONSTRAINT = "a constraint value is NaN"
 
 
-def _find_crossing(c_fun, s_hi, c_hi, tol):
-    # c_fun(0) > 0 >= c_hi = c_fun(s_hi); return s on the feasible side with
-    # 0 < C <= tol.  Illinois regula falsi on the bracket [lo, hi], each probe
-    # aimed at C = tol/2, the middle of the band: a probe aimed at the root
-    # lands on the infeasible side about half the time, the feasible end then
-    # never moves, and the search stalls.  On a wall that is linear in s the
-    # first probe lands in the band.  f_lo and f_hi are the bracket's
-    # C - tol/2, with Illinois halving; the stop test reads the true c_lo.
+def _find_crossing(c_fun, s_hi, c_lo, c_hi, tol):
+    # c_lo = c_fun(0) > 0 >= c_hi = c_fun(s_hi); return s on the feasible side
+    # with 0 < C <= tol.  Illinois regula falsi on the bracket [lo, hi], each
+    # probe aimed at C = tol/2, the middle of the band: a probe aimed at the
+    # root lands on the infeasible side about half the time, the feasible end
+    # then never moves, and the search stalls.  On a wall that is linear in s
+    # the first probe lands in the band.  f_lo and f_hi are the bracket's
+    # C - tol/2, with Illinois halving; the stop test reads the true c_lo.  A
+    # NaN value is neither side of the wall, so it ends the trajectory.
+    if math.isnan(c_lo) or math.isnan(c_hi):
+        raise DivergenceError(_NAN_CONSTRAINT)
     target = 0.5 * tol
     lo, hi = 0.0, s_hi
-    c_lo = c_fun(0.0)
     f_lo, f_hi = c_lo - target, c_hi - target
     kept = 0  # which end the last probe moved: +1 lo, -1 hi
     for _ in range(_CROSSING_MAX_ITER):
@@ -246,24 +252,14 @@ def _find_crossing(c_fun, s_hi, c_hi, tol):
             if kept > 0:
                 f_hi *= 0.5
             kept = 1
-        else:
+        elif c <= 0.0:
             hi, f_hi = s, c - target
             if kept < 0:
                 f_lo *= 0.5
             kept = -1
+        else:
+            raise DivergenceError(_NAN_CONSTRAINT)
     return lo
-
-
-def _first_crossing(model, path, q_end, s_total, tol):
-    # earliest constraint crossing along path(s), ties broken by constraint
-    # index; path(s_total) is q_end, so its constraint value brackets the search
-    hits = []
-    for k, con in enumerate(model.constraints):
-        c_end = float(con.value(q_end))
-        if c_end <= 0.0:
-            s_k = _find_crossing(lambda s, c=con: float(c.value(path(s))), s_total, c_end, tol)
-            hits.append((s_k, k))
-    return min(hits) if hits else None
 
 
 def _kick_map(kinetic, p, dv, state, eps):
@@ -295,81 +291,113 @@ def _drift_map(kinetic, q0, p0, u0, lam_p0, s):
     return drift
 
 
-def _drift_with_events(model, kinetic, q, p, state, config, implicit, events, step_index):
-    remaining = config.step_size
-    n_events = 0
-    field = kinetic.field
-    while True:
-        q0, p0 = q, p
-        if implicit:
-            # u0 = grad_p(state, p0) from the lam p0 that the iterates share
-            lam_p0 = state.base.dot(p0)
-            u0 = kinetic._momentum_grad(p0, _rank1_dot(lam_p0, state.grad_up, state.denom, p0))
-        else:
-            u0 = kinetic.grad_p(state, p0)
+def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, config, events, step_index):
+    # The drift segment q0 -> path(s_end) has an end scan c_end with some
+    # C <= 0: find its earliest crossing, ties broken by constraint index,
+    # and reflect p0 there.  path(s) solves y = q0 + s/2 (u0 + grad_p(y, p0)),
+    # explicit on a constant field (lam_p0 None).  c_start holds the
+    # constraint values at q0 when a scan has read them.  Returns the landing
+    # q, the reflected p and the s advanced.
+    def path(s):
+        if s <= 0.0:
+            return q0
+        y = q0 + s * u0
+        if lam_p0 is not None:
+            y = _solve(_drift_map(kinetic, q0, p0, u0, lam_p0, s), y, config, "position")
+        return y
 
-        def path(s):
-            # solves y = q0 + s/2 (u0 + grad_p(y, p0)); explicit when grad_p
-            # does not depend on y
-            if s <= 0.0:
-                return q0
-            y = q0 + s * u0
-            if implicit:
-                y = _solve(_drift_map(kinetic, q0, p0, u0, lam_p0, s), y, config, "position")
-            return y
-
-        q_end = path(remaining)
-        if not np.isfinite(q_end).all():
-            raise DivergenceError("non-finite position during integration")
-        hit = _first_crossing(model, path, q_end, remaining, config.reflection_tol)
-        if hit is None:
-            # the scan found every constraint positive at q_end
-            return q_end, p, True
-        s_hit, k = hit
-        n_events += 1
-        if n_events > config.reflection_max_events:
-            raise DivergenceError(
-                f"more than {config.reflection_max_events} reflections in one step"
-            )
-        q = path(s_hit) if s_hit > 0.0 else q
-        dc = np.asarray(model.constraints[k].grad(q), dtype=float)
-        p_new = reflect_momentum(p, dc, kinetic.lambda_at(q))
-        events.append(
-            ReflectionEvent(
-                step_index=step_index,
-                constraint_index=k,
-                q=q.copy(),
-                p_before=p.copy(),
-                p_after=p_new.copy(),
-            )
+    hits = []
+    for k, c_k in enumerate(c_end):
+        if not c_k > 0.0:
+            value = model.constraints[k].value
+            c_0 = float(value(q0)) if c_start is None else c_start[k]
+            s_k = _find_crossing(lambda s, v=value: float(v(path(s))), s_end, c_0, c_k,
+                                 config.reflection_tol)
+            hits.append((s_k, k))
+    s_hit, k = min(hits)
+    q = path(s_hit) if s_hit > 0.0 else q0
+    dc = np.asarray(model.constraints[k].grad(q), dtype=float)
+    p = reflect_momentum(p0, dc, kinetic.lambda_at(q))
+    events.append(
+        ReflectionEvent(
+            step_index=step_index,
+            constraint_index=k,
+            q=q.copy(),
+            p_before=p0.copy(),
+            p_after=p.copy(),
         )
-        p = p_new
-        remaining -= s_hit
-        if remaining <= 0.0:
-            return q, p, False
-        state = field.state_at(q)
-
-
-def _step(model, kinetic, q, p, point, config, events, step_index):
-    # Implicit kick, reflective drift, explicit kick from the point (dV, state)
-    # at q; returns the end q, p and point.  A constant metric has grad_q = 0
-    # and a q-independent grad_p, so the first iterates solve the implicit
-    # equations exactly and neither grad_q nor the solver is called.
-    eps = config.step_size
-    implicit = kinetic.position_dependent
-    dv, state = point
-    if implicit:
-        kick = _kick_map(kinetic, p, dv, state, eps)
-        p_half = _solve(kick, kick(p), config, "momentum")
-    else:
-        p_half = p - 0.5 * eps * dv
-    q, p, feasible = _drift_with_events(
-        model, kinetic, q, p_half, state, config, implicit, events, step_index
     )
-    dv, state = point = _point(model, kinetic, q, feasible)
-    if implicit:
-        dv = dv + kinetic.grad_q(state, p)
-    return q, p - 0.5 * eps * dv, point
+    return q, p, s_hit
+
+
+def _trajectory(model, kinetic, q, p, point, config, events):
+    # config.num_steps steps of implicit kick, reflective drift and explicit
+    # kick from (q, p) and the point (dV, state) at q; returns the end q, p
+    # and point.  On a constant field grad_q = 0 and grad_p does not depend
+    # on q, so the kick and the drift are explicit, the field's one state
+    # serves every point, and a step is the plain leapfrog.  The constraint
+    # values that a step's end scan reads are those at the next step's start.
+    eps = config.step_size
+    half_eps = 0.5 * eps
+    implicit = kinetic.position_dependent
+    gradient = model.gradient
+    grad_p = kinetic.grad_p
+    values = tuple(con.value for con in model.constraints)
+    dv, state = point
+    lam_p = c_start = None
+    for step in range(config.num_steps):
+        if implicit:
+            kick = _kick_map(kinetic, p, dv, state, eps)
+            p = _solve(kick, kick(p), config, "momentum")
+        else:
+            p = p - half_eps * dv
+        remaining, reflections = eps, 0
+        while True:
+            # one drift segment over what remains of the step; on a graph
+            # field u0 = grad_p(state, p) comes from the lam p its iterates share
+            if implicit:
+                lam_p = state.base.dot(p)
+                u0 = kinetic._momentum_grad(p, _rank1_dot(lam_p, state.grad_up, state.denom, p))
+                q_end = _solve(_drift_map(kinetic, q, p, u0, lam_p, remaining),
+                               q + remaining * u0, config, "position")
+            else:
+                u0 = grad_p(state, p)
+                q_end = q + remaining * u0
+            # a finite q.q shows every entry finite; only when it is not
+            # (an entry is not finite, or the sum overflows) are the entries
+            # checked one by one
+            if not (math.isfinite(q_end.dot(q_end)) or np.isfinite(q_end).all()):
+                raise DivergenceError("non-finite position during integration")
+            c_end = [float(value(q_end)) for value in values]
+            for c in c_end:
+                if not c > 0.0:
+                    break
+            else:
+                # the scan shows q_end strictly feasible: the step's drift ends
+                q, c_start, feasible = q_end, c_end, True
+                break
+            reflections += 1
+            if reflections > config.reflection_max_events:
+                raise DivergenceError(
+                    f"more than {config.reflection_max_events} reflections in one step"
+                )
+            q, p, s_hit = _reflect(
+                model, kinetic, q, p, u0, lam_p, remaining, c_start, c_end, config, events, step
+            )
+            c_start = None
+            remaining -= s_hit
+            if remaining <= 0.0:
+                feasible = False
+                break
+            if implicit:
+                state = kinetic.field.state_at(q)
+        if implicit:
+            dv, state = _point(model, kinetic, q, feasible)
+            p = p - half_eps * (dv + kinetic.grad_q(state, p))
+        else:
+            dv = np.asarray(gradient(q), dtype=float) if feasible else potential_grad(model, q)
+            p = p - half_eps * dv
+    return q, p, (dv, state)
 
 
 def generalized_leapfrog_step(
@@ -391,7 +419,7 @@ def generalized_leapfrog_step(
     p = as_position(p, model.n)
     config = IntegratorConfig(step_size, 1, fp_tol=fp_tol, fp_max_iter=fp_max_iter)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step(model, kinetic, q, p, _point(model, kinetic, q), config, [], 0)[:2]
+        return _trajectory(model, kinetic, q, p, _point(model, kinetic, q), config, [])[:2]
 
 
 def integrate(model: TargetModel, kinetic, state: PhaseState, config: IntegratorConfig) -> Trajectory:
@@ -427,8 +455,7 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
         try:
             if point is None:
                 point = _point(model, kinetic, q, feasible=True)
-            for step in range(config.num_steps):
-                q, p, point = _step(model, kinetic, q, p, point, config, events, step)
+            q, p, point = _trajectory(model, kinetic, q, p, point, config, events)
         except (ConstraintViolationError, GeometryError, NumericError) as exc:
             raise DivergenceError(str(exc)) from exc
         # q is finite and strictly feasible: the last step's drift scan or

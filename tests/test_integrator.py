@@ -19,7 +19,6 @@ from ghmc.errors import (
 from ghmc.integrator import (
     IntegratorConfig,
     PhaseState,
-    flow_derivatives,
     generalized_leapfrog_step,
     hamiltonian,
     integrate,
@@ -28,7 +27,8 @@ from ghmc.integrator import (
 )
 from ghmc.kinetic import Kinetic, euclidean_quadratic, riemannian_quadratic, student_t
 from ghmc.metric import BackgroundMetric, GraphMetric, MetricState
-from ghmc.model import Constraint, TargetModel, builtin_target, potential_grad
+from ghmc.model import Constraint, TargetModel, builtin_target, potential_eval, potential_grad
+from ghmc.sampler import ChainConfig, run_chain
 
 
 def _harmonic():
@@ -44,6 +44,16 @@ def _energy_trace(model, kinetic, state, config):
         state = integrate(model, kinetic, state, replace(config, num_steps=1)).state
         energies.append(state.energy)
     return state, np.array(energies)
+
+
+def flow_derivatives(model, kinetic, q, p):
+    # (dq/dt, dp/dt) of the energy-conserving flow at a feasible point; a
+    # graph field's state carries dV
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    state = kinetic.field.state_at(q, with_hessian=kinetic.position_dependent)
+    dv = potential_grad(model, q) if state.grad is None else state.grad
+    return kinetic.grad_p(state, p), -(dv + kinetic.grad_q(state, p))
 
 
 def _rk4(model, kinetic, q, p, dt, steps):
@@ -279,6 +289,88 @@ def test_round_trip_through_reflections(case):
     assert back.reflection_count >= min_reflections
     assert np.max(np.abs(back.state.q - q0)) <= 1e-10
     assert np.max(np.abs(-back.state.p - p0)) <= 1e-10
+
+
+_CHAINED_STEPS = {
+    # the corner of the 3-d orthant, reflecting within the first steps
+    "student-t-orthant": (_orthant(3), student_t(np.eye(3), nu=5.0),
+                          np.array([0.5, 1.0, 0.3]), np.array([-1.5, 0.7, -2.0]), 0.2),
+    "euclidean-halfspace": (builtin_target("halfspace_gaussian", n=2),
+                            euclidean_quadratic(np.array([[1.5, 0.3], [0.3, 0.8]])),
+                            *_HALFSPACE_START, 0.3),
+    "student-t-graph": (builtin_target("std_gaussian", n=3),
+                        student_t(GraphMetric(builtin_target("std_gaussian", n=3)), nu=5.0),
+                        np.array([0.3, -0.2, 0.1]), np.array([0.5, 1.0, -0.4]), 0.1),
+}
+
+
+@pytest.mark.parametrize("steps", [1, 4, 9])
+@pytest.mark.parametrize("case", sorted(_CHAINED_STEPS))
+def test_integrate_equals_chained_single_steps(case, steps):
+    # one loop serves both: k steps of integrate, which carries each step's
+    # end point and constraint scan into the next, are k one-step calls that
+    # evaluate their start afresh, bit for bit
+    model, kin, q0, p0, eps = _CHAINED_STEPS[case]
+    traj = integrate(model, kin, PhaseState(q0, p0), IntegratorConfig(eps, steps))
+    q, p = q0, p0
+    for _ in range(steps):
+        q, p = generalized_leapfrog_step(model, kin, q, p, eps)
+    np.testing.assert_array_equal(q, traj.state.q)
+    np.testing.assert_array_equal(p, traj.state.p)
+    if steps == 9 and not kin.position_dependent:
+        assert traj.reflection_count >= 1
+
+
+@pytest.mark.parametrize("case", ["unconstrained", "reflective"])
+def test_constant_field_builds_states_only_at_reflections(case):
+    # a constant field's one state serves the whole trajectory: only a
+    # reflection asks the field for Lam, at the point where it reflects
+    if case == "unconstrained":
+        model = builtin_target("mvn", mean=[0.0, 0.0], cov=[[1.0, 0.9], [0.9, 1.0]])
+        q, p = np.array([0.3, -0.2]), np.array([0.5, 1.0])
+    else:
+        model = builtin_target("halfspace_gaussian", n=2)
+        q, p = _HALFSPACE_START
+    kin = euclidean_quadratic(np.array([[1.5, 0.3], [0.3, 0.8]]))
+    start = PhaseState(q, p, hamiltonian(model, kin, q, p),
+                       (potential_grad(model, q), kin.field.state_at(q)))
+    built = _counted_state_at(kin.field)
+    traj = integrate(model, kin, start, IntegratorConfig(0.1, 30))
+    assert (traj.reflection_count == 0) == (case == "unconstrained")
+    assert [b.tobytes() for b in built] == [e.q.tobytes() for e in traj.reflections]
+
+
+def _nan_beyond(lo, hi):
+    # C = 1 - q0, except NaN for lo < q0 < hi
+    def value(q):
+        return math.nan if lo < q[0] < hi else 1.0 - q[0]
+
+    return Constraint(value=value, grad=lambda q: np.array([-1.0, 0.0]))
+
+
+# NaN at the drift's end (q0 = 1.3775 from q0 = 0.5), or only at the crossing
+# search's first probe, just short of q0 = 1
+_NAN_WALLS = {"end": _nan_beyond(1.0, math.inf), "probe": _nan_beyond(0.9, 1.0)}
+
+
+@pytest.mark.parametrize("where", sorted(_NAN_WALLS))
+def test_nan_constraint_value_is_a_divergence(where):
+    # NaN is not > 0, so it is not feasible; nor is it <= 0, so it brackets
+    # no crossing
+    model = replace(builtin_target("std_gaussian", n=2), constraints=(_NAN_WALLS[where],))
+    kin = euclidean_quadratic(np.eye(2))
+    start = PhaseState(np.array([0.5, 0.0]), np.array([3.0, 0.0]))
+    with pytest.raises(DivergenceError, match="NaN"):
+        integrate(model, kin, start, IntegratorConfig(0.3, 1))
+
+
+def test_chain_keeps_no_sample_where_a_constraint_is_nan():
+    model = replace(builtin_target("std_gaussian", n=2), constraints=(_NAN_WALLS["end"],))
+    kin = euclidean_quadratic(np.eye(2))
+    cfg = ChainConfig(seed=2, num_samples=300, integrator=IntegratorConfig(0.3, 5))
+    res = run_chain(model, kin, cfg, initial=np.array([0.5, 0.0]))
+    assert res.divergence_count > 0
+    assert all(math.isfinite(potential_eval(model, q)) for q in res.samples)
 
 
 def test_infeasible_graph_iterate_is_a_divergence():
@@ -704,16 +796,17 @@ def test_unreflected_step_scans_the_constraints_once(steps):
 def test_linear_wall_crossing_takes_one_probe():
     # the drift is linear in s, so C along it is too: the first secant probe,
     # aimed at C = tol/2, lands inside the band 0 < C <= tol.  A search then
-    # makes 2 evaluations, C(0) and that probe, and the drift after the
-    # reflection scans its new end once; besides, one scan per step plus one
-    # for the start energy (bisection made 50 calls here)
+    # makes 1 evaluation, that probe, as C(0) is the previous step's end scan,
+    # and the drift after the reflection scans its new end once; besides, one
+    # scan per step plus one for the start energy (bisection made 50 calls
+    # here)
     model, calls = _counted_constraints(builtin_target("halfspace_gaussian"))
     kin = euclidean_quadratic(np.eye(1))
     cfg = IntegratorConfig(0.05, 20)
     traj = integrate(model, kin, PhaseState(np.array([0.5]), np.array([-2.0])), cfg)
     assert traj.reflection_count == 1
     assert 0.0 < traj.reflections[0].q[0] <= cfg.reflection_tol
-    assert len(calls) == (cfg.num_steps + 1) + 3 * traj.reflection_count
+    assert len(calls) == (cfg.num_steps + 1) + 2 * traj.reflection_count
 
 
 def test_curved_wall_crossings_land_inside_the_band():
