@@ -46,7 +46,6 @@ from .model import (
     TargetModel,
     builtin_target,
     catalog_entries,
-    grad_check,
     potential_eval,
     potential_grad,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "effective_sample_size",
     "euclidean_quadratic",
     "generalized_leapfrog_step",
-    "grad_check",
     "hamiltonian",
     "hmc_transition",
     "integrate",

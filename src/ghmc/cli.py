@@ -10,37 +10,23 @@ from .runspec import SpecError, execute, load_run_spec
 from .verify import run_checks
 
 
-def _common_options():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the chain seed")
-    common.add_argument("--out-dir", default=None, help="directory for output files")
-    return common
-
-
 def build_parser():
-    common = _common_options()
     parser = argparse.ArgumentParser(
-        prog="ghmc",
-        description="Generalized Hamiltonian Monte Carlo engine",
-        parents=[common],
+        prog="ghmc", description="Generalized Hamiltonian Monte Carlo engine"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sample = sub.add_parser(
-        "sample", parents=[common], help="run chains from a spec file"
-    )
+    p_sample = sub.add_parser("sample", help="run chains from a spec file")
     p_sample.add_argument("spec", help="path to the run spec file")
+    p_sample.add_argument("--seed", type=int, default=None, help="override the chain seed")
+    p_sample.add_argument("--out-dir", default=None, help="directory for output files")
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run the geometric verification suite"
-    )
+    p_verify = sub.add_parser("verify", help="run the geometric verification suite")
     p_verify.add_argument(
         "--level", choices=("quick", "full"), default="quick", help="suite size"
     )
 
-    p_list = sub.add_parser(
-        "list-targets", parents=[common], help="list built-in targets"
-    )
+    p_list = sub.add_parser("list-targets", help="list built-in targets")
     p_list.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 

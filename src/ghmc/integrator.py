@@ -65,7 +65,7 @@ an automatic rejection, equivalent to proposing a state of infinite energy.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -83,7 +83,6 @@ from .model import TargetModel, as_position, potential_eval, potential_grad
 __all__ = [
     "IntegratorConfig",
     "PhaseState",
-    "ReflectionEvent",
     "Trajectory",
     "hamiltonian",
     "generalized_leapfrog_step",
@@ -134,28 +133,14 @@ class PhaseState:
     point: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class ReflectionEvent:
-    """One boundary reflection: where it happened and the momentum jump."""
-
-    step_index: int
-    constraint_index: int
-    q: np.ndarray
-    p_before: np.ndarray
-    p_after: np.ndarray
-
-
 @dataclass
 class Trajectory:
-    """Integration output: the final state with its energy and point, V at its q, and reflections."""
+    """Integration output: the final state with its energy and point, V at its q,
+    and the number of boundary reflections on the way."""
 
     state: PhaseState
     potential: float
-    reflections: tuple = field(default_factory=tuple)
-
-    @property
-    def reflection_count(self) -> int:
-        return len(self.reflections)
+    reflection_count: int
 
 
 def hamiltonian(model: TargetModel, kinetic, q, p) -> float:
@@ -291,7 +276,7 @@ def _drift_map(kinetic, q0, p0, u0, lam_p0, s):
     return drift
 
 
-def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, config, events, step_index):
+def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, config):
     # The drift segment q0 -> path(s_end) has an end scan c_end with some
     # C <= 0: find its earliest crossing, ties broken by constraint index,
     # and reflect p0 there.  path(s) solves y = q0 + s/2 (u0 + grad_p(y, p0)),
@@ -317,25 +302,16 @@ def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, config, 
     s_hit, k = min(hits)
     q = path(s_hit) if s_hit > 0.0 else q0
     dc = np.asarray(model.constraints[k].grad(q), dtype=float)
-    p = reflect_momentum(p0, dc, kinetic.lambda_at(q))
-    events.append(
-        ReflectionEvent(
-            step_index=step_index,
-            constraint_index=k,
-            q=q.copy(),
-            p_before=p0.copy(),
-            p_after=p.copy(),
-        )
-    )
-    return q, p, s_hit
+    return q, reflect_momentum(p0, dc, kinetic.lambda_at(q)), s_hit
 
 
-def _trajectory(model, kinetic, q, p, point, config, events):
+def _trajectory(model, kinetic, q, p, point, config):
     # config.num_steps steps of implicit kick, reflective drift and explicit
     # kick from (q, p) and the point (dV, state) at q; returns the end q, p
-    # and point.  On a constant field grad_q = 0 and grad_p does not depend
-    # on q, so the kick and the drift are explicit, the field's one state
-    # serves every point, and a step is the plain leapfrog.  The constraint
+    # and point, and the number of reflections.  On a constant field
+    # grad_q = 0 and grad_p does not depend on q, so the kick and the drift
+    # are explicit, the field's one state serves every point, and a step is
+    # the plain leapfrog.  The constraint
     # values that a step's end scan reads are those at the next step's start.
     eps = config.step_size
     half_eps = 0.5 * eps
@@ -345,7 +321,8 @@ def _trajectory(model, kinetic, q, p, point, config, events):
     values = tuple(con.value for con in model.constraints)
     dv, state = point
     lam_p = c_start = None
-    for step in range(config.num_steps):
+    count = 0
+    for _ in range(config.num_steps):
         if implicit:
             kick = _kick_map(kinetic, p, dv, state, eps)
             p = _solve(kick, kick(p), config, "momentum")
@@ -382,7 +359,7 @@ def _trajectory(model, kinetic, q, p, point, config, events):
                     f"more than {config.reflection_max_events} reflections in one step"
                 )
             q, p, s_hit = _reflect(
-                model, kinetic, q, p, u0, lam_p, remaining, c_start, c_end, config, events, step
+                model, kinetic, q, p, u0, lam_p, remaining, c_start, c_end, config
             )
             c_start = None
             remaining -= s_hit
@@ -391,13 +368,14 @@ def _trajectory(model, kinetic, q, p, point, config, events):
                 break
             if implicit:
                 state = kinetic.field.state_at(q)
+        count += reflections
         if implicit:
             dv, state = _point(model, kinetic, q, feasible)
             p = p - half_eps * (dv + kinetic.grad_q(state, p))
         else:
             dv = np.asarray(gradient(q), dtype=float) if feasible else potential_grad(model, q)
             p = p - half_eps * dv
-    return q, p, (dv, state)
+    return q, p, (dv, state), count
 
 
 def generalized_leapfrog_step(
@@ -419,7 +397,7 @@ def generalized_leapfrog_step(
     p = as_position(p, model.n)
     config = IntegratorConfig(step_size, 1, fp_tol=fp_tol, fp_max_iter=fp_max_iter)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _trajectory(model, kinetic, q, p, _point(model, kinetic, q), config, [])[:2]
+        return _trajectory(model, kinetic, q, p, _point(model, kinetic, q), config)[:2]
 
 
 def integrate(model: TargetModel, kinetic, state: PhaseState, config: IntegratorConfig) -> Trajectory:
@@ -447,7 +425,6 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
         h0 = v + kinetic.energy(point[1], p)
     if not math.isfinite(h0):
         raise UsageError(_START_REFUSED)
-    events = []
     # blowups surface as a divergence signal, not as numpy warnings; a
     # non-finite q is caught by the drift, a non-finite p by the next kick's
     # drift or momentum solve, or by the final energy
@@ -455,7 +432,7 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
         try:
             if point is None:
                 point = _point(model, kinetic, q, feasible=True)
-            q, p, point = _trajectory(model, kinetic, q, p, point, config, events)
+            q, p, point, count = _trajectory(model, kinetic, q, p, point, config)
         except (ConstraintViolationError, GeometryError, NumericError) as exc:
             raise DivergenceError(str(exc)) from exc
         # q is finite and strictly feasible: the last step's drift scan or
@@ -467,7 +444,7 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
     return Trajectory(
         state=PhaseState(q=q, p=p, energy=float(h), point=point),
         potential=v,
-        reflections=tuple(events),
+        reflection_count=count,
     )
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ConstraintViolationError, UsageError, ValidationError
+from .errors import ConstraintViolationError, UsageError, ValidationError
 
 __all__ = [
     "Constraint",
@@ -25,8 +25,6 @@ __all__ = [
     "as_position",
     "potential_eval",
     "potential_grad",
-    "hessian_eval",
-    "grad_check",
     "builtin_target",
     "catalog_entries",
 ]
@@ -94,18 +92,12 @@ def spd_factor(mat, what: str, error=ValidationError):
         raise error(f"{what} must be positive-definite") from None
 
 
-def is_feasible(model: TargetModel, q) -> bool:
-    """True when every constraint is strictly satisfied."""
-    q = as_position(q, model.n)
-    return all(float(c.value(q)) > 0.0 for c in model.constraints)
-
-
 def potential_eval(model: TargetModel, q) -> float:
     """V(q), or +inf when any constraint C_k(q) <= 0."""
     q = as_position(q, model.n)
     if not np.all(np.isfinite(q)):
         raise UsageError("position has non-finite entries")
-    if not is_feasible(model, q):
+    if not all(float(c.value(q)) > 0.0 for c in model.constraints):
         return math.inf
     return float(model.potential(q))
 
@@ -128,43 +120,14 @@ def _gradient_at(model, q):
     return np.asarray(model.gradient(q), dtype=float)
 
 
-def hessian_eval(model: TargetModel, q) -> np.ndarray:
-    """Symmetrized Hessian of V; CapabilityError when the model has none."""
-    q = as_position(q, model.n)
-    if model.hessian is None:
-        raise CapabilityError(f"target {model.name!r} does not provide a Hessian")
-    return _hessian_at(model, q)
-
-
 def _hessian_at(model, q):
-    # hessian_eval at a q that as_position has already shaped; halving the sum
-    # in place gives the bits of 0.5 * (h + h.T) with one n x n array fewer
+    # the symmetrized Hessian of V at a q that as_position has already shaped;
+    # halving the sum in place gives the bits of 0.5 * (h + h.T) with one
+    # n x n array fewer
     h = np.asarray(model.hessian(q), dtype=float)
     s = h + h.T
     s *= 0.5
     return s
-
-
-def grad_check(model: TargetModel, q, h: float = 1e-6) -> float:
-    """Max relative error of the analytic gradient against central differences.
-
-    The difference step for coordinate i is h*(1 + |q_i|).
-    """
-    q = as_position(q, model.n)
-    if h <= 0.0:
-        raise UsageError("finite-difference step must be positive")
-    grad = potential_grad(model, q)
-    worst = 0.0
-    for i in range(model.n):
-        step = h * (1.0 + abs(q[i]))
-        qp = q.copy()
-        qm = q.copy()
-        qp[i] += step
-        qm[i] -= step
-        fd = (potential_eval(model, qp) - potential_eval(model, qm)) / (2.0 * step)
-        err = abs(grad[i] - fd) / max(1.0, abs(fd))
-        worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

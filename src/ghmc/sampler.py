@@ -181,15 +181,19 @@ def effective_sample_size(series) -> float:
 
     Autocorrelations are summed in adjacent pairs until a pair sum goes
     non-positive; tau = 2 * (partial sum) - 1 and ESS = N / tau.  A constant
-    series has no autocorrelation structure and counts as N by convention.
+    series has no autocorrelation structure and counts as N by convention; a
+    non-finite one, or one whose variance overflows, is refused.
     """
     x = np.asarray(series, dtype=float).ravel()
     n = x.size
     if n < 100:
         raise UsageError("effective_sample_size needs at least 100 samples")
-    x = x - x.mean()
-    c0 = float(x @ x) / n
-    if c0 == 0.0 or not math.isfinite(c0):
+    with np.errstate(invalid="ignore", over="ignore"):
+        x = x - x.mean()
+        c0 = float(x @ x) / n
+    if not math.isfinite(c0):
+        raise UsageError("effective_sample_size needs finite values with a finite variance")
+    if c0 == 0.0:
         return float(n)
     # autocovariance via FFT
     m = 1

@@ -9,6 +9,7 @@ O(n^2) cost target.  The CLI ``verify`` command prints these as a table; the
 acceptance test suite asserts them at their contractual sizes.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -44,15 +45,21 @@ class CheckResult:
     seconds: float
 
 
-def _finish(name, passed, measured, requirement, detail, t0):
-    return CheckResult(
-        name=name,
-        passed=bool(passed),
-        measured=float(measured),
-        requirement=requirement,
-        detail=detail,
-        seconds=time.perf_counter() - t0,
-    )
+def _check(name, requirement):
+    # a check returns (passed, measured, detail); this times it and reports
+    # it as a CheckResult
+    def wrap(fn):
+        @functools.wraps(fn)
+        def check(*args, **kwargs):
+            t0 = time.perf_counter()
+            passed, measured, detail = fn(*args, **kwargs)
+            return CheckResult(
+                name, bool(passed), float(measured), requirement, detail, time.perf_counter() - t0
+            )
+
+        return check
+
+    return wrap
 
 
 def _roundtrip(model, kin, q0, p0, eps, num_steps, fp_tol=1e-12):
@@ -65,15 +72,7 @@ def _roundtrip(model, kin, q0, p0, eps, num_steps, fp_tol=1e-12):
     return err, min(fwd.reflection_count, back.reflection_count)
 
 
-def _catalog_suite():
-    return [
-        builtin_target("std_gaussian", n=2),
-        builtin_target("mvn", mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.5, 1.0]]),
-        builtin_target("banana"),
-        builtin_target("funnel", n=2),
-    ]
-
-
+@_check("reversibility", "explicit <= 1e-10, implicit <= 1e-8, walls <= 1e-10 with >= 1 reflection")
 def check_reversibility():
     """Round-trip error of the step kernel, without walls and through them.
 
@@ -85,14 +84,18 @@ def check_reversibility():
     leg must reflect, and the round trip is held to the explicit bound, since
     where a reflection lands decides whether the reflective step reverses.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst_explicit = 0.0
     worst_implicit = 0.0
     worst_walls = 0.0
     fewest_reflections = math.inf
     detail = []
-    for model in _catalog_suite():
+    for model in (
+        builtin_target("std_gaussian", n=2),
+        builtin_target("mvn", mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.5, 1.0]]),
+        builtin_target("banana"),
+        builtin_target("funnel", n=2),
+    ):
         if model.name == "banana":
             # inside the leapfrog stability region for this step size: the
             # valley walls are stiff enough (Hessian norm up to ~1e3) that
@@ -134,19 +137,12 @@ def check_reversibility():
         and worst_walls <= 1e-10
         and fewest_reflections >= 1
     )
-    return _finish(
-        "reversibility",
-        passed,
-        max(worst_explicit, worst_implicit, worst_walls),
-        "explicit <= 1e-10, implicit <= 1e-8, walls <= 1e-10 with >= 1 reflection",
-        "; ".join(detail),
-        t0,
-    )
+    return passed, max(worst_explicit, worst_implicit, worst_walls), "; ".join(detail)
 
 
+@_check("volume-preservation", "< 1e-6")
 def check_volume_preservation(states: int = 10):
     """|det J - 1| of one step at random states, explicit and implicit."""
-    t0 = time.perf_counter()
     g2 = builtin_target("std_gaussian", n=2)
     ke = euclidean_quadratic(np.array([[1.3, 0.4], [0.4, 0.9]]))
     rng = np.random.default_rng(3)
@@ -164,14 +160,7 @@ def check_volume_preservation(states: int = 10):
         p0 = rng.normal(size=2) * 0.08
         worst_impl = max(worst_impl, volume_check(ban, kb, q0, p0, 0.01))
     measured = max(worst, worst_impl)
-    return _finish(
-        "volume-preservation",
-        measured < 1e-6,
-        measured,
-        "< 1e-6",
-        f"explicit {worst:.1e}; implicit {worst_impl:.1e}",
-        t0,
-    )
+    return measured < 1e-6, measured, f"explicit {worst:.1e}; implicit {worst_impl:.1e}"
 
 
 def _max_energy_drift(model, kin, q, p, eps, steps, fp_tol=1e-12):
@@ -184,28 +173,31 @@ def _max_energy_drift(model, kin, q, p, eps, steps, fp_tol=1e-12):
     return float(drift)
 
 
+def _halving_ratio(model, kin, q, p, eps, steps):
+    # peak energy error over eps * steps, at eps and at eps / 2
+    return _max_energy_drift(model, kin, q, p, eps, steps) / _max_energy_drift(
+        model, kin, q, p, eps / 2, 2 * steps
+    )
+
+
+@_check("energy-error-order", "in [3.5, 4.5]")
 def check_energy_error_order():
     """Halving the step size must cut the peak energy error by about four."""
-    t0 = time.perf_counter()
     g1 = builtin_target("std_gaussian", n=1)
-    ke1 = euclidean_quadratic(np.eye(1))
-    r_harm = _max_energy_drift(g1, ke1, [1.0], [0.5], 0.2, 10) / _max_energy_drift(
-        g1, ke1, [1.0], [0.5], 0.1, 20
-    )
     ban = builtin_target("banana")
-    ke2 = euclidean_quadratic(np.eye(2))
-    r_ban = _max_energy_drift(ban, ke2, [0.3, 0.2], [0.7, -0.4], 0.02, 100) / _max_energy_drift(
-        ban, ke2, [0.3, 0.2], [0.7, -0.4], 0.01, 200
-    )
-    kg1 = riemannian_quadratic(GraphMetric(g1))
-    r_impl = _max_energy_drift(g1, kg1, [1.0], [0.5], 0.02, 100) / _max_energy_drift(
-        g1, kg1, [1.0], [0.5], 0.01, 200
-    )
-    ratios = {"harmonic": r_harm, "banana": r_ban, "implicit-graph": r_impl}
+    ratios = {
+        "harmonic": _halving_ratio(g1, euclidean_quadratic(np.eye(1)), [1.0], [0.5], 0.2, 10),
+        "banana": _halving_ratio(
+            ban, euclidean_quadratic(np.eye(2)), [0.3, 0.2], [0.7, -0.4], 0.02, 100
+        ),
+        "implicit-graph": _halving_ratio(
+            g1, riemannian_quadratic(GraphMetric(g1)), [1.0], [0.5], 0.02, 100
+        ),
+    }
     passed = all(3.5 <= r <= 4.5 for r in ratios.values())
     measured = max(ratios.values(), key=lambda r: abs(r - 4.0))
     detail = "; ".join(f"{k} {v:.3f}" for k, v in ratios.items())
-    return _finish("energy-error-order", passed, measured, "in [3.5, 4.5]", detail, t0)
+    return passed, measured, detail
 
 
 def _linear_model(n, g):
@@ -219,9 +211,9 @@ def _linear_model(n, g):
     )
 
 
+@_check("smw-inverse", "< 1e-10")
 def check_smw_inverse(sizes=(1, 2, 5, 20, 50), instances: int = 20):
     """Rank-1 inverse and log-determinant against dense linear algebra."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(9)
     worst_inv = 0.0
     worst_det = 0.0
@@ -238,14 +230,7 @@ def check_smw_inverse(sizes=(1, 2, 5, 20, 50), instances: int = 20):
             _, ld_dense = np.linalg.slogdet(dense)
             worst_det = max(worst_det, abs(logdet - ld_dense) / max(abs(ld_dense), 1.0))
     measured = max(worst_inv, worst_det)
-    return _finish(
-        "smw-inverse",
-        measured < 1e-10,
-        measured,
-        "< 1e-10",
-        f"inverse {worst_inv:.1e}; logdet rel {worst_det:.1e}",
-        t0,
-    )
+    return measured < 1e-10, measured, f"inverse {worst_inv:.1e}; logdet rel {worst_det:.1e}"
 
 
 def finite_difference_christoffel(field: GraphMetric, q, h: float = 1e-5) -> np.ndarray:
@@ -276,9 +261,9 @@ def finite_difference_christoffel(field: GraphMetric, q, h: float = 1e-5) -> np.
     return 0.5 * term
 
 
+@_check("christoffel", "rel err < 1e-4")
 def check_christoffel(points: int = 20):
     """Closed-form connection coefficients against the finite-difference oracle."""
-    t0 = time.perf_counter()
     ban = builtin_target("banana")
     field = GraphMetric(ban)
     rng = np.random.default_rng(15)
@@ -289,28 +274,31 @@ def check_christoffel(points: int = 20):
         gamma_fd = finite_difference_christoffel(field, q)
         rel = float(np.max(np.abs(gamma - gamma_fd)) / max(np.max(np.abs(gamma)), 1e-6))
         worst = max(worst, rel)
-    return _finish("christoffel", worst < 1e-4, worst, "rel err < 1e-4", "", t0)
+    return worst < 1e-4, worst, ""
 
 
-def _well_conditioned_spd(rng, n, lo=0.5, hi=2.0):
-    qmat, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return qmat @ np.diag(rng.uniform(lo, hi, size=n)) @ qmat.T
+def _well_conditioned(rng, n, spd=False):
+    # Q1 diag(d) Q2 with random orthogonal Q1 and Q2, Q2 = Q1^T when spd, and
+    # d in [0.5, 2]; drawn in that order, Q2 only when not spd
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q2 = q1.T if spd else np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return q1 @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ q2
 
 
+@_check("reflection", "energy <= 1e-13, involution <= 1e-15")
 def check_reflection(probes: int = 1000):
     """Reflections conserve the kinetic energy exactly and are involutions.
 
     Probe metrics are kept well conditioned so the stated absolute tolerances
     measure exactness at machine precision rather than conditioning.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(21)
     worst_energy = 0.0
     worst_invol = 0.0
     dims = (1, 2, 3, 5)
     for i in range(probes):
         n = dims[i % len(dims)]
-        lam = _well_conditioned_spd(rng, n)
+        lam = _well_conditioned(rng, n, spd=True)
         kq = euclidean_quadratic(lam)
         kt = student_t(lam, nu=rng.uniform(0.5, 10.0))
         p = rng.normal(size=n)
@@ -326,50 +314,38 @@ def check_reflection(probes: int = 1000):
         scale = max(1.0, float(np.max(np.abs(p))), float(np.max(np.abs(p_ref))))
         worst_invol = max(worst_invol, float(np.max(np.abs(p_back - p))) / scale)
     passed = worst_energy <= 1e-13 and worst_invol <= 1e-15
-    return _finish(
-        "reflection",
-        passed,
-        max(worst_energy, worst_invol),
-        "energy <= 1e-13, involution <= 1e-15",
-        f"energy {worst_energy:.1e}; involution {worst_invol:.1e}",
-        t0,
-    )
+    detail = f"energy {worst_energy:.1e}; involution {worst_invol:.1e}"
+    return passed, max(worst_energy, worst_invol), detail
 
 
+@_check("momentum-symmetry", "<= 1e-12")
 def check_momentum_symmetry(probes: int = 1000):
     """T(q, -p) = T(q, p) and dT/dp odd, for every kinetic family."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(33)
-    ban = builtin_target("banana")
-    field = GraphMetric(ban)
+    field = GraphMetric(builtin_target("banana"))
+    lam = np.array([[2.0, 0.3], [0.3, 1.0]])
     kinetics = [
-        ("euclidean", euclidean_quadratic(np.array([[2.0, 0.3], [0.3, 1.0]])), None),
-        ("graph-quadratic", riemannian_quadratic(field), "banana"),
-        ("student-t", student_t(np.array([[2.0, 0.3], [0.3, 1.0]]), nu=4.0), None),
-        ("graph-student-t", student_t(field, nu=4.0), "banana"),
+        euclidean_quadratic(lam),
+        riemannian_quadratic(field),
+        student_t(lam, nu=4.0),
+        student_t(field, nu=4.0),
     ]
     worst = 0.0
     for _ in range(probes // len(kinetics)):
         q = rng.normal(size=2) * 0.8
         p = rng.normal(size=2) * 2.0
-        for _, kin, _tag in kinetics:
+        for kin in kinetics:
             state = kin.field.state_at(q)
             even = abs(kin.energy(state, -p) - kin.energy(state, p))
             odd = float(np.max(np.abs(kin.grad_p(state, -p) + kin.grad_p(state, p))))
             worst = max(worst, even, odd)
-    return _finish("momentum-symmetry", worst <= 1e-12, worst, "<= 1e-12", "", t0)
+    return worst <= 1e-12, worst, ""
 
 
-def _well_conditioned_map(rng, n):
-    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return q1 @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ q2
-
-
+@_check("coordinate-invariance", "<= 1e-12")
 def check_coordinate_invariance(maps: int = 20):
     """H is a scalar: under Q = A q the kinetic and potential terms shift by
     opposite log-Jacobian factors and the total energy is unchanged."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(44)
     n = 3
     base = builtin_target("std_gaussian", n=n)
@@ -377,7 +353,7 @@ def check_coordinate_invariance(maps: int = 20):
     kinetics = [euclidean_quadratic(lam), student_t(lam, nu=6.0)]
     worst = 0.0
     for _ in range(maps):
-        amat = _well_conditioned_map(rng, n)
+        amat = _well_conditioned(rng, n)
         ainv = np.linalg.inv(amat)
         _, log_abs_det = np.linalg.slogdet(amat)
         lam_t = amat @ lam @ amat.T
@@ -398,12 +374,12 @@ def check_coordinate_invariance(maps: int = 20):
             h = base.potential(q) + kin.energy(kin.field.state_at(q), p)
             h_t = transformed.potential(q_t) + kin_t.energy(kin_t.field.state_at(q_t), p_t)
             worst = max(worst, abs(h_t - h))
-    return _finish("coordinate-invariance", worst <= 1e-12, worst, "<= 1e-12", "", t0)
+    return worst <= 1e-12, worst, ""
 
 
+@_check("stationarity", "<= 4 sigma")
 def check_stationarity(chains: int = 10000):
     """One transition applied to exact draws must keep the target's moments."""
-    t0 = time.perf_counter()
     model = builtin_target("std_gaussian", n=1)
     kin = euclidean_quadratic(np.eye(1))
     cfg = ChainConfig(seed=0, num_samples=1, integrator=IntegratorConfig(0.1, 20))
@@ -416,122 +392,71 @@ def check_stationarity(chains: int = 10000):
     z_mean = abs(out.mean()) * math.sqrt(chains)
     z_var = abs(out.var(ddof=1) - 1.0) / math.sqrt(2.0 / chains)
     measured = max(z_mean, z_var)
-    return _finish(
-        "stationarity",
-        measured <= 4.0,
-        measured,
-        "<= 4 sigma",
-        f"mean {z_mean:.2f} sigma; var {z_var:.2f} sigma",
-        t0,
-    )
+    return measured <= 4.0, measured, f"mean {z_mean:.2f} sigma; var {z_var:.2f} sigma"
 
 
-def check_constrained_sampling(num_samples: int = 20000):
-    """Half-space Gaussian: feasibility and the half-normal moments."""
-    t0 = time.perf_counter()
-    model = builtin_target("halfspace_gaussian")
-    kin = euclidean_quadratic(np.eye(1))
+def _jittered_chain(model, kin, seed, num_samples, warmup, step_size, num_steps):
+    # the chain of a sampling check: path-length jitter on, from the target's
+    # initial point
     cfg = ChainConfig(
-        seed=3,
+        seed=seed,
         num_samples=num_samples,
-        warmup=200,
-        integrator=IntegratorConfig(0.15, 10),
+        warmup=warmup,
+        integrator=IntegratorConfig(step_size, num_steps),
         jitter_steps=True,
     )
-    res = run_chain(model, kin, cfg)
+    return run_chain(model, kin, cfg)
+
+
+@_check("constrained-sampling", "normalized deviation <= 1, zero infeasible")
+def check_constrained_sampling(num_samples: int = 20000):
+    """Half-space Gaussian: feasibility and the half-normal moments."""
+    res = _jittered_chain(builtin_target("halfspace_gaussian"), euclidean_quadratic(np.eye(1)),
+                          3, num_samples, 200, 0.15, 10)
     infeasible = int(np.sum(res.samples[:, 0] <= 0.0))
     mean_dev = abs(res.mean[0] - math.sqrt(2.0 / math.pi))
     m2_dev = abs(float(np.mean(res.samples[:, 0] ** 2)) - 1.0)
     passed = infeasible == 0 and mean_dev <= 0.02 and m2_dev <= 0.05
     measured = max(mean_dev / 0.02, m2_dev / 0.05, float(infeasible))
-    return _finish(
-        "constrained-sampling",
-        passed,
-        measured,
-        "normalized deviation <= 1, zero infeasible",
+    return passed, measured, (
         f"infeasible {infeasible}; mean dev {mean_dev:.4f} (<=0.02); "
-        f"2nd moment dev {m2_dev:.4f} (<=0.05)",
-        t0,
+        f"2nd moment dev {m2_dev:.4f} (<=0.05)"
     )
 
 
+@_check("gaussian-sampling", "ESS > 1000, |mean| <= 0.05, var in [0.90, 1.10]")
 def check_gaussian_sampling(num_samples: int = 20000):
     """Unit Gaussian chain: ESS floor and first two moments."""
-    t0 = time.perf_counter()
-    model = builtin_target("std_gaussian", n=1)
-    kin = euclidean_quadratic(np.eye(1))
-    cfg = ChainConfig(
-        seed=1,
-        num_samples=num_samples,
-        warmup=100,
-        integrator=IntegratorConfig(0.2, 8),
-        jitter_steps=True,
-    )
-    res = run_chain(model, kin, cfg)
+    res = _jittered_chain(builtin_target("std_gaussian", n=1), euclidean_quadratic(np.eye(1)),
+                          1, num_samples, 100, 0.2, 8)
     ess = float(res.ess[0])
     var = float(res.cov[0, 0])
     passed = ess > 1000.0 and abs(res.mean[0]) <= 0.05 and 0.90 <= var <= 1.10
     measured = max(abs(res.mean[0]) / 0.05, abs(var - 1.0) / 0.10)
-    return _finish(
-        "gaussian-sampling",
-        passed,
-        measured,
-        "ESS > 1000, |mean| <= 0.05, var in [0.90, 1.10]",
-        f"ess {ess:.0f}; mean {res.mean[0]:.4f}; var {var:.4f}",
-        t0,
-    )
+    return passed, measured, f"ess {ess:.0f}; mean {res.mean[0]:.4f}; var {var:.4f}"
 
 
+@_check("mvn-sampling", "covariance entries within 10%, ESS > 500")
 def check_mvn_sampling(num_samples: int = 10000):
     """Correlated Gaussian with a user-supplied constant inverse metric."""
-    t0 = time.perf_counter()
     cov = np.array([[1.0, 0.9], [0.9, 1.0]])
     model = builtin_target("mvn", mean=[0.0, 0.0], cov=cov)
-    kin = euclidean_quadratic(np.linalg.inv(cov))
-    cfg = ChainConfig(
-        seed=5,
-        num_samples=num_samples,
-        warmup=200,
-        integrator=IntegratorConfig(0.12, 50),
-        jitter_steps=True,
-    )
-    res = run_chain(model, kin, cfg)
+    res = _jittered_chain(model, euclidean_quadratic(np.linalg.inv(cov)),
+                          5, num_samples, 200, 0.12, 50)
     rel = np.abs(res.cov - cov) / np.abs(cov)
     measured = float(np.max(rel))
     ess_min = float(np.min(res.ess))
     passed = measured <= 0.10 and ess_min > 500.0
-    return _finish(
-        "mvn-sampling",
-        passed,
-        measured,
-        "covariance entries within 10%, ESS > 500",
-        f"max rel dev {measured:.3f}; min ess {ess_min:.0f}",
-        t0,
-    )
+    return passed, measured, f"max rel dev {measured:.3f}; min ess {ess_min:.0f}"
 
 
+@_check("jitter-mixing", "ESS > 5% of the draws")
 def check_jitter_mixing(num_samples: int = 4000):
     """Path-length jitter breaks the period trap at step*length near pi."""
-    t0 = time.perf_counter()
-    model = builtin_target("std_gaussian", n=1)
-    kin = euclidean_quadratic(np.eye(1))
-    cfg = ChainConfig(
-        seed=8,
-        num_samples=num_samples,
-        warmup=100,
-        integrator=IntegratorConfig(math.pi / 20.0, 20),
-        jitter_steps=True,
-    )
-    res = run_chain(model, kin, cfg)
+    res = _jittered_chain(builtin_target("std_gaussian", n=1), euclidean_quadratic(np.eye(1)),
+                          8, num_samples, 100, math.pi / 20.0, 20)
     ess = float(res.ess[0])
-    return _finish(
-        "jitter-mixing",
-        ess > 0.05 * num_samples,
-        ess,
-        f"ESS > {0.05 * num_samples:.0f}",
-        f"ess {ess:.0f} of {num_samples}",
-        t0,
-    )
+    return ess > 0.05 * num_samples, ess, f"ess {ess:.0f} of {num_samples}"
 
 
 def _best_time(fn, repeats):
@@ -543,10 +468,10 @@ def _best_time(fn, repeats):
     return best
 
 
+@_check("cost-scaling", "step exponent < 2.3, rank-1 too")
 def check_cost_scaling(sizes=(64, 128, 256, 512)):
     """Fitted wall-time exponents of the rank-1 inverse and of one generalized
     leapfrog step on the graph field, versus dense inversion."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     smw_times = []
     step_times = []
@@ -578,14 +503,8 @@ def check_cost_scaling(sizes=(64, 128, 256, 512)):
     smw_exp = float(np.polyfit(logs, np.log(smw_times), 1)[0])
     step_exp = float(np.polyfit(logs, np.log(step_times), 1)[0])
     dense_exp = float(np.polyfit(logs, np.log(dense_times), 1)[0])
-    return _finish(
-        "cost-scaling",
-        max(step_exp, smw_exp) < 2.3,
-        step_exp,
-        "step exponent < 2.3, rank-1 too",
-        f"rank-1 {smw_exp:.2f}; step {step_exp:.2f}; dense oracle {dense_exp:.2f}",
-        t0,
-    )
+    detail = f"rank-1 {smw_exp:.2f}; step {step_exp:.2f}; dense oracle {dense_exp:.2f}"
+    return max(step_exp, smw_exp) < 2.3, step_exp, detail
 
 
 QUICK_CHECKS = (

@@ -270,6 +270,28 @@ def test_seed_override_changes_the_draws(tmp_path):
     assert diag["seed"] == 7
 
 
+@pytest.mark.parametrize("command", [
+    ["{option}", "{value}", "sample", "{spec}"],
+    ["verify", "{option}", "{value}"],
+    ["list-targets", "{option}", "{value}"],
+], ids=["before-sample", "verify", "list-targets"])
+@pytest.mark.parametrize("option", ["--seed", "--out-dir"])
+def test_seed_and_out_dir_are_options_of_sample_only(tmp_path, monkeypatch, command, option):
+    # given anywhere but after `sample` they were parsed and then dropped:
+    # the spec's seed ran, or the output landed in the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.spec").write_text(GAUSS_SPEC)
+    out = tmp_path / "out"
+    out.mkdir()
+    value = "5" if option == "--seed" else str(out)
+    argv = [a.format(option=option, value=value, spec="run.spec") for a in command]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.spec"]
+    assert not any(out.iterdir())
+
+
 def test_cli_rejects_bad_spec_with_exit_2(tmp_path, capsys):
     spec_file = tmp_path / "bad.spec"
     spec_file.write_text(GAUSS_SPEC.replace("step_size = 0.1", "stepsize = 0.1"))

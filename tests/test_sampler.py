@@ -173,27 +173,50 @@ def test_warmup_is_discarded():
     assert res.accepted.shape == (150,)
 
 
-@pytest.mark.parametrize("variant", ["euclidean", "student_t", "graph", "student_t-graph"])
+_HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
+
+
+@pytest.mark.parametrize(
+    "variant",
+    ["euclidean", "student_t", "graph", "student_t-graph", "euclidean-orthant",
+     "student_t-orthant"],
+)
 def test_stationarity_of_one_transition(variant):
     # chains started at exact draws stay distributed like the target; a
-    # graph-metric transition costs about 15x a constant-metric one
+    # graph-metric transition costs about 15x a constant-metric one.  On the
+    # 3-d orthant q > 0 the exact draws are |z|, half-normal per coordinate,
+    # and a step near a corner can reflect off several walls
+    orthant = variant.endswith("-orthant")
     n_chains = 800 if variant.endswith("graph") else 4000
-    model = builtin_target("std_gaussian", n=2)
+    n = 3 if orthant else 2
+    if orthant:
+        model = builtin_target("halfspace_gaussian", n=3, constraints=[(w, 0.0) for w in np.eye(3)])
+    else:
+        model = builtin_target("std_gaussian", n=2)
     graph = GraphMetric(model)
     kin = {
-        "euclidean": euclidean_quadratic(np.eye(2)),
-        "student_t": student_t(np.eye(2)),
+        "euclidean": euclidean_quadratic(np.eye(n)),
+        "student_t": student_t(np.eye(n)),
         "graph": riemannian_quadratic(graph),
         "student_t-graph": student_t(graph),
-    }[variant]
+    }[variant.removesuffix("-orthant")]
     cfg = _config(num_samples=1, eps=0.25, steps=6)
     rng = np.random.default_rng(77)
-    start = rng.standard_normal((n_chains, 2))
+    start = rng.standard_normal((n_chains, n))
+    # per-coordinate mean, variance and fourth central moment of the target
+    if orthant:
+        start = np.abs(start)
+        m = _HALF_NORMAL_MEAN
+        mean, var, mu4 = m, 1.0 - m * m, 3.0 - 2.0 * m * m - 3.0 * m**4
+    else:
+        mean, var, mu4 = 0.0, 1.0, 3.0
     out = np.array([hmc_transition(model, kin, q, cfg, rng)[0] for q in start])
-    assert np.max(np.abs(out.mean(axis=0))) <= 4.0 / math.sqrt(n_chains)
-    assert np.max(np.abs(out.var(axis=0, ddof=1) - 1.0)) <= 4.0 * math.sqrt(2.0 / n_chains)
-    # |q|^2 is chi-square with 2 degrees of freedom: mean 2, standard deviation 2
-    assert abs(np.mean(np.sum(out**2, axis=1)) - 2.0) <= 4.0 * 2.0 / math.sqrt(n_chains)
+    assert np.max(np.abs(out.mean(axis=0) - mean)) <= 4.0 * math.sqrt(var / n_chains)
+    assert np.max(np.abs(out.var(axis=0, ddof=1) - var)) <= 4.0 * math.sqrt(
+        (mu4 - var * var) / n_chains
+    )
+    # |q|^2 is chi-square with n degrees of freedom: mean n, variance 2n
+    assert abs(np.mean(np.sum(out**2, axis=1)) - n) <= 4.0 * math.sqrt(2.0 * n / n_chains)
 
 
 def test_one_transition_evaluates_the_hamiltonian_once_at_the_start_and_once_at_the_end():
@@ -246,6 +269,15 @@ def test_ess_ar1_band():
 
 def test_ess_constant_series_convention():
     assert effective_sample_size(np.full(500, 3.14)) == 500.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ess_refuses_a_non_finite_series(bad):
+    # one bad draw in 500 once read as ESS = 500, perfect mixing
+    x = np.random.default_rng(2).standard_normal(500)
+    x[137] = bad
+    with pytest.raises(UsageError, match="finite"):
+        effective_sample_size(x)
 
 
 def test_ess_needs_enough_samples():
