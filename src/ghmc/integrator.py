@@ -107,13 +107,13 @@ class IntegratorConfig:
     reflection_max_events: int = 8
 
     def __post_init__(self):
-        # written as "not > 0" so that NaN is refused too
-        if not self.step_size > 0.0:
-            raise UsageError("step_size must be positive")
+        # written as "not 0 < x < inf" so that NaN is refused too
+        if not 0.0 < self.step_size < math.inf:
+            raise UsageError("step_size must be positive and finite")
         if self.num_steps < 1:
             raise UsageError("num_steps must be at least 1")
-        if not self.fp_tol > 0.0 or not self.reflection_tol > 0.0:
-            raise UsageError("tolerances must be positive")
+        if not (0.0 < self.fp_tol < math.inf and 0.0 < self.reflection_tol < math.inf):
+            raise UsageError("tolerances must be positive and finite")
         if self.fp_max_iter < 1 or self.reflection_max_events < 1:
             raise UsageError("iteration limits must be at least 1")
 

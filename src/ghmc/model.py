@@ -175,6 +175,8 @@ def _mvn(mean=None, cov=None) -> TargetModel:
         if value is None:
             raise UsageError(f"target mvn requires {key!r}")
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    if not np.all(np.isfinite(mean)):
+        raise ValidationError("mvn mean must have finite entries")
     cov, _ = spd_factor(cov, "mvn covariance")
     n = mean.size
     if cov.shape != (n, n):

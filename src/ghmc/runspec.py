@@ -6,17 +6,17 @@ its keys and each key to its parser and default (or ``_REQUIRED``); the
 [chain] keys are the scalar fields of ChainConfig and IntegratorConfig, by
 name, plus ``chains``, and [target] also takes the catalog parameters of the
 named target.  Parsing is strict: unknown sections, unknown keys, duplicates,
-missing keys, and malformed values are all rejected with the offending line
-number, since silent misconfiguration is the usual failure mode of sampler
-tooling.  Matrix-valued keys have one grammar and one parser, ``identity``,
-``scale:c``, ``diag:v1,v2,...`` or rows ``a,b;c,d`` of equal length with
-finite entries; the spec keeps the text, shaped at the target's dimension
-when the run is built.
+missing keys, and malformed or non-finite values are all rejected with the
+offending line number, since silent misconfiguration is the usual failure mode
+of sampler tooling.  Parsing also builds the run: the target, the kinetic and
+the chain config, with each matrix (``identity``, ``scale:c``,
+``diag:v1,v2,...`` or rows ``a,b;c,d``) read once at the target's dimension,
+so that a matrix its builder refuses is cited at its line too.
 
-Execution checks the chain settings and the output directories before any
-chain runs, writes one CSV of samples per chain (header q1..qn, full-precision
-floats, byte-reproducible for a fixed seed), and pools the chain results into
-a diagnostics JSON that validates against the schema shipped with the package.
+Execution checks the output paths before any chain runs, writes one CSV of
+samples per chain (header q1..qn, full-precision floats, byte-reproducible for
+a fixed seed), and pools the chain results into a diagnostics JSON that
+validates against the schema shipped with the package.
 """
 
 import csv
@@ -30,11 +30,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import MetricDegeneracyError, UsageError, ValidationError
 from .integrator import IntegratorConfig
 from .kinetic import Kinetic
 from .metric import BackgroundMetric, ConstantMetric, GraphMetric
-from .model import builtin_target, catalog_entries
+from .model import TargetModel, builtin_target, catalog_entries
 from .sampler import ChainConfig, run_chain
 
 __all__ = ["SpecError", "RunSpec", "parse_run_spec", "load_run_spec", "execute"]
@@ -53,27 +53,26 @@ class SpecError(UsageError):
 
 @dataclass
 class RunSpec:
-    """Validated run configuration, still symbolic (matrices unmaterialized).
+    """A run built from its spec; ``target_params`` are kept as parsed for the
+    diagnostics JSON, mvn's covariance as its spec text."""
 
-    ``integrator`` maps every IntegratorConfig field to its value.
-    """
-
-    target_name: str
     target_params: dict
+    model: TargetModel
     kinetic_variant: str
-    kinetic_lambda: Optional[str]
-    nu: float  # math.inf for the Gaussian variants
     metric_variant: Optional[str]
-    metric_lambda: Optional[str]
-    metric_sigma: Optional[str]
-    seed: int
-    num_samples: int
-    warmup: int
-    jitter_steps: bool
+    kinetic: Kinetic
+    config: ChainConfig
     chains: int
-    integrator: dict
     samples_path: str
     diagnostics_path: str
+
+    @property
+    def num_samples(self) -> int:
+        return self.config.num_samples
+
+    @property
+    def warmup(self) -> int:
+        return self.config.warmup
 
 
 def _parse_bool(raw, line):
@@ -96,51 +95,46 @@ def _converter(convert, expected):
     return parse
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 _parse_int = _converter(int, "an integer")
 _parse_float = _converter(float, "a number")
+_parse_finite = _converter(_finite, "a finite number")
 _parse_vector = _converter(
-    lambda raw: np.array([float(tok) for tok in raw.split(",")]), "comma-separated numbers"
+    lambda raw: np.array([_finite(tok) for tok in raw.split(",")]),
+    "finite comma-separated numbers",
 )
 
 
-def _matrix(text, line=None):
-    # (form, entries) of a matrix spec: ("scale", c) for identity and scale:c,
-    # ("diag", vector) or ("rows", 2-d array)
-    text = text.strip()
-    if text == "identity":
-        return "scale", 1.0
-    if text.startswith("scale:"):
-        form, entries = "scale", _parse_float(text[len("scale:") :], line)
-    elif text.startswith("diag:"):
-        form, entries = "diag", _parse_vector(text[len("diag:") :], line)
+def _matrix(raw, line, n):
+    """The (n, n) matrix of a spec value; every refusal cites ``line``."""
+    if raw == "identity":
+        return np.eye(n)
+    if raw.startswith("scale:"):
+        mat = _parse_finite(raw[len("scale:") :], line) * np.eye(n)
+    elif raw.startswith("diag:"):
+        mat = np.diag(_parse_vector(raw[len("diag:") :], line))
     else:
-        rows = [_parse_vector(row, line) for row in text.split(";")]
+        rows = [_parse_vector(row, line) for row in raw.split(";")]
         if len({row.size for row in rows}) > 1:
-            raise SpecError(f"matrix rows must have equal length, got {text!r}", line)
-        form, entries = "rows", np.vstack(rows)
-    if not np.all(np.isfinite(entries)):
-        raise SpecError(f"matrix entries must be finite, got {text!r}", line)
-    return form, entries
+            raise SpecError(f"matrix rows must have equal length, got {raw!r}", line)
+        mat = np.vstack(rows)
+    if mat.shape != (n, n):
+        raise SpecError(f"expected a {n}x{n} matrix, got {raw!r}", line)
+    return mat
 
 
-def _parse_matrix_spec(raw, line):
-    """Check a matrix spec and keep its text; materialization waits for the dimension."""
-    _matrix(raw, line)
-    return raw.strip()
-
-
-def materialize_matrix(spec_text: str, n: int) -> np.ndarray:
-    """Turn a matrix spec string into an (n, n) array."""
-    form, entries = _matrix(spec_text)
-    if form == "scale":
-        return entries * np.eye(n)
-    if form == "diag":
-        if entries.size != n:
-            raise UsageError(f"diag spec has {entries.size} entries, expected {n}")
-        return np.diag(entries)
-    if entries.shape != (n, n):
-        raise UsageError(f"matrix spec has shape {entries.shape}, expected ({n}, {n})")
-    return entries
+def _built(line, build, *args, **kwargs):
+    # build(*args, **kwargs), its refusal of a spec value cited at the value's line
+    try:
+        return build(*args, **kwargs)
+    except (MetricDegeneracyError, ValidationError) as exc:
+        raise SpecError(str(exc), line) from None
 
 
 def _choice(what, options):
@@ -153,6 +147,8 @@ def _choice(what, options):
 
 
 def _text(raw, line):
+    if not raw:
+        raise SpecError("expected a value, got nothing", line)
     return raw
 
 
@@ -161,7 +157,7 @@ _PARSERS = {
     "int": _parse_int,
     "float": _parse_float,
     "vector": _parse_vector,
-    "matrix": _parse_matrix_spec,
+    "matrix": _text,  # read by _matrix once the target's dimension is known
 }
 _REQUIRED = object()
 
@@ -186,13 +182,13 @@ _KEYS = {
             _choice("kinetic variant", ("euclidean", "riemannian", "student_t")),
             _REQUIRED,
         ),
-        "lambda": (_parse_matrix_spec, None),
+        "lambda": (_text, None),
         "nu": (_parse_float, None),
     },
     "metric": {  # the variant is required when the section is present
         "variant": (_choice("metric variant", ("constant", "graph")), None),
-        "lambda": (_parse_matrix_spec, None),
-        "sigma": (_parse_matrix_spec, None),
+        "lambda": (_text, None),
+        "sigma": (_text, None),
     },
     "chain": {
         **_config_keys(ChainConfig),
@@ -201,6 +197,9 @@ _KEYS = {
     },
     "output": {"samples": (_text, "samples.csv"), "diagnostics": (_text, "diagnostics.json")},
 }
+
+# the keys of the kinetic's field matrix; the section checks admit at most one
+_FIELD_MATRICES = (("kinetic", "lambda"), ("metric", "lambda"), ("metric", "sigma"))
 
 
 def _missing(section, key):
@@ -243,7 +242,7 @@ def _read_entries(text):
 
 
 def parse_run_spec(text: str) -> RunSpec:
-    """Parse and validate a run spec; raises SpecError with a line number."""
+    """Parse a run spec and build its run; raises SpecError with a line number."""
     entries = _read_entries(text)
     name = _value(entries, "target", "name", *_KEYS["target"]["name"])
     allowed = {section: set(keys) for section, keys in _KEYS.items()}
@@ -308,24 +307,37 @@ def parse_run_spec(text: str) -> RunSpec:
     nu = kinetic["nu"]
     if nu is None:
         nu = 5.0 if variant == "student_t" else math.inf
-    if chain["chains"] < 1:
+    chains = chain.pop("chains")
+    if chains < 1:
         raise SpecError("chains must be at least 1", entries[("chain", "chains")][1])
 
-    # what is left of [chain] after the integrator keys are RunSpec fields
-    integrator = {f.name: chain.pop(f.name) for f in fields(IntegratorConfig)}
+    # what is left of [chain] after the integrator keys are ChainConfig fields
+    integrator = IntegratorConfig(**{f.name: chain.pop(f.name) for f in fields(IntegratorConfig)})
+    config = ChainConfig(integrator=integrator, **chain)
+
+    params, line = dict(target_params), entries[("target", "name")][1]
+    if "mean" in params and "cov" in params:  # mvn's covariance, at the mean's size
+        line = entries[("target", "cov")][1]
+        params["cov"] = _matrix(params["cov"], line, params["mean"].size)
+    model = _built(line, builtin_target, name, **params)
+
+    given = [entries[key] for key in _FIELD_MATRICES if key in entries]
+    raw, line = given[0] if given else ("identity", None)  # identity when none is given
+    mat = _matrix(raw, line, model.n)
+    if metric["variant"] == "graph":
+        field = GraphMetric(model, _built(line, BackgroundMetric.from_matrix, mat))
+    else:
+        field = _built(line, ConstantMetric, mat)
     return RunSpec(
-        target_name=name,
         target_params=target_params,
+        model=model,
         kinetic_variant=variant,
-        kinetic_lambda=kinetic_lambda,
-        nu=nu,
         metric_variant=metric["variant"],
-        metric_lambda=metric["lambda"],
-        metric_sigma=metric["sigma"],
-        integrator=integrator,
+        kinetic=_built(entries.get(("kinetic", "nu"), (None, None))[1], Kinetic, field, nu),
+        config=config,
+        chains=chains,
         samples_path=output["samples"],
         diagnostics_path=output["diagnostics"],
-        **chain,
     )
 
 
@@ -338,24 +350,6 @@ def load_run_spec(path) -> RunSpec:
     except UnicodeDecodeError as exc:
         raise SpecError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return parse_run_spec(text)
-
-
-def build_model(spec: RunSpec):
-    params = dict(spec.target_params)
-    if "mean" in params and "cov" in params:  # mvn's cov is a matrix spec
-        params["cov"] = materialize_matrix(params["cov"], params["mean"].size)
-    return builtin_target(spec.target_name, **params)
-
-
-def build_kinetic(spec: RunSpec, model) -> Kinetic:
-    n = model.n
-    if spec.metric_variant == "graph":
-        sigma = materialize_matrix(spec.metric_sigma or "identity", n)
-        field_obj = GraphMetric(model, BackgroundMetric.from_matrix(sigma))
-    else:  # the parser admits at most one of the two lambdas
-        lam = spec.metric_lambda or spec.kinetic_lambda or "identity"
-        field_obj = ConstantMetric(materialize_matrix(lam, n))
-    return Kinetic(field_obj, spec.nu)
 
 
 def _write_samples_csv(path, samples):
@@ -405,20 +399,12 @@ class RunReport:
 def execute(spec: RunSpec, out_dir=None, seed_override=None) -> RunReport:
     """Run every chain, write samples CSVs and the diagnostics JSON.
 
-    The chain settings, the model, the kinetic and the output directories are
-    checked before the first chain runs; the pooled figures are computed from
-    the chain results once every chain has run.
+    The output paths are checked before the first chain runs; the pooled
+    figures are computed from the chain results once every chain has run.
     """
-    seed = spec.seed if seed_override is None else int(seed_override)
-    config = ChainConfig(  # refuses a negative seed before SeedSequence sees it
-        seed=seed,
-        num_samples=spec.num_samples,
-        warmup=spec.warmup,
-        integrator=IntegratorConfig(**spec.integrator),
-        jitter_steps=spec.jitter_steps,
-    )
-    model = build_model(spec)
-    kinetic = build_kinetic(spec, model)
+    config = spec.config
+    if seed_override is not None:  # refuses a negative seed before SeedSequence sees it
+        config = replace(config, seed=int(seed_override))
     sample_paths = [
         os.path.join(out_dir or "", p) for p in _chain_paths(spec.samples_path, spec.chains)
     ]
@@ -427,16 +413,20 @@ def execute(spec: RunSpec, out_dir=None, seed_override=None) -> RunReport:
         folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise UsageError(f"output directory {folder!r} does not exist")
+        if os.path.isdir(path):
+            raise UsageError(f"output {path!r} is a directory, not a file")
+    if os.path.abspath(diagnostics_file) in {os.path.abspath(p) for p in sample_paths}:
+        raise UsageError(f"diagnostics {diagnostics_file!r} would overwrite a samples file")
     if spec.chains == 1:
-        seeds = [seed]
+        seeds = [config.seed]
     else:
-        seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(spec.chains)]
+        seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(spec.chains)]
 
     t_start = time.perf_counter()
     results, walls = [], []
     for chain_seed, path in zip(seeds, sample_paths):
         t0 = time.perf_counter()
-        results.append(run_chain(model, kinetic, replace(config, seed=chain_seed)))
+        results.append(run_chain(spec.model, spec.kinetic, replace(config, seed=chain_seed)))
         walls.append(time.perf_counter() - t0)
         _write_samples_csv(path, results[-1].samples)
 
@@ -462,13 +452,13 @@ def execute(spec: RunSpec, out_dir=None, seed_override=None) -> RunReport:
     )
     diagnostics = {
         "schema_version": SCHEMA_VERSION,
-        "target": {"name": spec.target_name, "params": _jsonable_params(spec.target_params)},
+        "target": {"name": spec.model.name, "params": _jsonable_params(spec.target_params)},
         "kinetic": {
             "variant": spec.kinetic_variant,
-            "nu": kinetic.nu if math.isfinite(kinetic.nu) else None,
+            "nu": spec.kinetic.nu if math.isfinite(spec.kinetic.nu) else None,
         },
         "metric": {"variant": spec.metric_variant} if spec.metric_variant else None,
-        "seed": seed,
+        "seed": config.seed,
         "chains": spec.chains,
         "num_samples": spec.num_samples,
         "warmup": spec.warmup,

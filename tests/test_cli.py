@@ -14,15 +14,7 @@ from ghmc.cli import main
 from ghmc.integrator import IntegratorConfig
 from ghmc.kinetic import Kinetic
 from ghmc.metric import ConstantMetric, GraphMetric
-from ghmc.runspec import (
-    SpecError,
-    _chain_paths,
-    build_kinetic,
-    build_model,
-    execute,
-    materialize_matrix,
-    parse_run_spec,
-)
+from ghmc.runspec import SpecError, _chain_paths, _matrix, execute, parse_run_spec
 
 GAUSS_SPEC = """\
 # smoke-test run
@@ -54,12 +46,12 @@ def _schema():
 
 def test_parse_happy_path():
     spec = parse_run_spec(GAUSS_SPEC)
-    assert spec.target_name == "std_gaussian"
+    assert spec.model.name == "std_gaussian"
     assert spec.target_params == {"n": 1}
     assert spec.kinetic_variant == "euclidean"
-    assert spec.seed == 42
-    assert spec.num_samples == 1000
-    assert spec.warmup == 100
+    assert spec.config.seed == 42
+    assert spec.config.num_samples == spec.num_samples == 1000
+    assert spec.config.warmup == spec.warmup == 100
     assert spec.chains == 1
     assert spec.samples_path == "gauss.csv"
 
@@ -126,22 +118,19 @@ def test_kinetic_metric_section_rules():
 
 
 def test_matrix_specs():
-    np.testing.assert_allclose(materialize_matrix("identity", 2), np.eye(2))
-    np.testing.assert_allclose(materialize_matrix("scale:2.5", 2), 2.5 * np.eye(2))
-    np.testing.assert_allclose(materialize_matrix("diag:4,1", 2), np.diag([4.0, 1.0]))
+    np.testing.assert_allclose(_matrix("identity", None, 2), np.eye(2))
+    np.testing.assert_allclose(_matrix("scale:2.5", None, 2), 2.5 * np.eye(2))
+    np.testing.assert_allclose(_matrix("diag:4,1", None, 2), np.diag([4.0, 1.0]))
     np.testing.assert_allclose(
-        materialize_matrix("1,0.9;0.9,1", 2), np.array([[1.0, 0.9], [0.9, 1.0]])
+        _matrix("1,0.9;0.9,1", None, 2), np.array([[1.0, 0.9], [0.9, 1.0]])
     )
-    from ghmc.errors import UsageError
-
-    with pytest.raises(UsageError):
-        materialize_matrix("diag:1,2,3", 2)
+    with pytest.raises(SpecError) as err:  # a UsageError, anchored to its line
+        _matrix("diag:1,2,3", 7, 2)
+    assert err.value.line == 7
 
 
 def test_build_kinetic_variants():
-    spec = parse_run_spec(GAUSS_SPEC)
-    model = build_model(spec)
-    kin = build_kinetic(spec, model)
+    kin = parse_run_spec(GAUSS_SPEC).kinetic
     assert isinstance(kin, Kinetic)
     assert kin.nu == math.inf
 
@@ -150,8 +139,7 @@ def test_build_kinetic_variants():
         "[metric]\nvariant = graph\nsigma = identity\n"
         "[chain]\nseed = 1\nnum_samples = 10\nstep_size = 0.01\nnum_steps = 2\n"
     )
-    model = build_model(graph_spec)
-    kin = build_kinetic(graph_spec, model)
+    kin = graph_spec.kinetic
     assert isinstance(kin, Kinetic)
     assert isinstance(kin.field, GraphMetric)
     assert kin.nu == 3.0
@@ -161,8 +149,7 @@ def test_build_kinetic_variants():
         "[metric]\nvariant = constant\nlambda = diag:0.5,0.5\n"
         "[chain]\nseed = 1\nnum_samples = 10\nstep_size = 0.05\nnum_steps = 2\n"
     )
-    model = build_model(const_spec)
-    kin = build_kinetic(const_spec, model)
+    kin = const_spec.kinetic
     assert isinstance(kin, Kinetic)
     assert kin.nu == math.inf
     assert isinstance(kin.field, ConstantMetric)
@@ -186,26 +173,26 @@ def test_diagnostics_report_the_nu_that_ran(tmp_path):
 
 
 def test_nan_nu_is_refused_when_the_kinetic_is_built():
-    from ghmc.errors import ValidationError
-
-    spec = parse_run_spec(STUDENT_SPEC.replace("student_t\n", "student_t\nnu = nan\n"))
-    with pytest.raises(ValidationError, match="degrees of freedom"):
-        build_kinetic(spec, build_model(spec))
+    # parsing builds the kinetic, and the kinetic's refusal is cited at nu's line
+    with pytest.raises(SpecError, match="degrees of freedom") as err:
+        parse_run_spec(STUDENT_SPEC.replace("student_t\n", "student_t\nnu = nan\n"))
+    assert err.value.line == 6
 
 
 def test_spec_target_keys_and_kinds_come_from_the_catalog():
     from ghmc.model import catalog_entries
 
+    # every spec key of a target at once, since mvn builds only from both
     sample = {"int": "2", "float": "1.5", "vector": "0,0", "matrix": "identity"}
     for entry in catalog_entries():
-        for key, (kind, _) in entry.params.items():
-            if kind is None:
-                continue
-            spec = parse_run_spec(
-                f"[target]\nname = {entry.name}\n{key} = {sample[kind]}\n"
-                "[kinetic]\nvariant = euclidean\n"
-                "[chain]\nseed = 1\nnum_samples = 10\nstep_size = 0.1\nnum_steps = 2\n"
-            )
+        keys = [key for key, (kind, _) in entry.params.items() if kind is not None]
+        spec = parse_run_spec(
+            f"[target]\nname = {entry.name}\n"
+            + "".join(f"{key} = {sample[entry.params[key][0]]}\n" for key in keys)
+            + "[kinetic]\nvariant = euclidean\n"
+            "[chain]\nseed = 1\nnum_samples = 10\nstep_size = 0.1\nnum_steps = 2\n"
+        )
+        for key in keys:
             assert key in spec.target_params
 
 
@@ -463,9 +450,77 @@ def test_a_negative_seed_exits_2(tmp_path, capsys):
 
 
 def test_a_nan_step_size_exits_2(tmp_path, capsys):
-    # refused when the integrator config is built, not run as a divergence storm
-    bad = GAUSS_SPEC.replace("step_size = 0.1", "step_size = nan")
-    assert "step_size" in _run_refused(tmp_path, capsys, bad)
+    # refused when the integrator config is built, not run as a divergence
+    # storm; so is an infinite one
+    for value in ("nan", "inf"):
+        bad = GAUSS_SPEC.replace("step_size = 0.1", f"step_size = {value}")
+        assert "step_size" in _run_refused(tmp_path, capsys, bad)
+
+
+CHAIN_SECTION = "[chain]\nseed = 1\nnum_samples = 10\nstep_size = 0.1\nnum_steps = 2\n"
+
+
+def _mvn_spec(key, matrix):
+    # a 2-d mvn spec with ``matrix`` as the value of ``key``, identity elsewhere
+    kinetic = {
+        "target-cov": "euclidean\n",
+        "kinetic-lambda": "euclidean\nlambda = M\n",
+        "metric-lambda": "riemannian\n[metric]\nvariant = constant\nlambda = M\n",
+        "metric-sigma": "student_t\n[metric]\nvariant = graph\nsigma = M\n",
+    }[key]
+    cov = "M" if key == "target-cov" else "identity"
+    text = f"[target]\nname = mvn\nmean = 0,0\ncov = {cov}\n[kinetic]\nvariant = {kinetic}"
+    return (text + CHAIN_SECTION).replace("M", matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    ["diag:1,2,3", "1,0,0;0,1,0;0,0,1", "1,2;2,1", "1,2;0,1"],
+    ids=["diag-size", "rows-size", "indefinite", "non-symmetric"],
+)
+@pytest.mark.parametrize("key", ["target-cov", "kinetic-lambda", "metric-lambda", "metric-sigma"])
+def test_a_refused_matrix_names_its_line(key, matrix, tmp_path, capsys):
+    # the size is checked where the matrix is read and symmetry and
+    # definiteness where it is built; both refusals cite the key's line
+    text = _mvn_spec(key, matrix)
+    line = text.splitlines().index(f"{key.split('-')[1]} = {matrix}") + 1
+    with pytest.raises(SpecError) as err:
+        parse_run_spec(text)
+    assert err.value.line == line
+    assert f"line {line}: " in _run_refused(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("mean", ["nan,0", "0,-inf"])
+def test_a_non_finite_vector_is_refused_with_its_line(mean, tmp_path, capsys):
+    text = _mvn_spec("target-cov", "identity").replace("mean = 0,0", f"mean = {mean}")
+    assert "line 3: " in _run_refused(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"samples = gauss.csv": "samples ="},
+        {"diagnostics = gauss.json": "diagnostics ="},
+        {"samples = gauss.csv": "samples = ."},
+        {"diagnostics = gauss.json": "diagnostics = .."},
+        {"diagnostics = gauss.json": "diagnostics = ./gauss.csv"},
+        {"num_steps = 20": "num_steps = 20\nchains = 2", "gauss.json": "gauss_chain0.csv"},
+    ],
+    ids=[
+        "empty-samples",
+        "empty-diagnostics",
+        "samples-names-a-directory",
+        "diagnostics-names-a-directory",
+        "diagnostics-overwrites-the-samples",
+        "diagnostics-overwrites-a-chain",
+    ],
+)
+def test_output_paths_are_checked_before_any_chain(edits, tmp_path, capsys):
+    # refused before the first chain, so that no output is lost or overwritten
+    text = GAUSS_SPEC.replace("num_samples = 1000", "num_samples = 20")
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    _run_refused(tmp_path, capsys, text)
 
 
 def test_a_missing_output_directory_exits_2_before_any_chain(tmp_path, capsys, monkeypatch):
@@ -530,7 +585,7 @@ def test_readme_spec_block_parses_builds_and_names_every_key():
     block = _readme_spec_block()
     # trailing comments go; whole-line comments are the parser's to skip
     spec = parse_run_spec("\n".join(re.sub(r"\s+#.*", "", line) for line in block.splitlines()))
-    build_kinetic(spec, build_model(spec))
+    assert spec.kinetic.field.n == spec.model.n
 
     documented, section = set(), None
     for line in block.splitlines():

@@ -420,8 +420,10 @@ def test_integrator_config_validation():
 
 @pytest.mark.parametrize("name", ["step_size", "fp_tol", "reflection_tol"])
 def test_integrator_config_refuses_a_nan(name):
-    with pytest.raises(UsageError):
-        IntegratorConfig(**{"step_size": 0.1, "num_steps": 10, name: math.nan})
+    # an infinite step size would diverge on every transition
+    for value in (math.nan, math.inf):
+        with pytest.raises(UsageError, match="finite"):
+            IntegratorConfig(**{"step_size": 0.1, "num_steps": 10, name: value})
 
 
 def test_volume_preserved_by_leapfrog():

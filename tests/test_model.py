@@ -193,6 +193,13 @@ def test_mvn_non_finite_covariance_is_named_as_such():
         builtin_target("mvn", mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, np.nan]])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_mvn_refuses_a_non_finite_mean(value):
+    # the mean is the chain's initial point
+    with pytest.raises(ValidationError, match="mean must have finite entries"):
+        builtin_target("mvn", mean=[value, 0.0], cov=np.eye(2))
+
+
 @pytest.mark.parametrize("missing", ["mean", "cov"])
 def test_mvn_names_its_missing_parameter(missing):
     given = {"mean": [0.0, 0.0], "cov": np.eye(2)}
