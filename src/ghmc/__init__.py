@@ -37,7 +37,6 @@ from .kinetic import (
     student_t,
 )
 from .metric import (
-    BackgroundMetric,
     ConstantMetric,
     GraphMetric,
 )
@@ -61,7 +60,6 @@ from .verify import CheckResult, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackgroundMetric",
     "CapabilityError",
     "ChainConfig",
     "ChainResult",

@@ -282,7 +282,8 @@ def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, config):
     # and reflect p0 there.  path(s) solves y = q0 + s/2 (u0 + grad_p(y, p0)),
     # explicit on a constant field (lam_p0 None).  c_start holds the
     # constraint values at q0 when a scan has read them.  Returns the landing
-    # q, the reflected p and the s advanced.
+    # q, the reflected p, the s advanced and the field's state at q, whose
+    # lam the reflection used.
     def path(s):
         if s <= 0.0:
             return q0
@@ -302,7 +303,8 @@ def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, config):
     s_hit, k = min(hits)
     q = path(s_hit) if s_hit > 0.0 else q0
     dc = np.asarray(model.constraints[k].grad(q), dtype=float)
-    return q, reflect_momentum(p0, dc, kinetic.lambda_at(q)), s_hit
+    state = kinetic.field.state_at(q)
+    return q, reflect_momentum(p0, dc, state.lam), s_hit, state
 
 
 def _trajectory(model, kinetic, q, p, point, config):
@@ -358,7 +360,7 @@ def _trajectory(model, kinetic, q, p, point, config):
                 raise DivergenceError(
                     f"more than {config.reflection_max_events} reflections in one step"
                 )
-            q, p, s_hit = _reflect(
+            q, p, s_hit, state = _reflect(
                 model, kinetic, q, p, u0, lam_p, remaining, c_start, c_end, config
             )
             c_start = None
@@ -366,8 +368,6 @@ def _trajectory(model, kinetic, q, p, point, config):
             if remaining <= 0.0:
                 feasible = False
                 break
-            if implicit:
-                state = kinetic.field.state_at(q)
         count += reflections
         if implicit:
             dv, state = _point(model, kinetic, q, feasible)

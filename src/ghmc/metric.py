@@ -1,8 +1,8 @@
 """Inverse-metric fields backing position-dependent kinetic energies.
 
-Two fields are provided.  ``ConstantMetric`` wraps a fixed SPD inverse metric
-and recovers classic HMC mass matrices.  ``GraphMetric`` is the metric induced
-on the graph of the potential over a homogeneous SPD background sigma:
+Two fields are provided.  ``ConstantMetric`` is a fixed SPD metric, as in
+classic HMC mass matrices.  ``GraphMetric`` is the metric induced on the graph
+of the potential over a background ``ConstantMetric`` sigma:
 
     Sigma(q) = sigma + grad(q) grad(q)^T,      grad = dV/dq,
 
@@ -43,39 +43,10 @@ from .errors import CapabilityError, MetricDegeneracyError, NumericError, UsageE
 from .model import TargetModel, _gradient_at, _hessian_at, as_position, potential_grad, spd_factor
 
 __all__ = [
-    "BackgroundMetric",
     "MetricState",
     "ConstantMetric",
     "GraphMetric",
 ]
-
-
-@dataclass(frozen=True)
-class BackgroundMetric:
-    """Homogeneous SPD background: the matrix, its inverse, log-det, Cholesky."""
-
-    sigma: np.ndarray
-    lam: np.ndarray
-    logdet_sigma: float
-    chol_sigma: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, sigma) -> "BackgroundMetric":
-        sigma, chol = spd_factor(sigma, "background metric", MetricDegeneracyError)
-        lam = np.linalg.inv(sigma)
-        lam = 0.5 * (lam + lam.T)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        for arr in (sigma, lam, chol):
-            arr.flags.writeable = False
-        return cls(sigma=sigma, lam=lam, logdet_sigma=logdet, chol_sigma=chol)
-
-    @classmethod
-    def identity(cls, n: int) -> "BackgroundMetric":
-        return cls.from_matrix(np.eye(n))
-
-    @property
-    def n(self) -> int:
-        return self.sigma.shape[0]
 
 
 @dataclass
@@ -123,20 +94,37 @@ def _rank1_dot(base_v, grad_up, denom, v) -> np.ndarray:
 
 
 class ConstantMetric:
-    """Fixed SPD inverse metric; the momentum covariance is its inverse."""
+    """Fixed SPD metric sigma: its inverse lam, log|sigma|, chol(sigma), arrays frozen."""
 
     position_dependent = False
 
     def __init__(self, lam):
         lam, chol_lam = spd_factor(lam, "inverse metric", MetricDegeneracyError)
-        self.lam = lam
+        sigma = np.linalg.inv(lam)
+        sigma = 0.5 * (sigma + sigma.T)
         # log|Sigma| = -log|Lam|
-        self.logdet_sigma = -2.0 * float(np.sum(np.log(np.diag(chol_lam))))
-        cov = np.linalg.inv(lam)
-        self._chol_cov = np.linalg.cholesky(0.5 * (cov + cov.T))
-        for arr in (self.lam, self._chol_cov):
+        logdet = -2.0 * float(np.sum(np.log(np.diag(chol_lam))))
+        self._set(lam, sigma, logdet, np.linalg.cholesky(sigma))
+
+    @classmethod
+    def from_sigma(cls, sigma) -> "ConstantMetric":
+        """The field whose metric, the momentum covariance, is sigma."""
+        sigma, chol = spd_factor(sigma, "background metric", MetricDegeneracyError)
+        lam = np.linalg.inv(sigma)
+        lam = 0.5 * (lam + lam.T)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return cls.__new__(cls)._set(lam, sigma, logdet, chol)
+
+    def _set(self, lam, sigma, logdet_sigma, chol_sigma):
+        # the initializer both constructors end in; returns the field
+        for arr in (lam, sigma, chol_sigma):
             arr.flags.writeable = False
-        self._state = MetricState(base=self.lam, logdet_sigma=self.logdet_sigma)
+        self.lam = lam
+        self.sigma = sigma
+        self.logdet_sigma = logdet_sigma
+        self.chol_sigma = chol_sigma
+        self._state = MetricState(base=lam, logdet_sigma=logdet_sigma)
+        return self
 
     @property
     def n(self) -> int:
@@ -148,8 +136,8 @@ class ConstantMetric:
         return self._state
 
     def sample_gaussian(self, q, rng) -> np.ndarray:
-        """Draw from N(0, lam^{-1})."""
-        return self._chol_cov.dot(rng.standard_normal(self.n))
+        """Draw from N(0, sigma)."""
+        return self.chol_sigma.dot(rng.standard_normal(self.n))
 
 
 class GraphMetric:
@@ -163,9 +151,9 @@ class GraphMetric:
 
     position_dependent = True
 
-    def __init__(self, model: TargetModel, background: Optional[BackgroundMetric] = None):
+    def __init__(self, model: TargetModel, background: Optional[ConstantMetric] = None):
         if background is None:
-            background = BackgroundMetric.identity(model.n)
+            background = ConstantMetric(np.eye(model.n))
         if background.n != model.n:
             raise UsageError("background metric dimension does not match the target")
         if model.hessian is None:
@@ -219,14 +207,11 @@ class GraphMetric:
     def sample_gaussian(self, q, rng) -> np.ndarray:
         """Draw from N(0, sigma + g g^T) by adding a rank-1 scalar draw.
 
-        chol(sigma) z1 + g z2 has exactly the required covariance, keeping the
-        draw at O(n^2) without factorizing the updated matrix.
+        The background's draw chol(sigma) z1 plus g z2 has exactly the required
+        covariance, keeping the draw at O(n^2) without factorizing the update.
         """
-        q = as_position(q, self.n)
         g = potential_grad(self.model, q)
-        z1 = rng.standard_normal(self.n)
-        z2 = rng.standard_normal()
-        return self.background.chol_sigma.dot(z1) + g * z2
+        return self.background.sample_gaussian(q, rng) + g * rng.standard_normal()
 
     def christoffel(self, q) -> np.ndarray:
         """Connection coefficients G[i, j, k] = grad_up[i] H[j, k] / denom."""

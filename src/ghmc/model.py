@@ -11,7 +11,7 @@ they exist, which the verification and acceptance suites use as oracles.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -158,6 +158,8 @@ def _check_params(name: str, given: dict, allowed: dict):
 
 def _std_gaussian(n: int = 1) -> TargetModel:
     n = int(n)
+    if n < 1:
+        raise ValidationError(f"dimension must be >= 1, got {n}")
     ident = np.eye(n)
     return TargetModel(
         n=n,
@@ -280,8 +282,8 @@ def _halfspace_gaussian(n: int = 1, constraints=None) -> TargetModel:
     half-normal ones in the first coordinate.  Custom constraint lists get no
     analytic moments and no initial point.
     """
-    n = int(n)
-    ident = np.eye(n)
+    base = _std_gaussian(n)
+    n = base.n
     default = constraints is None
     if default:
         w = np.zeros(n)
@@ -312,11 +314,8 @@ def _halfspace_gaussian(n: int = 1, constraints=None) -> TargetModel:
         init = np.zeros(n)
         init[0] = 1.0
 
-    return TargetModel(
-        n=n,
-        potential=lambda q: 0.5 * float(q.dot(q)),
-        gradient=lambda q: q.copy(),
-        hessian=lambda q: ident.copy(),
+    return replace(
+        base,
         constraints=tuple(cons),
         name="halfspace_gaussian",
         initial_point=init,

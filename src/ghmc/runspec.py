@@ -33,7 +33,7 @@ import numpy as np
 from .errors import MetricDegeneracyError, UsageError, ValidationError
 from .integrator import IntegratorConfig
 from .kinetic import Kinetic
-from .metric import BackgroundMetric, ConstantMetric, GraphMetric
+from .metric import ConstantMetric, GraphMetric
 from .model import TargetModel, builtin_target, catalog_entries
 from .sampler import ChainConfig, run_chain
 
@@ -159,6 +159,9 @@ _PARSERS = {
     "vector": _parse_vector,
     "matrix": _text,  # read by _matrix once the target's dimension is known
 }
+# a target's float parameters must be finite; the [chain] floats are checked
+# by the config that names the field
+_TARGET_PARSERS = {**_PARSERS, "float": _parse_finite}
 _REQUIRED = object()
 
 
@@ -262,7 +265,7 @@ def parse_run_spec(text: str) -> RunSpec:
                     f"leaves {name!r} without the initial point a spec run needs",
                     line,
                 )
-            target_params[key] = _PARSERS[kind](raw, line)
+            target_params[key] = _TARGET_PARSERS[kind](raw, line)
     kinetic, metric, chain, output = (
         {key: _value(entries, section, key, *entry) for key, entry in _KEYS[section].items()}
         for section in ("kinetic", "metric", "chain", "output")
@@ -325,7 +328,7 @@ def parse_run_spec(text: str) -> RunSpec:
     raw, line = given[0] if given else ("identity", None)  # identity when none is given
     mat = _matrix(raw, line, model.n)
     if metric["variant"] == "graph":
-        field = GraphMetric(model, _built(line, BackgroundMetric.from_matrix, mat))
+        field = GraphMetric(model, _built(line, ConstantMetric.from_sigma, mat))
     else:
         field = _built(line, ConstantMetric, mat)
     return RunSpec(

@@ -26,7 +26,7 @@ from .integrator import (
     volume_check,
 )
 from .kinetic import euclidean_quadratic, riemannian_quadratic, student_t
-from .metric import BackgroundMetric, GraphMetric
+from .metric import ConstantMetric, GraphMetric
 from .model import TargetModel, builtin_target, potential_grad
 from .sampler import ChainConfig, hmc_transition, run_chain
 
@@ -222,7 +222,7 @@ def check_smw_inverse(sizes=(1, 2, 5, 20, 50), instances: int = 20):
             a = rng.normal(size=(n, n))
             sigma = a @ a.T + 0.5 * n * np.eye(n)
             g = rng.normal(size=n) * rng.uniform(0.2, 5.0)
-            field = GraphMetric(_linear_model(n, g), BackgroundMetric.from_matrix(sigma))
+            field = GraphMetric(_linear_model(n, g), ConstantMetric.from_sigma(sigma))
             state = field.state_at(np.zeros(n))
             lam, logdet = state.lam, state.logdet_sigma
             dense = sigma + np.outer(g, g)
@@ -479,7 +479,7 @@ def check_cost_scaling(sizes=(64, 128, 256, 512)):
     for n in sizes:
         a = rng.normal(size=(n, n))
         sigma = a @ a.T + n * np.eye(n)
-        bg = BackgroundMetric.from_matrix(sigma)
+        bg = ConstantMetric.from_sigma(sigma)
         model = builtin_target("std_gaussian", n=n)
         field = GraphMetric(model, bg)
         q = rng.normal(size=n)

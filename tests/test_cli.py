@@ -496,6 +496,20 @@ def test_a_non_finite_vector_is_refused_with_its_line(mean, tmp_path, capsys):
     assert "line 3: " in _run_refused(tmp_path, capsys, text)
 
 
+@pytest.mark.parametrize("name, n", [("std_gaussian", -1), ("halfspace_gaussian", 0)])
+def test_a_dimension_below_one_exits_2(name, n, tmp_path, capsys):
+    bad = GAUSS_SPEC.replace("name = std_gaussian\nn = 1", f"name = {name}\nn = {n}")
+    assert "line 3: dimension must be >= 1" in _run_refused(tmp_path, capsys, bad)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_target_float_is_refused_with_its_line(value, tmp_path, capsys):
+    bad = GAUSS_SPEC.replace("name = std_gaussian\nn = 1", f"name = banana\na = {value}")
+    assert f"line 4: expected a finite number, got '{value}'" in _run_refused(
+        tmp_path, capsys, bad
+    )
+
+
 @pytest.mark.parametrize(
     "edits",
     [

@@ -26,7 +26,7 @@ from ghmc.integrator import (
     volume_check,
 )
 from ghmc.kinetic import Kinetic, euclidean_quadratic, riemannian_quadratic, student_t
-from ghmc.metric import BackgroundMetric, GraphMetric, MetricState
+from ghmc.metric import ConstantMetric, GraphMetric, MetricState
 from ghmc.model import Constraint, TargetModel, builtin_target, potential_eval, potential_grad
 from ghmc.sampler import ChainConfig, run_chain
 
@@ -652,7 +652,7 @@ def test_lean_iterates_equal_the_implicit_equations(seed, nu, eps):
     n = 3
     rng = np.random.default_rng(seed)
     model = builtin_target("funnel", n=n)
-    field = GraphMetric(model, BackgroundMetric.from_matrix(_spd(n, seed)))
+    field = GraphMetric(model, ConstantMetric.from_sigma(_spd(n, seed)))
     kin = Kinetic(field, nu=nu)
     q, p, x = rng.normal(scale=0.7, size=n), rng.normal(size=n), rng.normal(size=n)
     state = field.state_at(q, with_hessian=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ghmc.errors import CapabilityError, MetricDegeneracyError, NumericError
-from ghmc.metric import BackgroundMetric, ConstantMetric, GraphMetric
+from ghmc.metric import ConstantMetric, GraphMetric
 from ghmc.model import TargetModel, builtin_target, potential_grad
 from ghmc.verify import finite_difference_christoffel
 
@@ -33,7 +33,7 @@ def test_rank1_term_vanishes_at_a_mode():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 3))
     sigma = a @ a.T + np.eye(3)
-    bg = BackgroundMetric.from_matrix(sigma)
+    bg = ConstantMetric.from_sigma(sigma)
     model = builtin_target("std_gaussian", n=3)
     field = GraphMetric(model, bg)
     state = field.state_at(np.zeros(3))
@@ -49,7 +49,7 @@ def test_smw_identity_against_dense_inverse():
             a = rng.normal(size=(n, n))
             sigma = a @ a.T + 0.5 * n * np.eye(n)
             g = rng.normal(size=n) * rng.uniform(0.2, 5.0)
-            field = GraphMetric(_linear_model(n, g), BackgroundMetric.from_matrix(sigma))
+            field = GraphMetric(_linear_model(n, g), ConstantMetric.from_sigma(sigma))
             state = field.state_at(np.zeros(n))
             lam, logdet = state.lam, state.logdet_sigma
             dense = sigma + np.outer(g, g)
@@ -66,7 +66,7 @@ def test_dense_oracle_n20_varying_gradient():
     sigma = a @ a.T + 0.5 * n * np.eye(n)
     cov = np.linalg.inv(a.T @ a / n + np.eye(n))
     model = builtin_target("mvn", mean=np.zeros(n), cov=cov)
-    field = GraphMetric(model, BackgroundMetric.from_matrix(sigma))
+    field = GraphMetric(model, ConstantMetric.from_sigma(sigma))
     for _ in range(5):
         q = rng.normal(size=n)
         lam = field.state_at(q).lam
@@ -90,7 +90,7 @@ def test_background_inverse_consistency():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(4, 4))
     sigma = a @ a.T + np.eye(4)
-    bg = BackgroundMetric.from_matrix(sigma)
+    bg = ConstantMetric.from_sigma(sigma)
     np.testing.assert_allclose(bg.sigma @ bg.lam, np.eye(4), atol=1e-12)
     sign, ld = np.linalg.slogdet(sigma)
     assert sign > 0 and bg.logdet_sigma == pytest.approx(ld, abs=1e-12)
@@ -98,12 +98,27 @@ def test_background_inverse_consistency():
 
 def test_background_rejects_bad_matrices():
     with pytest.raises(MetricDegeneracyError):
-        BackgroundMetric.from_matrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
+        ConstantMetric.from_sigma(np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(MetricDegeneracyError):
-        BackgroundMetric.from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        ConstantMetric.from_sigma(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-@pytest.mark.parametrize("build", [ConstantMetric, BackgroundMetric.from_matrix])
+@pytest.mark.parametrize("n", [1, 4, 20])
+def test_the_two_constructors_agree(n):
+    # from the metric sigma or from its inverse: the same field
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    sigma = a @ a.T + np.eye(n)
+    by_sigma = ConstantMetric.from_sigma(sigma)
+    by_lam = ConstantMetric(np.linalg.inv(sigma))
+    for name in ("lam", "sigma", "chol_sigma"):
+        np.testing.assert_allclose(getattr(by_sigma, name), getattr(by_lam, name), atol=1e-12)
+        assert not getattr(by_sigma, name).flags.writeable
+        assert not getattr(by_lam, name).flags.writeable
+    assert by_sigma.logdet_sigma == pytest.approx(by_lam.logdet_sigma, abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [ConstantMetric, ConstantMetric.from_sigma])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_metric_entries_are_named_as_such(build, bad):
     with pytest.raises(MetricDegeneracyError, match="must have finite entries"):
@@ -124,15 +139,17 @@ def test_constant_metric_state_and_validation():
 @pytest.mark.parametrize("n", [1, 3, 20])
 def test_lam_dot_applies_the_dense_inverse_metric(n):
     # the operator and the lazily built dense Lam agree, for the constant
-    # field and for the graph field over the identity and a dense background
+    # field from either constructor and for the graph field over the identity
+    # and a dense background
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, n))
     spd = a @ a.T + n * np.eye(n)
     model = builtin_target("mvn", mean=np.zeros(n), cov=spd)
     fields = [
         ConstantMetric(np.linalg.inv(spd)),
+        ConstantMetric.from_sigma(spd),
         GraphMetric(model),
-        GraphMetric(model, BackgroundMetric.from_matrix(spd)),
+        GraphMetric(model, ConstantMetric.from_sigma(spd)),
     ]
     for field in fields:
         for _ in range(5):
@@ -217,7 +234,7 @@ def test_non_finite_gradient_is_a_numeric_error():
 def test_gaussian_draws_have_the_graph_covariance():
     model = builtin_target("std_gaussian", n=2)
     sigma = np.array([[1.5, 0.4], [0.4, 0.8]])
-    field = GraphMetric(model, BackgroundMetric.from_matrix(sigma))
+    field = GraphMetric(model, ConstantMetric.from_sigma(sigma))
     q = np.array([1.0, -0.5])
     g = potential_grad(model, q)
     target_cov = sigma + np.outer(g, g)

@@ -220,6 +220,13 @@ def test_funnel_requires_two_dimensions():
         builtin_target("funnel", n=1)
 
 
+@pytest.mark.parametrize("name", ["std_gaussian", "halfspace_gaussian"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_dimension_below_one_is_refused(name, n):
+    with pytest.raises(ValidationError, match=f"dimension must be >= 1, got {n}"):
+        builtin_target(name, n=n)
+
+
 def test_custom_halfspace_constraints():
     # q1 + q2 > 1 has no analytic moments and no default initial point
     model = builtin_target(
