@@ -4,15 +4,18 @@ One trajectory loop runs every step, for both kinetic families: the
 generalized leapfrog, whose first half-kick and drift are implicit equations
 solved by fixed-point iteration.  For a position-independent kinetic energy
 (a separable Hamiltonian) those equations are explicit, and the loop takes
-the plain kick-drift-kick leapfrog step inline: p - eps/2 dV, q + eps grad_p,
-a finite check, one scan of the constraints at the drift's end, dV there and
-the second half-kick.  What a trajectory does not change (eps/2, the model's
-gradient, the kinetic's grad_p, the constraint values and a constant field's
-one metric state) is bound once per trajectory, so a constant field builds a
-metric state only where a reflection asks for Lam.  ``integrate`` runs the
-loop over num_steps steps and ``generalized_leapfrog_step`` over one.  The
-step is a symmetric second-order map, hence reversible and volume-preserving,
-which is what the Metropolis correction in the sampler assumes.
+the plain kick-drift-kick leapfrog step inline: p - k, with k = eps/2 dV
+formed once per point for the two half-kicks that meet there; the drift
+q + (eps Lam) p over a whole step of a Gaussian profile, q + s u with
+u = slope Lam p otherwise; a finite check; one scan of the constraints at the
+drift's end, if the model has any; dV there and the second half-kick.  What
+a trajectory does not change (eps/2, Lam, eps Lam, the model's gradient, the
+constraint values and a constant field's one metric state) is bound once per
+trajectory, so a constant field builds a metric state only where a
+reflection asks for Lam.  ``integrate`` runs the loop over num_steps steps
+and ``generalized_leapfrog_step`` over one.  The step is a symmetric
+second-order map, hence reversible and volume-preserving, which is what the
+Metropolis correction in the sampler assumes.
 
 Each point is evaluated once, as the potential gradient and the field's
 metric state there (a graph field's state carries the gradient): a step
@@ -30,9 +33,11 @@ product and a dot or two, with no call of the kinetic's grad_q.  The drift
 over s computes c = q0 + s/2 u0 once, with u0 = grad_p(q0, p0) built from
 the lam p0 that its iterates share, and an iterate at y is not a point: it
 evaluates dV at y, applies Lam(y) to p0 from lam p0, scales it by the
-profile's slope and builds no metric state.  Non-finite
-values are caught where they would first reach the model: a fixed-point
-solve checks its first iterate and then only the scalar change between
+profile's slope and builds no metric state.  A solve stops when successive
+iterates agree within fp_tol in the max norm, read through one dot d.d of
+their change d; max|d| is taken only in a narrow band around the threshold.
+Non-finite values are caught where they would first reach the model: a
+fixed-point solve checks its first iterate and then only the change between
 iterates, a drift checks its end position before scanning the constraints
 there, and a non-finite momentum left by the last kick makes the final
 energy non-finite.  A scan that finds every constraint positive at the end
@@ -192,16 +197,29 @@ def reflect_momentum(p, dc, lam) -> np.ndarray:
 
 def _solve(update, x, config, what):
     # iterate x = update(x) from the first iterate x until successive iterates
-    # agree within fp_tol.  Only finite iterates reach update: x is checked
-    # once, and then a finite delta shows the next iterate finite.
+    # agree within fp_tol in the max norm.  With the rounding margin
+    # m = n 2^-50, the change d has max|d| <= tol if d.d <= tol^2 (1 - m), and
+    # is finite with max|d| > tol if n tol^2 (1 + m) < d.d < inf; max|d|
+    # decides the rest.  Only finite iterates reach update: x is checked once,
+    # and then a finite d shows the next iterate finite.
+    tol, n = config.fp_tol, x.size
+    done, going = -1.0, math.inf
+    if 1e-100 <= tol <= 1e100:  # else tol^2 may underflow or overflow
+        m = n * 2.0**-50
+        done, going = tol * tol * (1.0 - m), n * tol * tol * (1.0 + m)
     if np.isfinite(x).all():
         for _ in range(config.fp_max_iter):
             x_new = update(x)
-            delta = float(np.maximum.reduce(np.abs(x_new - x)))
-            if delta <= config.fp_tol:
+            d = x_new - x
+            dd = float(d.dot(d))
+            if dd <= done:
                 return x_new
-            if not math.isfinite(delta):
-                break
+            if not going < dd < math.inf:
+                delta = float(np.maximum.reduce(np.abs(d)))
+                if delta <= tol:
+                    return x_new
+                if not math.isfinite(delta):
+                    break
             x = x_new
     raise DivergenceError(f"implicit {what} update did not converge")
 
@@ -319,9 +337,11 @@ def _trajectory(model, kinetic, q, p, point, config):
     half_eps = 0.5 * eps
     implicit = kinetic.position_dependent
     gradient = model.gradient
-    grad_p = kinetic.grad_p
     values = tuple(con.value for con in model.constraints)
     dv, state = point
+    lam = state.base
+    eps_lam = eps * lam if not implicit and kinetic.nu == math.inf else None
+    half_kick = half_eps * dv
     lam_p = c_start = None
     count = 0
     for _ in range(config.num_steps):
@@ -329,25 +349,28 @@ def _trajectory(model, kinetic, q, p, point, config):
             kick = _kick_map(kinetic, p, dv, state, eps)
             p = _solve(kick, kick(p), config, "momentum")
         else:
-            p = p - half_eps * dv
+            p = p - half_kick
         remaining, reflections = eps, 0
         while True:
             # one drift segment over what remains of the step; on a graph
             # field u0 = grad_p(state, p) comes from the lam p its iterates share
             if implicit:
-                lam_p = state.base.dot(p)
+                lam_p = lam.dot(p)
                 u0 = kinetic._momentum_grad(p, _rank1_dot(lam_p, state.grad_up, state.denom, p))
                 q_end = _solve(_drift_map(kinetic, q, p, u0, lam_p, remaining),
                                q + remaining * u0, config, "position")
-            else:
-                u0 = grad_p(state, p)
+            elif eps_lam is None or reflections:
+                u0 = kinetic._momentum_grad(p, lam.dot(p))
                 q_end = q + remaining * u0
+            else:
+                # u0 = Lam p is formed only when a reflection needs it
+                u0, q_end = None, q + eps_lam.dot(p)
             # a finite q.q shows every entry finite; only when it is not
             # (an entry is not finite, or the sum overflows) are the entries
             # checked one by one
             if not (math.isfinite(q_end.dot(q_end)) or np.isfinite(q_end).all()):
                 raise DivergenceError("non-finite position during integration")
-            c_end = [float(value(q_end)) for value in values]
+            c_end = [float(value(q_end)) for value in values] if values else values
             for c in c_end:
                 if not c > 0.0:
                     break
@@ -360,9 +383,8 @@ def _trajectory(model, kinetic, q, p, point, config):
                 raise DivergenceError(
                     f"more than {config.reflection_max_events} reflections in one step"
                 )
-            q, p, s_hit, state = _reflect(
-                model, kinetic, q, p, u0, lam_p, remaining, c_start, c_end, config
-            )
+            q, p, s_hit, state = _reflect(model, kinetic, q, p, lam.dot(p) if u0 is None else u0,
+                                          lam_p, remaining, c_start, c_end, config)
             c_start = None
             remaining -= s_hit
             if remaining <= 0.0:
@@ -374,7 +396,8 @@ def _trajectory(model, kinetic, q, p, point, config):
             p = p - half_eps * (dv + kinetic.grad_q(state, p))
         else:
             dv = np.asarray(gradient(q), dtype=float) if feasible else potential_grad(model, q)
-            p = p - half_eps * dv
+            half_kick = half_eps * dv
+            p = p - half_kick
     return q, p, (dv, state), count
 
 

@@ -156,10 +156,17 @@ def _check_params(name: str, given: dict, allowed: dict):
             )
 
 
+def _dimension(n, least: int = 1) -> int:
+    # n as a dimension: an integer, NumPy's too, and not a bool or a float
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"n must be an integer, got {n!r}")
+    if n < least:
+        raise ValidationError(f"dimension must be >= {least}, got {n}")
+    return int(n)
+
+
 def _std_gaussian(n: int = 1) -> TargetModel:
-    n = int(n)
-    if n < 1:
-        raise ValidationError(f"dimension must be >= 1, got {n}")
+    n = _dimension(n)
     ident = np.eye(n)
     return TargetModel(
         n=n,
@@ -203,8 +210,9 @@ def _mvn(mean=None, cov=None) -> TargetModel:
 
 def _banana(a: float = 1.0, b: float = 100.0) -> TargetModel:
     """Curved-valley target V = (a - q1)^2 + b*(q2 - q1^2)^2 in two dimensions."""
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(f"banana parameters must be finite, got a={a}, b={b}")
 
     def pot(q):
         return (a - q[0]) ** 2 + b * (q[1] - q[0] ** 2) ** 2
@@ -236,9 +244,7 @@ def _funnel(n: int = 2) -> TargetModel:
 
     V = q1^2/18 + (n-1) q1 / 2 + exp(-q1) * sum(q_i^2) / 2.
     """
-    n = int(n)
-    if n < 2:
-        raise ValidationError("funnel requires n >= 2")
+    n = _dimension(n, 2)
 
     def pot(q):
         v = q[0]

@@ -181,8 +181,8 @@ def effective_sample_size(series) -> float:
 
     Autocorrelations are summed in adjacent pairs until a pair sum goes
     non-positive; tau = 2 * (partial sum) - 1 and ESS = N / tau.  A constant
-    series has no autocorrelation structure and counts as N by convention; a
-    non-finite one, or one whose variance overflows, is refused.
+    series, such as a stalled chain's, has no ESS and gives NaN; a non-finite
+    one, or one whose variance overflows, is refused.
     """
     x = np.asarray(series, dtype=float).ravel()
     n = x.size
@@ -193,8 +193,9 @@ def effective_sample_size(series) -> float:
         c0 = float(x @ x) / n
     if not math.isfinite(c0):
         raise UsageError("effective_sample_size needs finite values with a finite variance")
-    if c0 == 0.0:
-        return float(n)
+    # a constant series, whose mean may miss its value by a rounding
+    if (x == x[0]).all():
+        return math.nan
     # autocovariance via FFT
     m = 1
     while m < 2 * n:

@@ -673,6 +673,61 @@ def test_lean_iterates_equal_the_implicit_equations(seed, nu, eps):
     assert np.abs(drift - expected).max() <= 1e-12 * scale
 
 
+class _Continued(Exception):
+    pass
+
+
+def _stop_decision(delta, tol):
+    # what _solve decides on the change delta, from the first iterate 0 to
+    # delta: "converged" (it returns), "continue" (it asks for another
+    # iterate) or "diverge" (it gives up)
+    def update(x):
+        if x.any():
+            raise _Continued
+        return delta
+
+    config = IntegratorConfig(0.1, 1, fp_tol=tol, fp_max_iter=2)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrator._solve(update, np.zeros(delta.size), config, "test")
+    except _Continued:
+        return "continue"
+    except DivergenceError:
+        return "diverge"
+    return "converged"
+
+
+@st.composite
+def _changes(draw):
+    # (delta, tol) with delta's entries near +-tol, at zero, non-finite, or so
+    # large that their squares overflow, alone or repeated; tol is a usual one
+    # or one whose square underflows or overflows
+    n = draw(st.integers(1, 64))
+    tol = draw(st.one_of(st.sampled_from([1e-10, 1e-14, 0.5, 1e-170, 1e170]),
+                         st.floats(1e-12, 10.0)))
+    near = st.builds(lambda k, sign: sign * tol * (1.0 + k * 2.0**-52),
+                     st.integers(-64, 64), st.sampled_from([-1.0, 1.0]))
+    entry = st.one_of(near, st.just(0.0), st.sampled_from([math.nan, math.inf, -math.inf]),
+                      st.sampled_from([1e155, -1e160, 1e300]), st.floats(-3.0 * tol, 3.0 * tol),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    if draw(st.booleans()):
+        delta = [draw(entry)] * n
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            delta[i] = draw(entry)
+    else:
+        delta = draw(st.lists(entry, min_size=n, max_size=n))
+    return np.array(delta), tol
+
+
+@settings(max_examples=500, deadline=None)
+@given(_changes())
+def test_the_one_dot_stop_test_decides_as_the_max_norm(case):
+    delta, tol = case
+    top = float(np.max(np.abs(delta)))
+    expected = "converged" if top <= tol else "continue" if math.isfinite(top) else "diverge"
+    assert _stop_decision(delta, tol) == expected
+
+
 def test_unconstrained_graph_integrate_never_builds_the_dense_inverse(monkeypatch):
     # the kinetic applies Lam through the state's operator; only reflections
     # and dense-algebra checks ask for the n x n matrix

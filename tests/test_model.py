@@ -227,6 +227,28 @@ def test_a_dimension_below_one_is_refused(name, n):
         builtin_target(name, n=n)
 
 
+@pytest.mark.parametrize("name, n", [("std_gaussian", 2.7), ("funnel", 3.5),
+                                     ("halfspace_gaussian", 2.2), ("std_gaussian", True),
+                                     ("funnel", 3.0)])
+def test_a_non_integer_dimension_is_refused(name, n):
+    # each once built the target of dimension int(n)
+    with pytest.raises(ValidationError, match=f"n must be an integer, got {n!r}"):
+        builtin_target(name, n=n)
+
+
+@pytest.mark.parametrize("name", ["std_gaussian", "funnel", "halfspace_gaussian"])
+def test_a_numpy_integer_dimension_is_taken(name):
+    assert builtin_target(name, n=np.int64(3)).n == 3
+
+
+@pytest.mark.parametrize("key", ["a", "b"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_banana_refuses_a_non_finite_parameter(key, value):
+    # a = nan once built a model whose initial point was [nan, nan]
+    with pytest.raises(ValidationError, match="banana parameters must be finite"):
+        builtin_target("banana", **{key: value})
+
+
 def test_custom_halfspace_constraints():
     # q1 + q2 > 1 has no analytic moments and no default initial point
     model = builtin_target(

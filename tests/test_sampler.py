@@ -267,8 +267,17 @@ def test_ess_ar1_band():
     assert 350 <= ess <= 750  # analytic value n(1-phi)/(1+phi) ~ 526
 
 
-def test_ess_constant_series_convention():
-    assert effective_sample_size(np.full(500, 3.14)) == 500.0
+def test_a_stalled_chain_has_no_ess():
+    # banana under the Gaussian graph kinetic at eps = 0.4 never accepts: every
+    # proposal diverges or is rejected, and one row is kept 500 times.  Its ESS
+    # once read N = 500 per coordinate, perfect mixing
+    banana = builtin_target("banana")
+    kin = riemannian_quadratic(GraphMetric(banana))
+    res = run_chain(banana, kin, _config(num_samples=500, eps=0.4, jitter=True))
+    assert len(np.unique(res.samples, axis=0)) == 1
+    assert np.isnan(res.ess).all()
+    # a constant series whose mean misses its value by a rounding as well
+    assert math.isnan(effective_sample_size(np.full(777, -1.2345)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
