@@ -54,7 +54,7 @@ def cmd_sample(args) -> int:
         f"({100.0 * diag['divergence_fraction']:.1f}%), "
         f"wall time {diag['wall_time_s']:.2f}s"
     )
-    if report.divergence_fraction > 0.5:
+    if diag["divergence_fraction"] > 0.5:
         print("error: divergence storm (>50% of transitions diverged)", file=sys.stderr)
         return 3
     return 0

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GhmcError", "UsageError", "ValidationError", "ConstraintViolationError", "CapabilityError",
+    "GeometryError", "MetricDegeneracyError", "NumericError", "DivergenceError",
+]
+
 
 class GhmcError(Exception):
     """Base class for all errors raised by this package."""

@@ -331,8 +331,10 @@ def _trajectory(model, kinetic, q, p, point, config):
     # and point, and the number of reflections.  On a constant field
     # grad_q = 0 and grad_p does not depend on q, so the kick and the drift
     # are explicit, the field's one state serves every point, and a step is
-    # the plain leapfrog.  The constraint
-    # values that a step's end scan reads are those at the next step's start.
+    # the plain leapfrog.  The constraint values that a step's end scan reads
+    # are those at the next step's start.  _find_crossing keeps s_hit below
+    # what remains of the step, so a step ends only where its end scan showed
+    # q strictly feasible, and the end kick reads dV there without a scan.
     eps = config.step_size
     half_eps = 0.5 * eps
     implicit = kinetic.position_dependent
@@ -376,7 +378,7 @@ def _trajectory(model, kinetic, q, p, point, config):
                     break
             else:
                 # the scan shows q_end strictly feasible: the step's drift ends
-                q, c_start, feasible = q_end, c_end, True
+                q, c_start = q_end, c_end
                 break
             reflections += 1
             if reflections > config.reflection_max_events:
@@ -387,15 +389,12 @@ def _trajectory(model, kinetic, q, p, point, config):
                                           lam_p, remaining, c_start, c_end, config)
             c_start = None
             remaining -= s_hit
-            if remaining <= 0.0:
-                feasible = False
-                break
         count += reflections
         if implicit:
-            dv, state = _point(model, kinetic, q, feasible)
+            dv, state = _point(model, kinetic, q, feasible=True)
             p = p - half_eps * (dv + kinetic.grad_q(state, p))
         else:
-            dv = np.asarray(gradient(q), dtype=float) if feasible else potential_grad(model, q)
+            dv = np.asarray(gradient(q), dtype=float)
             half_kick = half_eps * dv
             p = p - half_kick
     return q, p, (dv, state), count
@@ -407,8 +406,8 @@ def generalized_leapfrog_step(
     q,
     p,
     step_size: float,
-    fp_tol: float = 1e-10,
-    fp_max_iter: int = 100,
+    fp_tol: float = IntegratorConfig.fp_tol,
+    fp_max_iter: int = IntegratorConfig.fp_max_iter,
 ):
     """One implicit kick / implicit drift / explicit kick step, with reflections.
 
@@ -477,25 +476,20 @@ def volume_check(
     q,
     p,
     step_size: float,
-    h: float = 1e-6,
-    fp_tol: float = 1e-14,
-    fp_max_iter: int = 500,
 ) -> float:
     """|det J - 1| for the Jacobian of one integrator step at (q, p).
 
     The 2n x 2n Jacobian is built column by column from central differences
-    with perturbation h; the state must sit in an unconstrained neighborhood.
-    Implicit steps are solved to fp_tol so the differencing noise stays well
-    below the h-scale signal.
+    with perturbation h = 1e-6; the state must sit in an unconstrained
+    neighborhood.  Implicit steps are solved to 1e-14, in at most 500
+    iterates, so the differencing noise stays well below the h-scale signal.
     """
     q = as_position(q, model.n)
     p = as_position(p, model.n)
-    n = model.n
+    n, h = model.n, 1e-6
 
     def step_map(z):
-        q2, p2 = generalized_leapfrog_step(
-            model, kinetic, z[:n], z[n:], step_size, fp_tol, fp_max_iter
-        )
+        q2, p2 = generalized_leapfrog_step(model, kinetic, z[:n], z[n:], step_size, 1e-14, 500)
         return np.concatenate([q2, p2])
 
     z0 = np.concatenate([q, p])

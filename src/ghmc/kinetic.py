@@ -92,7 +92,9 @@ class Kinetic:
         if self.nu == math.inf:
             return z
         u = rng.chisquare(self.nu)
-        return z * math.sqrt(self.nu / u)
+        # a scale that underflows to 0, as it can for a tiny nu, puts p at
+        # infinity, where the sampler reads an infinite energy as a divergence
+        return z * math.sqrt(self.nu / u) if u > 0.0 else z * math.inf
 
     def lambda_at(self, q) -> np.ndarray:
         """Inverse metric at q, as used by reflections."""

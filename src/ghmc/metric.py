@@ -42,11 +42,7 @@ import numpy as np
 from .errors import CapabilityError, MetricDegeneracyError, NumericError, UsageError
 from .model import TargetModel, _gradient_at, _hessian_at, as_position, potential_grad, spd_factor
 
-__all__ = [
-    "MetricState",
-    "ConstantMetric",
-    "GraphMetric",
-]
+__all__ = ["ConstantMetric", "GraphMetric"]
 
 
 @dataclass

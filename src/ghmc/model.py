@@ -21,8 +21,6 @@ from .errors import ConstraintViolationError, UsageError, ValidationError
 __all__ = [
     "Constraint",
     "TargetModel",
-    "CatalogEntry",
-    "as_position",
     "potential_eval",
     "potential_grad",
     "builtin_target",

@@ -396,7 +396,6 @@ class RunReport:
     diagnostics: dict
     samples_files: list
     diagnostics_file: str
-    divergence_fraction: float
 
 
 def execute(spec: RunSpec, out_dir=None, seed_override=None) -> RunReport:
@@ -482,5 +481,4 @@ def execute(spec: RunSpec, out_dir=None, seed_override=None) -> RunReport:
         diagnostics=diagnostics,
         samples_files=sample_paths,
         diagnostics_file=diagnostics_file,
-        divergence_fraction=diagnostics["divergence_fraction"],
     )

@@ -87,7 +87,9 @@ def _transition(model, kinetic, q, v, point, cfg, configs, rng):
     # The transition kernel, from q with V and the point there evaluated.
     # Returns the chain's next (q, V, point), accepted and delta_h: the
     # trajectory's end on accept, the start otherwise.  ``configs`` holds the
-    # integrator config of each step count drawn so far.
+    # integrator config of each step count drawn so far.  The caller ignores
+    # over- and invalid-value warnings, so that a momentum whose energy is
+    # not finite is a divergence, not a warning.
     p = kinetic.sample_momentum(q, rng)
     h_start = v + kinetic.energy(point[1], p)
     num_steps = cfg.integrator.num_steps
@@ -96,6 +98,10 @@ def _transition(model, kinetic, q, v, point, cfg, configs, rng):
     icfg = configs.get(num_steps)
     if icfg is None:
         icfg = configs[num_steps] = replace(cfg.integrator, num_steps=num_steps)
+    if not math.isfinite(h_start):
+        # a momentum too far out for a finite energy, which a Student-t draw
+        # can be; it does not depend on q, so rejecting it keeps the target
+        return q, v, point, False, math.inf
     try:
         traj = integrate(model, kinetic, PhaseState(q, p, h_start, point), icfg)
     except DivergenceError:
@@ -120,7 +126,8 @@ def hmc_transition(model: TargetModel, kinetic, q, cfg: ChainConfig, rng):
     """
     q = as_position(q, model.n)
     v, point = _start(model, kinetic, q)
-    q, _, _, accepted, delta_h = _transition(model, kinetic, q, v, point, cfg, {}, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, _, _, accepted, delta_h = _transition(model, kinetic, q, v, point, cfg, {}, rng)
     return q, accepted, delta_h
 
 
@@ -147,13 +154,14 @@ def run_chain(model: TargetModel, kinetic, cfg: ChainConfig, initial=None) -> Ch
     samples = np.empty((cfg.num_samples, n))
     accepted = np.zeros(cfg.num_samples, dtype=bool)
     delta_h = np.empty(cfg.num_samples)
-    for t in range(cfg.warmup + cfg.num_samples):
-        q, v, point, acc, dh = _transition(model, kinetic, q, v, point, cfg, configs, rng)
-        k = t - cfg.warmup
-        if k >= 0:
-            samples[k] = q
-            accepted[k] = acc
-            delta_h[k] = dh
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.warmup + cfg.num_samples):
+            q, v, point, acc, dh = _transition(model, kinetic, q, v, point, cfg, configs, rng)
+            k = t - cfg.warmup
+            if k >= 0:
+                samples[k] = q
+                accepted[k] = acc
+                delta_h[k] = dh
 
     divergences = int(np.sum(~np.isfinite(delta_h)))
     mean = samples.mean(axis=0)

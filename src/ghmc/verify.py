@@ -5,8 +5,9 @@ integration for reversibility, finite-difference Jacobians for volume
 preservation, dense linear algebra for the rank-1 inverse and its
 log-determinant, finite-difference connection coefficients for the closed
 form, exact moments for the samplers, and wall-clock regressions for the
-O(n^2) cost target.  The CLI ``verify`` command prints these as a table; the
-acceptance test suite asserts them at their contractual sizes.
+O(n^2) cost target.  Each check runs at its contractual sizes, written here
+only.  The CLI ``verify`` command prints these as a table; the acceptance test
+suite asserts them.
 """
 
 import functools
@@ -30,7 +31,7 @@ from .metric import ConstantMetric, GraphMetric
 from .model import TargetModel, builtin_target, potential_grad
 from .sampler import ChainConfig, hmc_transition, run_chain
 
-__all__ = ["CheckResult", "run_checks", "QUICK_CHECKS", "FULL_CHECKS"]
+__all__ = ["CheckResult", "run_checks"]
 
 
 @dataclass
@@ -62,10 +63,10 @@ def _check(name, requirement):
     return wrap
 
 
-def _roundtrip(model, kin, q0, p0, eps, num_steps, fp_tol=1e-12):
+def _roundtrip(model, kin, q0, p0, eps, num_steps):
     # (round-trip error, fewest reflections of the two legs) of num_steps
     # steps forward, a momentum flip, and num_steps steps back
-    cfg = IntegratorConfig(eps, num_steps, fp_tol=fp_tol, fp_max_iter=200)
+    cfg = IntegratorConfig(eps, num_steps, fp_tol=1e-12, fp_max_iter=200)
     fwd = integrate(model, kin, PhaseState(q0, p0), cfg)
     back = integrate(model, kin, PhaseState(fwd.state.q, -fwd.state.p), cfg)
     err = max(float(np.max(np.abs(back.state.q - q0))), float(np.max(np.abs(back.state.p + p0))))
@@ -141,13 +142,13 @@ def check_reversibility():
 
 
 @_check("volume-preservation", "< 1e-6")
-def check_volume_preservation(states: int = 10):
+def check_volume_preservation():
     """|det J - 1| of one step at random states, explicit and implicit."""
     g2 = builtin_target("std_gaussian", n=2)
     ke = euclidean_quadratic(np.array([[1.3, 0.4], [0.4, 0.9]]))
     rng = np.random.default_rng(3)
     worst = 0.0
-    for _ in range(states):
+    for _ in range(10):
         worst = max(
             worst, volume_check(g2, ke, rng.normal(size=2), rng.normal(size=2), 0.1)
         )
@@ -155,7 +156,7 @@ def check_volume_preservation(states: int = 10):
     kb = riemannian_quadratic(GraphMetric(ban))
     rng = np.random.default_rng(7)
     worst_impl = 0.0
-    for _ in range(states):
+    for _ in range(10):
         q0 = np.array([1.0, 1.0]) + rng.normal(size=2) * np.array([0.05, 0.1])
         p0 = rng.normal(size=2) * 0.08
         worst_impl = max(worst_impl, volume_check(ban, kb, q0, p0, 0.01))
@@ -163,12 +164,12 @@ def check_volume_preservation(states: int = 10):
     return measured < 1e-6, measured, f"explicit {worst:.1e}; implicit {worst_impl:.1e}"
 
 
-def _max_energy_drift(model, kin, q, p, eps, steps, fp_tol=1e-12):
+def _max_energy_drift(model, kin, q, p, eps, steps):
     # max |H_k - H_0| over the energies after each of the steps
     h0 = hamiltonian(model, kin, q, p)
     drift = 0.0
     for _ in range(steps):
-        q, p = generalized_leapfrog_step(model, kin, q, p, eps, fp_tol)
+        q, p = generalized_leapfrog_step(model, kin, q, p, eps, 1e-12)
         drift = max(drift, abs(hamiltonian(model, kin, q, p) - h0))
     return float(drift)
 
@@ -212,13 +213,13 @@ def _linear_model(n, g):
 
 
 @_check("smw-inverse", "< 1e-10")
-def check_smw_inverse(sizes=(1, 2, 5, 20, 50), instances: int = 20):
+def check_smw_inverse():
     """Rank-1 inverse and log-determinant against dense linear algebra."""
     rng = np.random.default_rng(9)
     worst_inv = 0.0
     worst_det = 0.0
-    for n in sizes:
-        for _ in range(instances):
+    for n in (1, 2, 5, 20, 50):
+        for _ in range(20):
             a = rng.normal(size=(n, n))
             sigma = a @ a.T + 0.5 * n * np.eye(n)
             g = rng.normal(size=n) * rng.uniform(0.2, 5.0)
@@ -262,13 +263,13 @@ def finite_difference_christoffel(field: GraphMetric, q, h: float = 1e-5) -> np.
 
 
 @_check("christoffel", "rel err < 1e-4")
-def check_christoffel(points: int = 20):
+def check_christoffel():
     """Closed-form connection coefficients against the finite-difference oracle."""
     ban = builtin_target("banana")
     field = GraphMetric(ban)
     rng = np.random.default_rng(15)
     worst = 0.0
-    for _ in range(points):
+    for _ in range(20):
         q = np.array([rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 3.0)])
         gamma = field.christoffel(q)
         gamma_fd = finite_difference_christoffel(field, q)
@@ -286,7 +287,7 @@ def _well_conditioned(rng, n, spd=False):
 
 
 @_check("reflection", "energy <= 1e-13, involution <= 1e-15")
-def check_reflection(probes: int = 1000):
+def check_reflection():
     """Reflections conserve the kinetic energy exactly and are involutions.
 
     Probe metrics are kept well conditioned so the stated absolute tolerances
@@ -296,7 +297,7 @@ def check_reflection(probes: int = 1000):
     worst_energy = 0.0
     worst_invol = 0.0
     dims = (1, 2, 3, 5)
-    for i in range(probes):
+    for i in range(1000):
         n = dims[i % len(dims)]
         lam = _well_conditioned(rng, n, spd=True)
         kq = euclidean_quadratic(lam)
@@ -319,7 +320,7 @@ def check_reflection(probes: int = 1000):
 
 
 @_check("momentum-symmetry", "<= 1e-12")
-def check_momentum_symmetry(probes: int = 1000):
+def check_momentum_symmetry():
     """T(q, -p) = T(q, p) and dT/dp odd, for every kinetic family."""
     rng = np.random.default_rng(33)
     field = GraphMetric(builtin_target("banana"))
@@ -331,7 +332,7 @@ def check_momentum_symmetry(probes: int = 1000):
         student_t(field, nu=4.0),
     ]
     worst = 0.0
-    for _ in range(probes // len(kinetics)):
+    for _ in range(1000 // len(kinetics)):
         q = rng.normal(size=2) * 0.8
         p = rng.normal(size=2) * 2.0
         for kin in kinetics:
@@ -343,7 +344,7 @@ def check_momentum_symmetry(probes: int = 1000):
 
 
 @_check("coordinate-invariance", "<= 1e-12")
-def check_coordinate_invariance(maps: int = 20):
+def check_coordinate_invariance():
     """H is a scalar: under Q = A q the kinetic and potential terms shift by
     opposite log-Jacobian factors and the total energy is unchanged."""
     rng = np.random.default_rng(44)
@@ -352,7 +353,7 @@ def check_coordinate_invariance(maps: int = 20):
     lam = np.array([[1.5, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]])
     kinetics = [euclidean_quadratic(lam), student_t(lam, nu=6.0)]
     worst = 0.0
-    for _ in range(maps):
+    for _ in range(20):
         amat = _well_conditioned(rng, n)
         ainv = np.linalg.inv(amat)
         _, log_abs_det = np.linalg.slogdet(amat)
@@ -378,8 +379,9 @@ def check_coordinate_invariance(maps: int = 20):
 
 
 @_check("stationarity", "<= 4 sigma")
-def check_stationarity(chains: int = 10000):
+def check_stationarity():
     """One transition applied to exact draws must keep the target's moments."""
+    chains = 10000
     model = builtin_target("std_gaussian", n=1)
     kin = euclidean_quadratic(np.eye(1))
     cfg = ChainConfig(seed=0, num_samples=1, integrator=IntegratorConfig(0.1, 20))
@@ -409,10 +411,10 @@ def _jittered_chain(model, kin, seed, num_samples, warmup, step_size, num_steps)
 
 
 @_check("constrained-sampling", "normalized deviation <= 1, zero infeasible")
-def check_constrained_sampling(num_samples: int = 20000):
+def check_constrained_sampling():
     """Half-space Gaussian: feasibility and the half-normal moments."""
     res = _jittered_chain(builtin_target("halfspace_gaussian"), euclidean_quadratic(np.eye(1)),
-                          3, num_samples, 200, 0.15, 10)
+                          3, 20000, 200, 0.15, 10)
     infeasible = int(np.sum(res.samples[:, 0] <= 0.0))
     mean_dev = abs(res.mean[0] - math.sqrt(2.0 / math.pi))
     m2_dev = abs(float(np.mean(res.samples[:, 0] ** 2)) - 1.0)
@@ -425,10 +427,10 @@ def check_constrained_sampling(num_samples: int = 20000):
 
 
 @_check("gaussian-sampling", "ESS > 1000, |mean| <= 0.05, var in [0.90, 1.10]")
-def check_gaussian_sampling(num_samples: int = 20000):
+def check_gaussian_sampling():
     """Unit Gaussian chain: ESS floor and first two moments."""
     res = _jittered_chain(builtin_target("std_gaussian", n=1), euclidean_quadratic(np.eye(1)),
-                          1, num_samples, 100, 0.2, 8)
+                          1, 20000, 100, 0.2, 8)
     ess = float(res.ess[0])
     var = float(res.cov[0, 0])
     passed = ess > 1000.0 and abs(res.mean[0]) <= 0.05 and 0.90 <= var <= 1.10
@@ -437,12 +439,12 @@ def check_gaussian_sampling(num_samples: int = 20000):
 
 
 @_check("mvn-sampling", "covariance entries within 10%, ESS > 500")
-def check_mvn_sampling(num_samples: int = 10000):
+def check_mvn_sampling():
     """Correlated Gaussian with a user-supplied constant inverse metric."""
     cov = np.array([[1.0, 0.9], [0.9, 1.0]])
     model = builtin_target("mvn", mean=[0.0, 0.0], cov=cov)
     res = _jittered_chain(model, euclidean_quadratic(np.linalg.inv(cov)),
-                          5, num_samples, 200, 0.12, 50)
+                          5, 10000, 200, 0.12, 50)
     rel = np.abs(res.cov - cov) / np.abs(cov)
     measured = float(np.max(rel))
     ess_min = float(np.min(res.ess))
@@ -451,12 +453,13 @@ def check_mvn_sampling(num_samples: int = 10000):
 
 
 @_check("jitter-mixing", "ESS > 5% of the draws")
-def check_jitter_mixing(num_samples: int = 4000):
+def check_jitter_mixing():
     """Path-length jitter breaks the period trap at step*length near pi."""
     res = _jittered_chain(builtin_target("std_gaussian", n=1), euclidean_quadratic(np.eye(1)),
-                          8, num_samples, 100, math.pi / 20.0, 20)
+                          8, 4000, 100, math.pi / 20.0, 20)
     ess = float(res.ess[0])
-    return ess > 0.05 * num_samples, ess, f"ess {ess:.0f} of {num_samples}"
+    draws = len(res.samples)
+    return ess > 0.05 * draws, ess, f"ess {ess:.0f} of {draws}"
 
 
 def _best_time(fn, repeats):
@@ -469,9 +472,10 @@ def _best_time(fn, repeats):
 
 
 @_check("cost-scaling", "step exponent < 2.3, rank-1 too")
-def check_cost_scaling(sizes=(64, 128, 256, 512)):
+def check_cost_scaling():
     """Fitted wall-time exponents of the rank-1 inverse and of one generalized
     leapfrog step on the graph field, versus dense inversion."""
+    sizes = (64, 128, 256, 512)
     rng = np.random.default_rng(0)
     smw_times = []
     step_times = []

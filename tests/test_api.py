@@ -1,0 +1,60 @@
+"""The public API, and the names outside tools wrap with their signatures."""
+
+import copy
+from dataclasses import replace
+
+import numpy as np
+
+import ghmc
+import ghmc.runspec
+import ghmc.sampler
+
+PUBLIC_NAMES = [
+    "CapabilityError", "ChainConfig", "ChainResult", "CheckResult", "ConstantMetric",
+    "Constraint", "ConstraintViolationError", "DivergenceError", "GeometryError", "GhmcError",
+    "GraphMetric", "IntegratorConfig", "Kinetic", "MetricDegeneracyError", "NumericError",
+    "PhaseState", "TargetModel", "Trajectory", "UsageError", "ValidationError",
+    "builtin_target", "catalog_entries", "effective_sample_size", "euclidean_quadratic",
+    "generalized_leapfrog_step", "hamiltonian", "hmc_transition", "integrate",
+    "potential_eval", "potential_grad", "reflect_momentum", "riemannian_quadratic",
+    "run_chain", "run_checks", "student_t", "volume_check",
+]
+
+
+def test_the_public_api_is_the_union_of_the_module_lists():
+    assert ghmc.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(ghmc, name) is not None
+    # kept in their modules, out of the package's list
+    from ghmc.metric import MetricState  # noqa: F401
+    from ghmc.model import CatalogEntry, as_position  # noqa: F401
+    from ghmc.verify import FULL_CHECKS, QUICK_CHECKS  # noqa: F401
+
+
+def test_the_names_the_benchmark_tracer_wraps_keep_their_signatures():
+    # the benchmark wraps these on copies of a model and a kinetic, and swaps
+    # the names ghmc.sampler and ghmc.runspec look up
+    builtin = ghmc.builtin_target("halfspace_gaussian", n=2)
+    constraints = tuple(replace(c, value=c.value, grad=c.grad) for c in builtin.constraints)
+    model = replace(builtin, potential=builtin.potential, gradient=builtin.gradient,
+                    hessian=builtin.hessian, constraints=constraints)
+    q, p = np.array([0.5, 0.2]), np.array([-1.0, 0.3])
+    rng = np.random.default_rng(0)
+    student = ghmc.student_t(np.eye(2))
+    for kinetic in (student, ghmc.riemannian_quadratic(ghmc.GraphMetric(model))):
+        field = copy.copy(kinetic.field)
+        if isinstance(field, ghmc.GraphMetric):
+            assert field.model is model
+        state = field.state_at(q, with_hessian=True)
+        assert field.sample_gaussian(q, rng).shape == (2,)
+        assert np.isfinite(kinetic.energy(state, p))
+        assert kinetic.grad_p(state, p).shape == kinetic.grad_q(state, p).shape == (2,)
+        assert kinetic.sample_momentum(q, rng).shape == (2,)
+        np.testing.assert_allclose(kinetic.lambda_at(q), state.lam)
+    config = ghmc.IntegratorConfig(0.2, 10)
+    traj = ghmc.sampler.integrate(model, student, ghmc.PhaseState(q, p), config)
+    assert traj.reflection_count >= 1
+    assert np.isfinite(ghmc.sampler.hamiltonian(model, student, q, p))
+    cfg = ghmc.ChainConfig(seed=1, num_samples=100, integrator=ghmc.IntegratorConfig(0.2, 5))
+    res = ghmc.runspec.run_chain(model, student, cfg, None)
+    assert np.isfinite(ghmc.sampler.effective_sample_size(res.samples[:, 0]))

@@ -117,6 +117,45 @@ def test_kinetic_metric_section_rules():
         )
 
 
+_CHAIN = "[chain]\nseed = 1\nnum_samples = 10\nstep_size = 0.1\nnum_steps = 2\n"
+
+
+@pytest.mark.parametrize(
+    "sections, message, line",
+    [
+        ("[kinetic]\nvariant = riemannian\nlambda = identity\n[metric]\nvariant = graph\n",
+         "takes its metric from \\[metric\\]", 5),
+        ("[kinetic]\nvariant = euclidean\nnu = 3\n",
+         "'nu' applies to the student_t kinetic only", 5),
+        ("[kinetic]\nvariant = riemannian\n[metric]\nsigma = identity\n",
+         "missing required key 'variant' in \\[metric\\]", None),
+        ("[kinetic]\nvariant = riemannian\n[metric]\nvariant = constant\n",
+         "missing required key 'lambda' in \\[metric\\]", None),
+        ("[kinetic]\nvariant = riemannian\n[metric]\nvariant = constant\nlambda = identity\n"
+         "sigma = identity\n", "'sigma' applies to the graph metric only", 8),
+        ("[kinetic]\nvariant = riemannian\n[metric]\nvariant = graph\nlambda = identity\n",
+         "'lambda' applies to the constant metric only", 7),
+        ("[kinetic]\nvariant = euclidean\n" + _CHAIN + "chains = 0\n",
+         "chains must be at least 1", 10),
+        ("[kinetic]\nvariant = euclidean\n" + _CHAIN + "jitter_steps = sometimes\n",
+         "expected a boolean", 10),
+    ],
+)
+def test_kinetic_metric_and_chain_refusals_cite_their_line(sections, message, line):
+    text = "[target]\nname = banana\n" + sections
+    if "[chain]" not in text:
+        text += _CHAIN
+    with pytest.raises(SpecError, match=message) as err:
+        parse_run_spec(text)
+    assert err.value.line == line
+
+
+def test_a_false_jitter_steps_is_read():
+    text = "[target]\nname = banana\n[kinetic]\nvariant = euclidean\n" + _CHAIN
+    assert parse_run_spec(text + "jitter_steps = off\n").config.jitter_steps is False
+    assert parse_run_spec(text + "jitter_steps = yes\n").config.jitter_steps is True
+
+
 def test_matrix_specs():
     np.testing.assert_allclose(_matrix("identity", None, 2), np.eye(2))
     np.testing.assert_allclose(_matrix("scale:2.5", None, 2), 2.5 * np.eye(2))
@@ -230,7 +269,7 @@ def test_execute_writes_csv_and_valid_diagnostics(tmp_path):
     jsonschema.validate(diag, _schema())
     assert abs(diag["mean"][0]) < 0.15
     assert diag["divergence_count"] == 0
-    assert report.divergence_fraction == 0.0
+    assert report.diagnostics["divergence_fraction"] == 0.0
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -408,7 +447,7 @@ def test_verify_detects_an_injected_christoffel_bug(monkeypatch):
     monkeypatch.setattr(
         metric_mod.GraphMetric, "christoffel", lambda self, q: -original(self, q)
     )
-    result = check_christoffel(points=5)
+    result = check_christoffel()
     assert not result.passed
     assert result.measured > 1e-2  # a sign flip is a gross error, far past tolerance
 

@@ -179,18 +179,24 @@ _HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 @pytest.mark.parametrize(
     "variant",
     ["euclidean", "student_t", "graph", "student_t-graph", "euclidean-orthant",
-     "student_t-orthant"],
+     "student_t-orthant", "graph-funnel", "student_t-graph-funnel"],
 )
 def test_stationarity_of_one_transition(variant):
     # chains started at exact draws stay distributed like the target; a
     # graph-metric transition costs about 15x a constant-metric one.  On the
     # 3-d orthant q > 0 the exact draws are |z|, half-normal per coordinate,
-    # and a step near a corner can reflect off several walls
+    # and a step near a corner can reflect off several walls.  On funnel n=2,
+    # whose Hessian moves with q, the exact draws are q1 = 3 z1 and
+    # q2 = exp(1.5 z1) z2, and the checks read the standardized pair
+    # (q1 / 3, q2 exp(-q1 / 2)), which is N(0, I)
     orthant = variant.endswith("-orthant")
-    n_chains = 800 if variant.endswith("graph") else 4000
+    funnel = variant.endswith("-funnel")
+    n_chains = 800 if "graph" in variant else 4000
     n = 3 if orthant else 2
     if orthant:
         model = builtin_target("halfspace_gaussian", n=3, constraints=[(w, 0.0) for w in np.eye(3)])
+    elif funnel:
+        model = builtin_target("funnel", n=2)
     else:
         model = builtin_target("std_gaussian", n=2)
     graph = GraphMetric(model)
@@ -199,7 +205,7 @@ def test_stationarity_of_one_transition(variant):
         "student_t": student_t(np.eye(n)),
         "graph": riemannian_quadratic(graph),
         "student_t-graph": student_t(graph),
-    }[variant.removesuffix("-orthant")]
+    }[variant.removesuffix("-orthant").removesuffix("-funnel")]
     cfg = _config(num_samples=1, eps=0.25, steps=6)
     rng = np.random.default_rng(77)
     start = rng.standard_normal((n_chains, n))
@@ -210,13 +216,31 @@ def test_stationarity_of_one_transition(variant):
         mean, var, mu4 = m, 1.0 - m * m, 3.0 - 2.0 * m * m - 3.0 * m**4
     else:
         mean, var, mu4 = 0.0, 1.0, 3.0
+    if funnel:
+        start = np.column_stack([3.0 * start[:, 0], np.exp(1.5 * start[:, 0]) * start[:, 1]])
     out = np.array([hmc_transition(model, kin, q, cfg, rng)[0] for q in start])
+    if funnel:
+        out = np.column_stack([out[:, 0] / 3.0, out[:, 1] * np.exp(-0.5 * out[:, 0])])
     assert np.max(np.abs(out.mean(axis=0) - mean)) <= 4.0 * math.sqrt(var / n_chains)
     assert np.max(np.abs(out.var(axis=0, ddof=1) - var)) <= 4.0 * math.sqrt(
         (mu4 - var * var) / n_chains
     )
     # |q|^2 is chi-square with n degrees of freedom: mean n, variance 2n
     assert abs(np.mean(np.sum(out**2, axis=1)) - n) <= 4.0 * math.sqrt(2.0 * n / n_chains)
+
+
+@pytest.mark.parametrize("nu", [0.02, 0.01])
+@pytest.mark.parametrize("field", ["constant", "graph"])
+def test_a_momentum_draw_with_infinite_energy_is_a_divergence(field, nu):
+    # a tiny nu lets the Student-t draw's chi-square scale underflow to 0 (in
+    # 0.06% of draws at nu = 0.02, 2.4% at 0.01), or leave p.Lam p past the
+    # float range: the chain stays put and counts a divergence, and no error
+    # or warning escapes
+    model = builtin_target("std_gaussian", n=2)
+    kin = student_t(np.eye(2) if field == "constant" else GraphMetric(model), nu=nu)
+    res = run_chain(model, kin, _config(seed=1, num_samples=2000, eps=0.1, steps=5))
+    assert res.divergence_count > 0
+    assert np.isfinite(res.samples).all()
 
 
 def test_one_transition_evaluates_the_hamiltonian_once_at_the_start_and_once_at_the_end():
