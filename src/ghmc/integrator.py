@@ -12,10 +12,10 @@ drift's end, if the model has any; dV there and the second half-kick.  What
 a trajectory does not change (eps/2, Lam, eps Lam, the model's gradient, the
 constraint values and a constant field's one metric state) is bound once per
 trajectory, so a constant field builds a metric state only where a
-reflection asks for Lam.  ``integrate`` runs the loop over num_steps steps
-and ``generalized_leapfrog_step`` over one.  The step is a symmetric
-second-order map, hence reversible and volume-preserving, which is what the
-Metropolis correction in the sampler assumes.
+reflection asks for Lam.  ``integrate`` is the loop's one entry, and
+``generalized_leapfrog_step`` is ``integrate`` with one step.  The step is a
+symmetric second-order map, hence reversible and volume-preserving, which is
+what the Metropolis correction in the sampler assumes.
 
 Each point is evaluated once, as the potential gradient and the field's
 metric state there (a graph field's state carries the gradient): a step
@@ -30,18 +30,18 @@ step's fixed q computes a = p - eps/2 (dV + dlogdet) once, and an iterate x
 adds the x-dependent part of grad_q, -slope (g.Lam x) H Lam x, where
 g.Lam x = g_up.x / denom by Sherman-Morrison: one lam product, one Hessian
 product and a dot or two, with no call of the kinetic's grad_q.  The drift
-over s computes c = q0 + s/2 u0 once, with u0 = grad_p(q0, p0) built from
-the lam p0 that its iterates share, and an iterate at y is not a point: it
-evaluates dV at y, applies Lam(y) to p0 from lam p0, scales it by the
-profile's slope and builds no metric state.  A solve stops when successive
-iterates agree within fp_tol in the max norm, read through one dot d.d of
-their change d; max|d| is taken only in a narrow band around the threshold.
-Non-finite values are caught where they would first reach the model: a
-fixed-point solve checks its first iterate and then only the change between
-iterates, a drift checks its end position before scanning the constraints
-there, and a non-finite momentum left by the last kick makes the final
-energy non-finite.  A scan that finds every constraint positive at the end
-of a step is its feasibility check.
+over s, in a step or a crossing probe, computes c = q0 + s/2 u0 once, with
+u0 = grad_p(q0, p0) built from the lam p0 that its iterates share, and an
+iterate at y is not a point: it evaluates dV at y, applies Lam(y) to p0 from
+lam p0, scales it by the profile's slope and builds no metric state.  A solve
+stops when successive iterates agree within fp_tol in the max norm, read
+through one dot d.d of their change d; max|d| is taken only in a narrow band
+around the threshold.  Non-finite values are caught where they would first
+reach the model: a fixed-point solve checks its first iterate and then only
+the change between iterates, a drift checks its end position before scanning
+the constraints there, and a non-finite momentum left by the last kick makes
+the final energy non-finite.  A scan that finds every constraint positive at
+the end of a step is its feasibility check.
 
 Strict inequality constraints are handled inside the drift.  Only when the
 end scan finds a constraint C <= 0 does the reflective drift run, from that
@@ -51,12 +51,12 @@ constraint value, at the end scan or at a search probe, is neither feasible
 nor past the wall and ends the trajectory.  When a constraint function
 changes sign across a drift substep, the crossing is located by a bracketed
 secant search (Illinois regula falsi) that aims at the middle of the band
-0 < C <= reflection_tol, so the trajectory advances to just inside the
-boundary, and the momentum reflects through Delta p = -2 (n, p)_Lam n
-with n the unit constraint normal under the inverse-metric inner product
-(a, b)_Lam = a.Lam b.  Aiming at one level set inside the band, and not at
-the root, also puts the landing point on a linear wall at the same place on
-the way out and on the way back, which keeps the reflective step reversible.
+0 < C <= 1e-10, so the trajectory advances to just inside the boundary, and
+the momentum reflects through Delta p = -2 (n, p)_Lam n with n the unit
+constraint normal under the inverse-metric inner product (a, b)_Lam = a.Lam b.
+Aiming at one level set inside the band, and not at the root, also puts the
+landing point on a linear wall at the same place on the way out and on the
+way back, which keeps the reflective step reversible.
 The reflection conserves any kinetic energy built on the quadratic form
 p.Lam p exactly, so only the discretization of the partial steps contributes
 to the energy error.
@@ -83,7 +83,7 @@ from .errors import (
     UsageError,
 )
 from .metric import _rank1_dot
-from .model import TargetModel, as_position, potential_eval, potential_grad
+from .model import TargetModel, _is_integer, as_position, potential_eval
 
 __all__ = [
     "IntegratorConfig",
@@ -102,25 +102,26 @@ _START_REFUSED = "the start must be feasible with finite energy"
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step size, step count, and tolerances for implicit solves and reflections."""
+    """Step size, step count, and the tolerance and iterate budget of implicit solves."""
 
     step_size: float
     num_steps: int
     fp_tol: float = 1e-10
     fp_max_iter: int = 100
-    reflection_tol: float = 1e-10
-    reflection_max_events: int = 8
 
     def __post_init__(self):
         # written as "not 0 < x < inf" so that NaN is refused too
         if not 0.0 < self.step_size < math.inf:
             raise UsageError("step_size must be positive and finite")
+        for name in ("num_steps", "fp_max_iter"):
+            if not _is_integer(getattr(self, name)):
+                raise UsageError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.num_steps < 1:
             raise UsageError("num_steps must be at least 1")
-        if not (0.0 < self.fp_tol < math.inf and 0.0 < self.reflection_tol < math.inf):
-            raise UsageError("tolerances must be positive and finite")
-        if self.fp_max_iter < 1 or self.reflection_max_events < 1:
-            raise UsageError("iteration limits must be at least 1")
+        if not 0.0 < self.fp_tol < math.inf:
+            raise UsageError("fp_tol must be positive and finite")
+        if self.fp_max_iter < 1:
+            raise UsageError("fp_max_iter must be at least 1")
 
 
 @dataclass
@@ -156,16 +157,14 @@ def hamiltonian(model: TargetModel, kinetic, q, p) -> float:
     return v + kinetic.energy(kinetic.field.state_at(q), as_position(p, model.n))
 
 
-def _point(model, kinetic, q, feasible=False):
-    # (dV, field state) at q: all that a kick or a drift reads at a point.  A
-    # graph field's state carries dV; ``feasible`` says that the caller's
-    # constraint scan has already shown q strictly feasible.
+def _point(model, kinetic, q):
+    # (dV, field state) at a q that the caller has shown strictly feasible:
+    # all that a kick or a drift reads at a point.  A graph field's state
+    # carries dV.
     state = kinetic.field.state_at(q, with_hessian=kinetic.position_dependent)
     if state.grad is not None:
         return state.grad, state
-    if feasible:
-        return np.asarray(model.gradient(q), dtype=float), state
-    return potential_grad(model, q), state
+    return np.asarray(model.gradient(q), dtype=float), state
 
 
 def _start(model, kinetic, q, point=None):
@@ -175,7 +174,7 @@ def _start(model, kinetic, q, point=None):
     if not math.isfinite(v):
         raise UsageError(_START_REFUSED)
     if point is None:
-        point = _point(model, kinetic, q, feasible=True)
+        point = _point(model, kinetic, q)
     return v, point
 
 
@@ -225,26 +224,28 @@ def _solve(update, x, config, what):
 
 
 _CROSSING_MAX_ITER = 120
+_REFLECTION_TOL = 1e-10  # a crossing lands where 0 < C <= _REFLECTION_TOL
+_REFLECTION_MAX_EVENTS = 8  # more reflections in one step are a divergence
 _NAN_CONSTRAINT = "a constraint value is NaN"
 
 
-def _find_crossing(c_fun, s_hi, c_lo, c_hi, tol):
+def _find_crossing(c_fun, s_hi, c_lo, c_hi):
     # c_lo = c_fun(0) > 0 >= c_hi = c_fun(s_hi); return s on the feasible side
-    # with 0 < C <= tol.  Illinois regula falsi on the bracket [lo, hi], each
-    # probe aimed at C = tol/2, the middle of the band: a probe aimed at the
-    # root lands on the infeasible side about half the time, the feasible end
-    # then never moves, and the search stalls.  On a wall that is linear in s
-    # the first probe lands in the band.  f_lo and f_hi are the bracket's
+    # with 0 < C <= tol = _REFLECTION_TOL.  Illinois regula falsi on [lo, hi],
+    # each probe aimed at C = tol/2, the middle of the band: a probe aimed at
+    # the root lands on the infeasible side about half the time, the feasible
+    # end then never moves, and the search stalls.  On a wall linear in s the
+    # first probe lands in the band.  f_lo and f_hi are the bracket's
     # C - tol/2, with Illinois halving; the stop test reads the true c_lo.  A
     # NaN value is neither side of the wall, so it ends the trajectory.
     if math.isnan(c_lo) or math.isnan(c_hi):
         raise DivergenceError(_NAN_CONSTRAINT)
-    target = 0.5 * tol
+    target = 0.5 * _REFLECTION_TOL
     lo, hi = 0.0, s_hi
     f_lo, f_hi = c_lo - target, c_hi - target
     kept = 0  # which end the last probe moved: +1 lo, -1 hi
     for _ in range(_CROSSING_MAX_ITER):
-        if c_lo <= tol or (hi - lo) <= 1e-16 * max(1.0, abs(s_hi)):
+        if c_lo <= _REFLECTION_TOL or (hi - lo) <= 1e-16 * max(1.0, abs(s_hi)):
             break
         s = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < s < hi:
@@ -294,29 +295,31 @@ def _drift_map(kinetic, q0, p0, u0, lam_p0, s):
     return drift
 
 
+def _drift(kinetic, q0, p0, u0, lam_p0, s, config):
+    # q after a drift over s from (q0, p0), u0 = grad_p(q0, p0): q0 + s u0 on a
+    # constant field (lam_p0 None), else the root of _drift_map solved from it
+    y = q0 + s * u0
+    if lam_p0 is not None:
+        y = _solve(_drift_map(kinetic, q0, p0, u0, lam_p0, s), y, config, "position")
+    return y
+
+
 def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, config):
     # The drift segment q0 -> path(s_end) has an end scan c_end with some
     # C <= 0: find its earliest crossing, ties broken by constraint index,
-    # and reflect p0 there.  path(s) solves y = q0 + s/2 (u0 + grad_p(y, p0)),
-    # explicit on a constant field (lam_p0 None).  c_start holds the
-    # constraint values at q0 when a scan has read them.  Returns the landing
-    # q, the reflected p, the s advanced and the field's state at q, whose
-    # lam the reflection used.
+    # and reflect p0 there.  path(s) is the drift's q at s.  c_start holds
+    # the constraint values at q0 when a scan has read them.  Returns the
+    # landing q, the reflected p, the s advanced and the field's state at q,
+    # whose lam the reflection used.
     def path(s):
-        if s <= 0.0:
-            return q0
-        y = q0 + s * u0
-        if lam_p0 is not None:
-            y = _solve(_drift_map(kinetic, q0, p0, u0, lam_p0, s), y, config, "position")
-        return y
+        return _drift(kinetic, q0, p0, u0, lam_p0, s, config)
 
     hits = []
     for k, c_k in enumerate(c_end):
         if not c_k > 0.0:
             value = model.constraints[k].value
             c_0 = float(value(q0)) if c_start is None else c_start[k]
-            s_k = _find_crossing(lambda s, v=value: float(v(path(s))), s_end, c_0, c_k,
-                                 config.reflection_tol)
+            s_k = _find_crossing(lambda s, v=value: float(v(path(s))), s_end, c_0, c_k)
             hits.append((s_k, k))
     s_hit, k = min(hits)
     q = path(s_hit) if s_hit > 0.0 else q0
@@ -358,11 +361,12 @@ def _trajectory(model, kinetic, q, p, point, config):
             # field u0 = grad_p(state, p) comes from the lam p its iterates share
             if implicit:
                 lam_p = lam.dot(p)
-                u0 = kinetic._momentum_grad(p, _rank1_dot(lam_p, state.grad_up, state.denom, p))
-                q_end = _solve(_drift_map(kinetic, q, p, u0, lam_p, remaining),
-                               q + remaining * u0, config, "position")
+                w = _rank1_dot(lam_p, state.grad_up, state.denom, p)
+                u0 = kinetic._slope(p, w) * w
+                q_end = _drift(kinetic, q, p, u0, lam_p, remaining, config)
             elif eps_lam is None or reflections:
-                u0 = kinetic._momentum_grad(p, lam.dot(p))
+                w = lam.dot(p)
+                u0 = kinetic._slope(p, w) * w
                 q_end = q + remaining * u0
             else:
                 # u0 = Lam p is formed only when a reflection needs it
@@ -381,9 +385,9 @@ def _trajectory(model, kinetic, q, p, point, config):
                 q, c_start = q_end, c_end
                 break
             reflections += 1
-            if reflections > config.reflection_max_events:
+            if reflections > _REFLECTION_MAX_EVENTS:
                 raise DivergenceError(
-                    f"more than {config.reflection_max_events} reflections in one step"
+                    f"more than {_REFLECTION_MAX_EVENTS} reflections in one step"
                 )
             q, p, s_hit, state = _reflect(model, kinetic, q, p, lam.dot(p) if u0 is None else u0,
                                           lam_p, remaining, c_start, c_end, config)
@@ -391,7 +395,7 @@ def _trajectory(model, kinetic, q, p, point, config):
             remaining -= s_hit
         count += reflections
         if implicit:
-            dv, state = _point(model, kinetic, q, feasible=True)
+            dv, state = _point(model, kinetic, q)
             p = p - half_eps * (dv + kinetic.grad_q(state, p))
         else:
             dv = np.asarray(gradient(q), dtype=float)
@@ -407,19 +411,17 @@ def generalized_leapfrog_step(
     p,
     step_size: float,
     fp_tol: float = IntegratorConfig.fp_tol,
-    fp_max_iter: int = IntegratorConfig.fp_max_iter,
 ):
     """One implicit kick / implicit drift / explicit kick step, with reflections.
 
     The symmetric composition makes the map second order and reversible up to
     the fixed-point tolerance; with a constant metric every implicit equation
-    becomes explicit and the step reduces to the plain leapfrog.
+    becomes explicit and the step reduces to the plain leapfrog.  Returns the
+    end (q, p) of ``integrate`` over one step, and raises as it does.
     """
-    q = as_position(q, model.n)
-    p = as_position(p, model.n)
-    config = IntegratorConfig(step_size, 1, fp_tol=fp_tol, fp_max_iter=fp_max_iter)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _trajectory(model, kinetic, q, p, _point(model, kinetic, q), config)[:2]
+    config = IntegratorConfig(step_size, 1, fp_tol=fp_tol)
+    end = integrate(model, kinetic, PhaseState(q, p), config).state
+    return end.q, end.p
 
 
 def integrate(model: TargetModel, kinetic, state: PhaseState, config: IntegratorConfig) -> Trajectory:
@@ -453,7 +455,7 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             if point is None:
-                point = _point(model, kinetic, q, feasible=True)
+                point = _point(model, kinetic, q)
             q, p, point, count = _trajectory(model, kinetic, q, p, point, config)
         except (ConstraintViolationError, GeometryError, NumericError) as exc:
             raise DivergenceError(str(exc)) from exc
@@ -481,15 +483,15 @@ def volume_check(
 
     The 2n x 2n Jacobian is built column by column from central differences
     with perturbation h = 1e-6; the state must sit in an unconstrained
-    neighborhood.  Implicit steps are solved to 1e-14, in at most 500
-    iterates, so the differencing noise stays well below the h-scale signal.
+    neighborhood.  Implicit steps are solved to 1e-14, so the differencing
+    noise stays well below the h-scale signal.
     """
     q = as_position(q, model.n)
     p = as_position(p, model.n)
     n, h = model.n, 1e-6
 
     def step_map(z):
-        q2, p2 = generalized_leapfrog_step(model, kinetic, z[:n], z[n:], step_size, 1e-14, 500)
+        q2, p2 = generalized_leapfrog_step(model, kinetic, z[:n], z[n:], step_size, 1e-14)
         return np.concatenate([q2, p2])
 
     z0 = np.concatenate([q, p])

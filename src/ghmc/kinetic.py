@@ -51,12 +51,6 @@ class Kinetic:
             return 1.0
         return (self.nu + self.n) / (self.nu + float(w.dot(p)))
 
-    def _momentum_grad(self, p, w) -> np.ndarray:
-        # grad_p from w = Lam p: the profile's 2 f'(s) w
-        if self.nu == math.inf:
-            return w
-        return self._slope(p, w) * w
-
     def energy(self, state, p) -> float:
         s = float(state.lam_dot(p).dot(p))
         if self.nu == math.inf:
@@ -66,7 +60,8 @@ class Kinetic:
         return f + 0.5 * state.logdet_sigma
 
     def grad_p(self, state, p) -> np.ndarray:
-        return self._momentum_grad(p, state.lam_dot(p))
+        w = state.lam_dot(p)
+        return self._slope(p, w) * w
 
     def grad_q(self, state, p) -> np.ndarray:
         # on the graph field, in O(n^2): the p-dependent part f' ds/dq plus

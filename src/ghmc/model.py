@@ -154,9 +154,14 @@ def _check_params(name: str, given: dict, allowed: dict):
             )
 
 
+def _is_integer(x) -> bool:
+    # an integer, NumPy's too, and not a bool or a float
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _dimension(n, least: int = 1) -> int:
-    # n as a dimension: an integer, NumPy's too, and not a bool or a float
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    # n as a dimension: an integer of at least ``least``
+    if not _is_integer(n):
         raise ValidationError(f"n must be an integer, got {n!r}")
     if n < least:
         raise ValidationError(f"dimension must be >= {least}, got {n}")

@@ -31,7 +31,7 @@ from .integrator import (  # noqa: F401  (hamiltonian stays importable from here
     hamiltonian,
     integrate,
 )
-from .model import TargetModel, as_position
+from .model import TargetModel, _is_integer, as_position
 
 __all__ = [
     "ChainConfig",
@@ -58,6 +58,9 @@ class ChainConfig:
     jitter_steps: bool = False
 
     def __post_init__(self):
+        for name in ("seed", "num_samples", "warmup"):
+            if not _is_integer(getattr(self, name)):
+                raise UsageError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
         if self.num_samples < 1:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .integrator import (
     IntegratorConfig,
     PhaseState,
@@ -66,7 +67,7 @@ def _check(name, requirement):
 def _roundtrip(model, kin, q0, p0, eps, num_steps):
     # (round-trip error, fewest reflections of the two legs) of num_steps
     # steps forward, a momentum flip, and num_steps steps back
-    cfg = IntegratorConfig(eps, num_steps, fp_tol=1e-12, fp_max_iter=200)
+    cfg = IntegratorConfig(eps, num_steps, fp_tol=1e-12)
     fwd = integrate(model, kin, PhaseState(q0, p0), cfg)
     back = integrate(model, kin, PhaseState(fwd.state.q, -fwd.state.p), cfg)
     err = max(float(np.max(np.abs(back.state.q - q0))), float(np.max(np.abs(back.state.p + p0))))
@@ -532,6 +533,6 @@ FULL_CHECKS = QUICK_CHECKS + (check_jitter_mixing, check_cost_scaling)
 def run_checks(level: str = "quick"):
     """Run the named profile; returns a list of CheckResult."""
     if level not in ("quick", "full"):
-        raise ValueError(f"unknown verification level {level!r}")
+        raise UsageError(f"unknown verification level {level!r}")
     checks = QUICK_CHECKS if level == "quick" else FULL_CHECKS
     return [check() for check in checks]

@@ -439,6 +439,14 @@ def test_verify_command_exit_codes_and_table(monkeypatch, capsys):
     assert "gamma" in captured.err and "42" in captured.err
 
 
+def test_an_unknown_verify_level_is_a_usage_error():
+    from ghmc.errors import UsageError
+    from ghmc.verify import run_checks
+
+    with pytest.raises(UsageError, match="unknown verification level 'medium'"):
+        run_checks("medium")
+
+
 def test_verify_detects_an_injected_christoffel_bug(monkeypatch):
     from ghmc import metric as metric_mod
     from ghmc.verify import check_christoffel
@@ -611,8 +619,7 @@ def test_integrator_keys_reach_the_integrator_config(tmp_path, monkeypatch):
     monkeypatch.setattr(ghmc.runspec, "run_chain", recording_run_chain)
     text = GAUSS_SPEC.replace("num_samples = 1000", "num_samples = 20").replace(
         "num_steps = 20",
-        "num_steps = 20\nfp_tol = 1e-9\nfp_max_iter = 7\n"
-        "reflection_tol = 1e-8\nreflection_max_events = 3",
+        "num_steps = 20\nfp_tol = 1e-9\nfp_max_iter = 7",
     )
     execute(parse_run_spec(text), out_dir=str(tmp_path))
     (cfg,) = configs
@@ -621,8 +628,6 @@ def test_integrator_keys_reach_the_integrator_config(tmp_path, monkeypatch):
         num_steps=20,
         fp_tol=1e-9,
         fp_max_iter=7,
-        reflection_tol=1e-8,
-        reflection_max_events=3,
     )
 
 

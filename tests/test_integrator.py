@@ -144,7 +144,7 @@ def test_constant_metric_step_is_the_textbook_kick_drift_kick():
     p_half = p - 0.5 * eps * potential_grad(model, q)
     q_new = q + eps * (lam @ p_half)
     p_new = p_half - 0.5 * eps * potential_grad(model, q_new)
-    q_k, p_k = generalized_leapfrog_step(model, kin, q, p, eps, 1e-12, 100)
+    q_k, p_k = generalized_leapfrog_step(model, kin, q, p, eps, 1e-12)
     np.testing.assert_array_equal(q_k, q_new)
     np.testing.assert_array_equal(p_k, p_new)
 
@@ -389,7 +389,7 @@ def test_too_many_reflections_is_a_divergence():
         name="corridor",
     )
     kin = euclidean_quadratic(np.eye(1))
-    cfg = IntegratorConfig(0.1, 1, reflection_max_events=8)
+    cfg = IntegratorConfig(0.1, 1)
     with pytest.raises(DivergenceError):
         integrate(model, kin, PhaseState(np.array([0.005]), np.array([5.0])), cfg)
 
@@ -418,12 +418,22 @@ def test_integrator_config_validation():
         IntegratorConfig(step_size=0.1, num_steps=10, fp_tol=-1.0)
 
 
-@pytest.mark.parametrize("name", ["step_size", "fp_tol", "reflection_tol"])
+@pytest.mark.parametrize("name", ["step_size", "fp_tol"])
 def test_integrator_config_refuses_a_nan(name):
     # an infinite step size would diverge on every transition
     for value in (math.nan, math.inf):
         with pytest.raises(UsageError, match="finite"):
             IntegratorConfig(**{"step_size": 0.1, "num_steps": 10, name: value})
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: IntegratorConfig(0.1, 1, fp_max_iter=0), "fp_max_iter must be at least 1"),
+    (lambda: integrate(*_harmonic(), PhaseState(np.ones(1), np.ones(1), energy=math.inf),
+                       IntegratorConfig(0.1, 1)), "feasible with finite energy"),
+], ids=["fp_max_iter-0", "infinite-start-energy"])
+def test_integrator_refusals(refused, message):
+    with pytest.raises(UsageError, match=message):
+        refused()
 
 
 def test_volume_preserved_by_leapfrog():
@@ -855,7 +865,7 @@ def test_linear_wall_crossing_takes_one_probe():
     cfg = IntegratorConfig(0.05, 20)
     traj = integrate(model, kin, PhaseState(np.array([0.5]), np.array([-2.0])), cfg)
     assert traj.reflection_count == len(landed) == 1
-    assert 0.0 < landed[0][0] <= cfg.reflection_tol
+    assert 0.0 < landed[0][0] <= integrator._REFLECTION_TOL
     assert len(calls) == (cfg.num_steps + 1) + 2 * traj.reflection_count
 
 
@@ -872,7 +882,7 @@ def test_curved_wall_crossings_land_inside_the_band():
     traj = integrate(model, kin, PhaseState(np.array([0.2, 0.1]), np.array([3.0, 1.0])), cfg)
     assert traj.reflection_count == len(landed) == 3
     for q in landed:
-        assert 0.0 < 1.0 - float(q @ q) <= cfg.reflection_tol
+        assert 0.0 < 1.0 - float(q @ q) <= integrator._REFLECTION_TOL
     assert len(calls) < 61
 
 
@@ -885,5 +895,5 @@ def test_triple_root_wall_still_lands_on_the_feasible_side():
     cfg = IntegratorConfig(0.1, 20)
     traj = integrate(model, kin, PhaseState(np.array([0.5, 0.1]), np.array([-3.0, 1.0])), cfg)
     assert traj.reflection_count == len(landed) == 1
-    assert 0.0 < landed[0][0] ** 3 <= cfg.reflection_tol
+    assert 0.0 < landed[0][0] ** 3 <= integrator._REFLECTION_TOL
     assert traj.state.q[0] > 0.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ghmc.errors import CapabilityError, MetricDegeneracyError, NumericError
+from ghmc.errors import CapabilityError, MetricDegeneracyError, NumericError, UsageError
 from ghmc.metric import ConstantMetric, GraphMetric
 from ghmc.model import TargetModel, builtin_target, potential_grad
 from ghmc.verify import finite_difference_christoffel
@@ -134,6 +134,18 @@ def test_constant_metric_state_and_validation():
     assert state.logdet_sigma == pytest.approx(ld, abs=1e-12)
     with pytest.raises(MetricDegeneracyError):
         ConstantMetric(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: GraphMetric(builtin_target("std_gaussian", n=2), ConstantMetric(np.eye(3))),
+     UsageError, "background metric dimension"),
+    (lambda: GraphMetric(builtin_target("std_gaussian", n=2)).state_at(np.array([np.nan, 0.0])),
+     NumericError, "non-finite entries"),
+    (lambda: ConstantMetric(np.ones((2, 3))), MetricDegeneracyError, "must be a square matrix"),
+], ids=["background-dimension", "non-finite-position", "non-square"])
+def test_metric_refusals(refused, error, message):
+    with pytest.raises(error, match=message):
+        refused()
 
 
 @pytest.mark.parametrize("n", [1, 3, 20])

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from ghmc.errors import ConstraintViolationError, UsageError, ValidationError
-from ghmc.model import builtin_target, catalog_entries, potential_eval, potential_grad
+from ghmc.model import TargetModel, builtin_target, catalog_entries, potential_eval, potential_grad
 
 
 def grad_check(model, q, h=1e-6):
@@ -239,6 +239,21 @@ def test_a_non_integer_dimension_is_refused(name, n):
 @pytest.mark.parametrize("name", ["std_gaussian", "funnel", "halfspace_gaussian"])
 def test_a_numpy_integer_dimension_is_taken(name):
     assert builtin_target(name, n=np.int64(3)).n == 3
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: TargetModel(n=0, potential=lambda q: 0.0, gradient=lambda q: q),
+     "dimension must be >= 1, got 0"),
+    (lambda: TargetModel(n=2, potential=lambda q: 0.0, gradient=lambda q: q,
+                         initial_point=np.zeros(3)), "initial_point shape"),
+    (lambda: builtin_target("mvn", mean=[0.0, 0.0, 0.0], cov=np.eye(2)),
+     "mean and covariance sizes"),
+    (lambda: builtin_target("halfspace_gaussian", n=2, constraints=[(np.ones(3), 0.0)]),
+     "normal has the wrong dimension"),
+], ids=["target-n-0", "initial-point-shape", "mvn-sizes", "halfspace-normal"])
+def test_model_refusals(refused, message):
+    with pytest.raises(ValidationError, match=message):
+        refused()
 
 
 @pytest.mark.parametrize("key", ["a", "b"])

@@ -165,6 +165,43 @@ def test_a_negative_seed_is_refused_when_the_config_is_built():
         _config(seed=-1)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"num_samples": 0}, "num_samples must be at least 1"),
+    ({"warmup": -1}, "warmup must be non-negative"),
+])
+def test_a_count_below_its_least_is_refused_when_the_config_is_built(extra, message):
+    with pytest.raises(UsageError, match=message):
+        _config(**extra)
+
+
+_COUNTS = {
+    "num_steps": lambda v: IntegratorConfig(0.1, v),
+    "fp_max_iter": lambda v: IntegratorConfig(0.1, 2, fp_max_iter=v),
+    "seed": lambda v: _config(seed=v),
+    "num_samples": lambda v: _config(num_samples=v),
+    "warmup": lambda v: _config(warmup=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, True], ids=["float", "nan", "bool"])
+@pytest.mark.parametrize("field", sorted(_COUNTS))
+def test_a_count_that_is_not_an_integer_is_refused_when_the_config_is_built(field, value):
+    # a float count used to reach range() or the seed sequence mid-chain, and
+    # a NaN or a bool count built; a NumPy integer is an integer
+    _COUNTS[field](np.int64(3))
+    with pytest.raises(UsageError, match=f"{field} must be an integer, got {value!r}"):
+        _COUNTS[field](value)
+
+
+def test_one_retained_sample_has_no_covariance_and_no_ess():
+    # NaN for both, and no RuntimeWarning (which pytest turns into a failure)
+    model = builtin_target("std_gaussian", n=2)
+    res = run_chain(model, euclidean_quadratic(np.eye(2)), _config(num_samples=1, warmup=3))
+    assert res.samples.shape == (1, 2)
+    assert np.isnan(res.cov).all() and res.cov.shape == (2, 2)
+    assert np.isnan(res.ess).all() and res.ess.shape == (2,)
+
+
 def test_warmup_is_discarded():
     model = builtin_target("std_gaussian", n=1)
     kin = euclidean_quadratic(np.eye(1))
