@@ -21,10 +21,7 @@ def build_parser():
     p_sample.add_argument("--seed", type=int, default=None, help="override the chain seed")
     p_sample.add_argument("--out-dir", default=None, help="directory for output files")
 
-    p_verify = sub.add_parser("verify", help="run the geometric verification suite")
-    p_verify.add_argument(
-        "--level", choices=("quick", "full"), default="quick", help="suite size"
-    )
+    sub.add_parser("verify", help="run the geometric verification suite")
 
     p_list = sub.add_parser("list-targets", help="list built-in targets")
     p_list.add_argument("--json", action="store_true", help="machine-readable output")
@@ -60,8 +57,8 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    results = run_checks(args.level)
+def cmd_verify() -> int:
+    results = run_checks()
     name_w = max(len(r.name) for r in results)
     print(f"{'check':<{name_w}}  {'result':6}  {'measured':>10}  requirement")
     for r in results:
@@ -109,7 +106,7 @@ def main(argv=None) -> int:
     if args.command == "sample":
         return cmd_sample(args)
     if args.command == "verify":
-        return cmd_verify(args)
+        return cmd_verify()
     return cmd_list_targets(args)
 
 

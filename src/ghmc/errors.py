@@ -1,9 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = [
-    "GhmcError", "UsageError", "ValidationError", "ConstraintViolationError", "CapabilityError",
-    "GeometryError", "MetricDegeneracyError", "NumericError", "DivergenceError",
-]
+__all__ = ["GhmcError", "UsageError", "ValidationError", "DivergenceError"]
 
 
 class GhmcError(Exception):
@@ -15,28 +12,12 @@ class UsageError(GhmcError):
 
 
 class ValidationError(GhmcError):
-    """Construction-time input failed validation (e.g. a non-SPD matrix)."""
-
-
-class ConstraintViolationError(GhmcError):
-    """A gradient was requested at an infeasible point, where it is undefined."""
-
-
-class CapabilityError(GhmcError):
-    """The operation needs model data (typically a Hessian) that was not supplied."""
-
-
-class GeometryError(GhmcError):
-    """A geometric quantity is degenerate (e.g. a zero-length reflection normal)."""
-
-
-class MetricDegeneracyError(GhmcError):
-    """A metric factorization failed; the matrix is not positive-definite."""
-
-
-class NumericError(GhmcError):
-    """A computation produced non-finite values where finite ones are required."""
+    """Construction-time input was refused (e.g. a non-SPD matrix, a target
+    without the Hessian a graph field needs); a spec cites it at its line."""
 
 
 class DivergenceError(GhmcError):
-    """A trajectory failed numerically; the sampler treats it as a rejection."""
+    """A quantity is undefined where it was asked for: a gradient off the
+    feasible region, a degenerate reflection normal, non-finite values, an
+    implicit solve that does not converge.  Inside a trajectory the sampler
+    counts it as a rejection."""

@@ -70,18 +70,13 @@ an automatic rejection, equivalent to proposing a state of infinite energy.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConstraintViolationError,
-    DivergenceError,
-    GeometryError,
-    NumericError,
-    UsageError,
-)
+from .errors import DivergenceError, UsageError
 from .metric import _rank1_dot
 from .model import TargetModel, _is_integer, as_position, potential_eval
 
@@ -110,6 +105,10 @@ class IntegratorConfig:
     fp_max_iter: int = 100
 
     def __post_init__(self):
+        for name in ("step_size", "fp_tol"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise UsageError(f"{name} must be a real number, got {value!r}")
         # written as "not 0 < x < inf" so that NaN is refused too
         if not 0.0 < self.step_size < math.inf:
             raise UsageError("step_size must be positive and finite")
@@ -190,7 +189,7 @@ def reflect_momentum(p, dc, lam) -> np.ndarray:
     lam_dc = np.asarray(lam, dtype=float).dot(dc)
     norm2 = float(dc.dot(lam_dc))
     if not math.isfinite(norm2) or norm2 <= 0.0:
-        raise GeometryError("constraint normal has non-positive norm under the inverse metric")
+        raise DivergenceError("constraint normal has non-positive norm under the inverse metric")
     return p - (2.0 * float(lam_dc.dot(p)) / norm2) * dc
 
 
@@ -453,12 +452,9 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
     # non-finite q is caught by the drift, a non-finite p by the next kick's
     # drift or momentum solve, or by the final energy
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            if point is None:
-                point = _point(model, kinetic, q)
-            q, p, point, count = _trajectory(model, kinetic, q, p, point, config)
-        except (ConstraintViolationError, GeometryError, NumericError) as exc:
-            raise DivergenceError(str(exc)) from exc
+        if point is None:
+            point = _point(model, kinetic, q)
+        q, p, point, count = _trajectory(model, kinetic, q, p, point, config)
         # q is finite and strictly feasible: the last step's drift scan or
         # its gradient evaluation showed it
         v = float(model.potential(q))

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, MetricDegeneracyError, NumericError, UsageError
+from .errors import DivergenceError, UsageError, ValidationError
 from .model import TargetModel, _gradient_at, _hessian_at, as_position, potential_grad, spd_factor
 
 __all__ = ["ConstantMetric", "GraphMetric"]
@@ -95,7 +95,7 @@ class ConstantMetric:
     position_dependent = False
 
     def __init__(self, lam):
-        lam, chol_lam = spd_factor(lam, "inverse metric", MetricDegeneracyError)
+        lam, chol_lam = spd_factor(lam, "inverse metric")
         sigma = np.linalg.inv(lam)
         sigma = 0.5 * (sigma + sigma.T)
         # log|Sigma| = -log|Lam|
@@ -105,7 +105,7 @@ class ConstantMetric:
     @classmethod
     def from_sigma(cls, sigma) -> "ConstantMetric":
         """The field whose metric, the momentum covariance, is sigma."""
-        sigma, chol = spd_factor(sigma, "background metric", MetricDegeneracyError)
+        sigma, chol = spd_factor(sigma, "background metric")
         lam = np.linalg.inv(sigma)
         lam = 0.5 * (lam + lam.T)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -153,7 +153,7 @@ class GraphMetric:
         if background.n != model.n:
             raise UsageError("background metric dimension does not match the target")
         if model.hessian is None:
-            raise CapabilityError(
+            raise ValidationError(
                 "the graph-induced metric requires a target Hessian; "
                 f"target {model.name!r} has none"
             )
@@ -169,7 +169,7 @@ class GraphMetric:
         # the model sees q
         q = as_position(q, self.n)
         if not np.isfinite(q).all():
-            raise NumericError("position has non-finite entries; metric undefined")
+            raise DivergenceError("position has non-finite entries; metric undefined")
         g, g_up, denom = self._raised_gradient(q)
         state = MetricState(
             base=self.background.lam,
@@ -191,7 +191,7 @@ class GraphMetric:
         denom = 1.0 + float(g.dot(g_up))
         # a non-finite entry of g makes the quadratic form non-finite
         if not math.isfinite(denom):
-            raise NumericError("potential gradient is non-finite or overflows; metric undefined")
+            raise DivergenceError("potential gradient is non-finite or overflows; metric undefined")
         return g, g_up, denom
 
     def _lam_dot_at(self, q, v, lam_v) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConstraintViolationError, UsageError, ValidationError
+from .errors import DivergenceError, UsageError, ValidationError
 
 __all__ = [
     "Constraint",
@@ -74,20 +74,20 @@ def as_position(q, n: int) -> np.ndarray:
     return q
 
 
-def spd_factor(mat, what: str, error=ValidationError):
-    """(symmetrized mat, its lower Cholesky factor); raises ``error`` if not SPD."""
+def spd_factor(mat, what: str):
+    """(symmetrized mat, its lower Cholesky factor); raises ValidationError if not SPD."""
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
-        raise error(f"{what} must have finite entries")
+        raise ValidationError(f"{what} must have finite entries")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise error(f"{what} must be a square matrix")
+        raise ValidationError(f"{what} must be a square matrix")
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
-        raise error(f"{what} must be symmetric")
+        raise ValidationError(f"{what} must be symmetric")
     mat = 0.5 * (mat + mat.T)
     try:
         return mat, np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        raise error(f"{what} must be positive-definite") from None
+        raise ValidationError(f"{what} must be positive-definite") from None
 
 
 def potential_eval(model: TargetModel, q) -> float:
@@ -103,8 +103,8 @@ def potential_eval(model: TargetModel, q) -> float:
 def potential_grad(model: TargetModel, q) -> np.ndarray:
     """dV/dq at a strictly feasible point.
 
-    Raises ConstraintViolationError off the feasible region: the potential
-    jumps to infinity across the boundary so no gradient exists there.
+    Raises DivergenceError off the feasible region: the potential jumps to
+    infinity across the boundary so no gradient exists there.
     """
     return _gradient_at(model, as_position(q, model.n))
 
@@ -112,7 +112,7 @@ def potential_grad(model: TargetModel, q) -> np.ndarray:
 def _gradient_at(model, q):
     # potential_grad at a q that as_position has already shaped
     if not all(float(c.value(q)) > 0.0 for c in model.constraints):
-        raise ConstraintViolationError(
+        raise DivergenceError(
             "gradient requested at an infeasible point; it is undefined on the boundary"
         )
     return np.asarray(model.gradient(q), dtype=float)
@@ -185,7 +185,7 @@ def _std_gaussian(n: int = 1) -> TargetModel:
 def _mvn(mean=None, cov=None) -> TargetModel:
     for key, value in (("mean", mean), ("cov", cov)):
         if value is None:
-            raise UsageError(f"target mvn requires {key!r}")
+            raise ValidationError(f"target mvn requires {key!r}")
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     if not np.all(np.isfinite(mean)):
         raise ValidationError("mvn mean must have finite entries")

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MetricDegeneracyError, UsageError, ValidationError
+from .errors import UsageError, ValidationError
 from .integrator import IntegratorConfig
 from .kinetic import Kinetic
 from .metric import ConstantMetric, GraphMetric
@@ -133,7 +133,7 @@ def _built(line, build, *args, **kwargs):
     # build(*args, **kwargs), its refusal of a spec value cited at the value's line
     try:
         return build(*args, **kwargs)
-    except (MetricDegeneracyError, ValidationError) as exc:
+    except ValidationError as exc:
         raise SpecError(str(exc), line) from None
 
 

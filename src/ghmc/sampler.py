@@ -61,6 +61,8 @@ class ChainConfig:
         for name in ("seed", "num_samples", "warmup"):
             if not _is_integer(getattr(self, name)):
                 raise UsageError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.jitter_steps, (bool, np.bool_)):
+            raise UsageError(f"jitter_steps must be a bool, got {self.jitter_steps!r}")
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
         if self.num_samples < 1:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
 from .integrator import (
     IntegratorConfig,
     PhaseState,
@@ -512,7 +511,7 @@ def check_cost_scaling():
     return max(step_exp, smw_exp) < 2.3, step_exp, detail
 
 
-QUICK_CHECKS = (
+CHECKS = (
     check_reversibility,
     check_volume_preservation,
     check_energy_error_order,
@@ -525,14 +524,11 @@ QUICK_CHECKS = (
     check_constrained_sampling,
     check_gaussian_sampling,
     check_mvn_sampling,
+    check_jitter_mixing,
+    check_cost_scaling,
 )
 
-FULL_CHECKS = QUICK_CHECKS + (check_jitter_mixing, check_cost_scaling)
 
-
-def run_checks(level: str = "quick"):
-    """Run the named profile; returns a list of CheckResult."""
-    if level not in ("quick", "full"):
-        raise UsageError(f"unknown verification level {level!r}")
-    checks = QUICK_CHECKS if level == "quick" else FULL_CHECKS
-    return [check() for check in checks]
+def run_checks():
+    """Run every check; returns a list of CheckResult."""
+    return [check() for check in CHECKS]

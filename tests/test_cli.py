@@ -258,6 +258,21 @@ def test_mvn_spec_round_trip(tmp_path):
     jsonschema.validate(report.diagnostics, _schema())
 
 
+@pytest.mark.parametrize("given, missing", [("mean = 0,0", "cov"), ("cov = 1,0;0,1", "mean")])
+def test_an_mvn_spec_without_a_parameter_is_refused_at_its_name_line(given, missing, tmp_path,
+                                                                      capsys):
+    spec_file = tmp_path / "mvn.spec"
+    spec_file.write_text(
+        f"[target]\nname = mvn\n{given}\n"
+        "[kinetic]\nvariant = euclidean\nlambda = identity\n"
+        "[chain]\nseed = 2\nnum_samples = 10\nstep_size = 0.3\nnum_steps = 2\n"
+    )
+    assert main(["sample", str(spec_file), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"spec error: {spec_file}: line 2: target mvn requires {missing!r}\n"
+    )
+
+
 def test_execute_writes_csv_and_valid_diagnostics(tmp_path):
     spec = parse_run_spec(GAUSS_SPEC)
     report = execute(spec, out_dir=str(tmp_path))
@@ -417,19 +432,18 @@ def test_verify_command_exit_codes_and_table(monkeypatch, capsys):
     import ghmc.cli as cli
     from ghmc.verify import CheckResult
 
-    def fake_checks(level):
-        assert level in ("quick", "full")
+    def fake_checks():
         return [
             CheckResult("alpha", True, 1e-12, "<= 1e-10", "", 0.1),
             CheckResult("beta", True, 0.5, "<= 1", "detail", 0.2),
         ]
 
     monkeypatch.setattr(cli, "run_checks", fake_checks)
-    assert main(["verify", "--level", "quick"]) == 0
+    assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "alpha" in out and "pass" in out and "all 2 checks passed" in out
 
-    def failing_checks(level):
+    def failing_checks():
         return [CheckResult("gamma", False, 42.0, "<= 1", "way off", 0.1)]
 
     monkeypatch.setattr(cli, "run_checks", failing_checks)
@@ -437,14 +451,6 @@ def test_verify_command_exit_codes_and_table(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "gamma" in captured.err and "42" in captured.err
-
-
-def test_an_unknown_verify_level_is_a_usage_error():
-    from ghmc.errors import UsageError
-    from ghmc.verify import run_checks
-
-    with pytest.raises(UsageError, match="unknown verification level 'medium'"):
-        run_checks("medium")
 
 
 def test_verify_detects_an_injected_christoffel_bug(monkeypatch):

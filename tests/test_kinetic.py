@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ghmc.errors import MetricDegeneracyError, UsageError, ValidationError
+from ghmc.errors import UsageError, ValidationError
 from ghmc.kinetic import euclidean_quadratic, riemannian_quadratic, student_t
 from ghmc.metric import GraphMetric
 from ghmc.model import builtin_target
@@ -174,7 +174,7 @@ def test_conditional_normalizer_is_position_independent():
 
 
 def test_non_spd_inverse_metric_is_rejected():
-    with pytest.raises(MetricDegeneracyError):
+    with pytest.raises(ValidationError):
         euclidean_quadratic(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ghmc.errors import ConstraintViolationError, UsageError, ValidationError
+from ghmc.errors import DivergenceError, UsageError, ValidationError
 from ghmc.model import TargetModel, builtin_target, catalog_entries, potential_eval, potential_grad
 
 
@@ -47,9 +47,9 @@ def test_halfspace_infeasible_potential_is_infinite():
 
 def test_gradient_undefined_off_the_feasible_region():
     model = builtin_target("halfspace_gaussian")
-    with pytest.raises(ConstraintViolationError):
+    with pytest.raises(DivergenceError):
         potential_grad(model, [-0.5])
-    with pytest.raises(ConstraintViolationError):
+    with pytest.raises(DivergenceError):
         potential_grad(model, [0.0])
 
 
@@ -204,7 +204,7 @@ def test_mvn_refuses_a_non_finite_mean(value):
 def test_mvn_names_its_missing_parameter(missing):
     given = {"mean": [0.0, 0.0], "cov": np.eye(2)}
     del given[missing]
-    with pytest.raises(UsageError, match=f"requires '{missing}'"):
+    with pytest.raises(ValidationError, match=f"requires '{missing}'"):
         builtin_target("mvn", **given)
 
 

@@ -193,6 +193,30 @@ def test_a_count_that_is_not_an_integer_is_refused_when_the_config_is_built(fiel
         _COUNTS[field](value)
 
 
+_TYPED = {
+    "step_size": (lambda v: IntegratorConfig(v, 2), np.float32(0.1)),
+    "fp_tol": (lambda v: IntegratorConfig(0.1, 2, fp_tol=v), np.float64(1e-9)),
+    "jitter_steps": (lambda v: _config(jitter=v), np.bool_(True)),
+}
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("step_size", "0.1", "a real number"),
+    ("step_size", True, "a real number"),
+    ("fp_tol", "1e-9", "a real number"),
+    ("fp_tol", True, "a real number"),
+    ("jitter_steps", "no", "a bool"),
+    ("jitter_steps", 1, "a bool"),
+])
+def test_a_field_of_the_wrong_type_is_refused_when_the_config_is_built(field, value, kind):
+    # a string step size or tolerance raised TypeError from the range check,
+    # and a bool step size or a string jitter flag built; a NumPy scalar builds
+    build, numpy_value = _TYPED[field]
+    build(numpy_value)
+    with pytest.raises(UsageError, match=f"{field} must be {kind}, got {value!r}"):
+        build(value)
+
+
 def test_one_retained_sample_has_no_covariance_and_no_ess():
     # NaN for both, and no RuntimeWarning (which pytest turns into a failure)
     model = builtin_target("std_gaussian", n=2)
