@@ -15,12 +15,14 @@ conditional is drawn exactly: a Gaussian, over a chi-square scale for finite nu.
 T depends on q only through Lam(q), so energy and both gradients take the
 field's state at q (with its Hessian, for grad_q on a moving field) and p.
 Each computes w = Lam p once, through the state's operator, and reads
-s = p.w from it; grad_q adds the state's p-independent log-determinant term
-to its p-dependent part, ``_scaled_force``, which the integrator's implicit
-kick calls on its own at each iterate.
+s = p.w from it.  On a graph state the position force has one home,
+``_force_map``, a closure x -> offset + scale f'(s) ds/dq over the state's
+arrays: grad_q is it with the log-determinant term as offset and scale 1,
+and the integrator's implicit kick iterates it with offset a, scale -eps/2.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -34,6 +36,8 @@ class Kinetic:
     """Student-t profile with ``nu`` degrees of freedom; nu = inf is the Gaussian."""
 
     def __init__(self, field, nu: float = math.inf):
+        if not isinstance(nu, numbers.Real) or isinstance(nu, bool):
+            raise ValidationError(f"degrees of freedom nu must be a real number, got {nu!r}")
         nu = float(nu)
         if not nu > 0.0:
             raise ValidationError(f"degrees of freedom must be positive, got {nu}")
@@ -70,16 +74,28 @@ class Kinetic:
             return np.zeros(self.n)
         if state.hessian is None:
             raise UsageError("grad_q needs a metric state built with_hessian=True")
-        return self._scaled_force(state, p, 1.0) + state.dlogdet
+        return self._force_map(state, state.dlogdet, 1.0)(p)
 
-    def _scaled_force(self, state, p, scale) -> np.ndarray:
-        # scale times f' ds/dq on a graph state with its Hessian, where
-        # ds/dq = -2 (g.w) H w and w = Lam p.  Sherman-Morrison gives
-        # g.w = t = g_up.p / denom, so w = lam p - t g_up and the whole term
-        # costs one lam matvec, one Hessian matvec and a dot or two
-        t = float(state.grad_up.dot(p)) / state.denom
-        w = state.base.dot(p) - t * state.grad_up
-        return (-scale * self._slope(p, w) * t) * state.hessian.dot(w)
+    def _force_map(self, state, offset, scale):
+        # x -> offset + scale f'(s) ds/dq on a graph state with its Hessian,
+        # where s = x.w, ds/dq = -2 (g.w) H w and w = Lam x.  Sherman-Morrison
+        # gives g.w = t = g_up.x / denom, so w = lam x - t g_up: one lam matvec,
+        # one Hessian matvec and one dot, and a second dot for the Student-t
+        # slope.  The state's arrays are bound once, for a solve's iterates.
+        lam, g_up, denom, hessian = state.base, state.grad_up, state.denom, state.hessian
+        nu = self.nu
+        if nu == math.inf:
+            def force(x):
+                t = float(g_up.dot(x)) / denom
+                return offset + (-scale * t) * hessian.dot(lam.dot(x) - t * g_up)
+        else:
+            nu_n = nu + self.n
+
+            def force(x):
+                t = float(g_up.dot(x)) / denom
+                w = lam.dot(x) - t * g_up
+                return offset + (-scale * (nu_n / (nu + float(w.dot(x)))) * t) * hessian.dot(w)
+        return force
 
     def sample_momentum(self, q, rng) -> np.ndarray:
         """Exact draw: N(0, Lam^{-1}), over a chi-square scale for finite nu."""

@@ -22,14 +22,14 @@ A field's state at q is an operator: it keeps (lam, g_up = lam g, denom) and
 applies Lam(q) v = lam v - g_up (g_up.v) / denom with one matrix-vector
 product, so no n x n array is formed per position.  The dense
 Lam(q) is built only on request (reflections and dense-algebra checks).
-The implicit drift's fixed-point iterate needs Lam(y) p0 alone, at a y its
-solver has already shown finite: ``GraphMetric._lam_dot_at`` gives it from
-the segment's lam p0 with the gradient at y, the same raised gradient and
-rank-1 correction a state uses, and builds no state.  The implicit kick's
-iterate reads a state's parts directly: since Lam g = g_up / denom, the
-scalar g.Lam x is g_up.x / denom, and Lam x = lam x - (g_up.x / denom) g_up
-costs one lam product, so the kinetic's position force needs no second
-product with Lam.
+The implicit drift's fixed-point iterate, at a y its solver has already
+shown finite, reads ``GraphMetric._raised_gradient`` alone: the feasibility
+scan, dV, g_up and denom at y, with the finiteness check that a state makes
+too, and no state.  It applies the rank-1 correction to the segment's lam p0
+itself.  The implicit kick's iterate reads a state's parts directly: since
+Lam g = g_up / denom, the scalar g.Lam x is g_up.x / denom, and
+Lam x = lam x - (g_up.x / denom) g_up costs one lam product, so the
+kinetic's position force needs no second product with Lam.
 """
 
 import math
@@ -150,6 +150,9 @@ class GraphMetric:
     def __init__(self, model: TargetModel, background: Optional[ConstantMetric] = None):
         if background is None:
             background = ConstantMetric(np.eye(model.n))
+        if not isinstance(background, ConstantMetric):
+            raise UsageError("the background must be a ConstantMetric, e.g. "
+                             f"ConstantMetric.from_sigma(sigma), got {type(background).__name__}")
         if background.n != model.n:
             raise UsageError("background metric dimension does not match the target")
         if model.hessian is None:
@@ -193,12 +196,6 @@ class GraphMetric:
         if not math.isfinite(denom):
             raise DivergenceError("potential gradient is non-finite or overflows; metric undefined")
         return g, g_up, denom
-
-    def _lam_dot_at(self, q, v, lam_v) -> np.ndarray:
-        # Lam(q) v from lam v at a shaped, finite q, for the drift's
-        # fixed-point iterate: no log-determinant and no MetricState
-        _, g_up, denom = self._raised_gradient(q)
-        return _rank1_dot(lam_v, g_up, denom, v)
 
     def sample_gaussian(self, q, rng) -> np.ndarray:
         """Draw from N(0, sigma + g g^T) by adding a rank-1 scalar draw.

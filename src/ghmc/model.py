@@ -110,8 +110,9 @@ def potential_grad(model: TargetModel, q) -> np.ndarray:
 
 
 def _gradient_at(model, q):
-    # potential_grad at a q that as_position has already shaped
-    if not all(float(c.value(q)) > 0.0 for c in model.constraints):
+    # potential_grad at a q that as_position has already shaped; an
+    # unconstrained model skips the scan
+    if model.constraints and not all(float(c.value(q)) > 0.0 for c in model.constraints):
         raise DivergenceError(
             "gradient requested at an infeasible point; it is undefined on the boundary"
         )

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -676,6 +677,71 @@ def test_lean_iterates_equal_the_implicit_equations(seed, nu, eps):
     expected = q + 0.5 * eps * (u0 + u_y)
     scale = np.abs(q).max() + 0.5 * eps * (np.abs(u0).max() + np.abs(u_y).max())
     assert np.abs(drift - expected).max() <= 1e-12 * scale
+
+
+def _exact_banana_parts(q, x, nu):
+    # the banana's gradient g and Hessian h at q (a = 1, b = 100), and on the
+    # graph field over the identity background: denom = 1 + g.g,
+    # t = g.x / denom, w = Lam x = x - t g and the slope 2 f'(x.w), all exact
+    # over the rationals; nu None is the Gaussian profile
+    q1, q2 = q
+    r = q2 - q1 * q1
+    g = [-2 * (1 - q1) - 400 * q1 * r, 200 * r]
+    h = [[2 - 400 * q2 + 1200 * q1 * q1, -400 * q1], [-400 * q1, Fraction(200)]]
+    denom = 1 + g[0] * g[0] + g[1] * g[1]
+    t = (g[0] * x[0] + g[1] * x[1]) / denom
+    w = [x[0] - t * g[0], x[1] - t * g[1]]
+    slope = 1 if nu is None else (nu + 2) / (nu + x[0] * w[0] + x[1] * w[1])
+    return g, h, denom, t, w, slope
+
+
+@pytest.mark.parametrize("nu", [math.inf, 3.0], ids=["gaussian", "student-t"])
+def test_lean_iterates_match_the_exact_equations_where_they_cancel(nu):
+    # each lean map against its implicit equation evaluated exactly with
+    # Fractions, on the banana where |dV| reaches about 1e4 and p is nearly
+    # parallel to dV, so that p.Lam p and Lam p cancel; the error is relative
+    # to the largest entry of the exact value
+    model = builtin_target("banana")
+    field = GraphMetric(model)
+    kin = Kinetic(field, nu=nu)
+    exact_nu = None if nu == math.inf else Fraction(nu)
+    rng = np.random.default_rng(20)
+    worst = {"kick": 0.0, "drift": 0.0}
+    for _ in range(200):
+        q1 = rng.uniform(-2.0, 2.0)
+        q = np.array([q1, q1 * q1 + rng.uniform(-50.0, 50.0)])
+        state = field.state_at(q, with_hessian=True)
+        g_hat = state.grad / np.sqrt(state.grad.dot(state.grad))
+        p = rng.uniform(0.5, 3.0) * g_hat + rng.normal(scale=1e-3, size=2)
+        x = p + rng.normal(scale=1e-3, size=2)
+        y = q + rng.normal(scale=1e-3, size=2)
+        eps = rng.uniform(0.01, 0.3)
+        fq, fp, fx, fy = ([Fraction(v) for v in a] for a in (q, p, x, y))
+        half = Fraction(eps) / 2
+
+        # kick: p - eps/2 (dV + f' ds/dq + dlogdet), ds/dq = -2 t H w and
+        # dlogdet = H g / denom
+        g, h, denom, t, w, slope = _exact_banana_parts(fq, fx, exact_nu)
+        exact = [
+            fp[i] - half * (g[i] - slope * t * (h[i][0] * w[0] + h[i][1] * w[1])
+                            + (h[i][0] * g[0] + h[i][1] * g[1]) / denom)
+            for i in range(2)
+        ]
+        kick = integrator._kick_map(kin, p, state.grad, state, eps)(x)
+        worst["kick"] = max(worst["kick"], _relative_error(kick, exact))
+
+        # drift: q0 + s/2 (u0 + u(y)), u = slope Lam p0, from the u0 given
+        u0 = kin.grad_p(state, p)
+        _, _, _, _, w, slope = _exact_banana_parts(fy, fp, exact_nu)
+        exact = [fq[i] + half * (Fraction(u0[i]) + slope * w[i]) for i in range(2)]
+        drift = integrator._drift_map(kin, q, p, u0, field.background.lam.dot(p), eps)(y)
+        worst["drift"] = max(worst["drift"], _relative_error(drift, exact))
+    assert worst["kick"] <= 1e-9 and worst["drift"] <= 1e-9, worst
+
+
+def _relative_error(approx, exact):
+    scale = max(abs(v) for v in exact)
+    return float(max(abs(Fraction(a) - e) for a, e in zip(approx, exact)) / scale)
 
 
 class _Continued(Exception):

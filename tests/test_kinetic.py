@@ -209,6 +209,17 @@ def test_nan_degrees_of_freedom_are_refused_when_built():
         student_t(np.eye(1), nu=-math.inf)
 
 
+@pytest.mark.parametrize("nu", ["5", "inf", True, "abc", None], ids=repr)
+def test_degrees_of_freedom_that_are_not_a_real_number_are_refused(nu):
+    with pytest.raises(ValidationError, match="nu"):
+        student_t(np.eye(2), nu=nu)
+
+
+def test_numpy_degrees_of_freedom_are_accepted():
+    assert student_t(np.eye(2), nu=np.float64(5.0)).nu == 5.0
+    assert student_t(np.eye(2), nu=np.int64(3)).nu == 3.0
+
+
 def test_infinite_degrees_of_freedom_is_the_gaussian_profile():
     model = builtin_target("funnel", n=2)
     graph = GraphMetric(model)

@@ -139,10 +139,12 @@ def test_constant_metric_state_and_validation():
 @pytest.mark.parametrize("refused, error, message", [
     (lambda: GraphMetric(builtin_target("std_gaussian", n=2), ConstantMetric(np.eye(3))),
      UsageError, "background metric dimension"),
+    (lambda: GraphMetric(builtin_target("std_gaussian", n=2), np.eye(2)),
+     UsageError, r"ConstantMetric\.from_sigma"),
     (lambda: GraphMetric(builtin_target("std_gaussian", n=2)).state_at(np.array([np.nan, 0.0])),
      DivergenceError, "non-finite entries"),
     (lambda: ConstantMetric(np.ones((2, 3))), ValidationError, "must be a square matrix"),
-], ids=["background-dimension", "non-finite-position", "non-square"])
+], ids=["background-dimension", "background-not-a-field", "non-finite-position", "non-square"])
 def test_metric_refusals(refused, error, message):
     with pytest.raises(error, match=message):
         refused()
