@@ -30,13 +30,12 @@ The momentum kick at the step's fixed q is the kinetic's force map with
 offset a = p - eps/2 (dV + dlogdet): an iterate x adds the x-dependent part
 of grad_q, -slope t H Lam x with t = g.Lam x = g_up.x / denom by
 Sherman-Morrison, one lam product, one Hessian product and a dot or two.
-The drift over s, in a step or a crossing probe, computes c = q0 + s/2 u0
-once, with u0 = grad_p(q0, p0) built from the lam p0 that its iterates
-share, and an iterate at y is not a point: it evaluates dV and g_up at y,
-forms Lam(y) p0 = lam p0 - t g_up with t = g_up.p0 / denom and builds no
-metric state; the Student-t slope reads p0.Lam(y) p0 from p0.lam p0, and
-the Gaussian profile folds s/2 lam p0 into c.  A solve
-stops when successive iterates agree within fp_tol in the max norm, read
+The drift over s, in a step or a crossing probe, is the kinetic's drift
+map: it computes c = q0 + s/2 u0 once, with u0 = grad_p(q0, p0) built from
+the lam p0 that its iterates share, and an iterate at y is not a point: it
+evaluates dV and g_up at y, forms Lam(y) p0 = lam p0 - t g_up with
+t = g_up.p0 / denom and builds no metric state; the Student-t slope reads
+p0.Lam(y) p0 from p0.lam p0 and two scalars.  A solve stops when successive iterates agree within fp_tol in the max norm, read
 through one dot d.d of their change d; max|d| is taken only in a narrow band
 around the threshold.  Non-finite values are caught where they would first
 reach the model: a fixed-point solve checks its first iterate and then only
@@ -275,30 +274,10 @@ def _kick_map(kinetic, p, dv, state, eps):
 
 
 def _drift_map(kinetic, q0, p0, u0, lam_p0, s):
-    # y -> q0 + s/2 (u0 + grad_p(y, p0)) over a drift of length s, with
-    # grad_p(y, p0) = slope (lam p0 - t g_up), r = g_up.p0 and t = r / denom
-    # at y.  Once per solve: c = q0 + s/2 u0, and s0 = p0.lam p0, from which
-    # the Student-t slope reads p0.Lam(y) p0 = s0 - r t, lam being symmetric;
-    # the Gaussian slope is 1, so c takes s/2 lam p0 in.
-    half_s = 0.5 * s
-    c = q0 + half_s * u0
-    raised = kinetic.field._raised_gradient
-    if kinetic.nu == math.inf:
-        c = c + half_s * lam_p0
-
-        def drift(y):
-            _, g_up, denom = raised(y)
-            return c - (half_s * (float(g_up.dot(p0)) / denom)) * g_up
-    else:
-        nu_s0 = kinetic.nu + float(lam_p0.dot(p0))
-        half_s_nu_n = half_s * (kinetic.nu + kinetic.n)
-
-        def drift(y):
-            _, g_up, denom = raised(y)
-            r = float(g_up.dot(p0))
-            t = r / denom
-            return c + (half_s_nu_n / (nu_s0 - r * t)) * (lam_p0 - t * g_up)
-    return drift
+    # y -> q0 + s/2 (u0 + grad_p(y, p0)) over a drift of length s: the
+    # kinetic's drift map, which computes once per solve what does not
+    # depend on y
+    return kinetic._drift_map(q0, p0, u0, lam_p0, s)
 
 
 def _drift(kinetic, q0, p0, u0, lam_p0, s, config):

@@ -19,6 +19,9 @@ s = p.w from it.  On a graph state the position force has one home,
 ``_force_map``, a closure x -> offset + scale f'(s) ds/dq over the state's
 arrays: grad_q is it with the log-determinant term as offset and scale 1,
 and the integrator's implicit kick iterates it with offset a, scale -eps/2.
+The implicit drift iterates ``_drift_map``, a closure y -> c + s/2 grad_p(y, p0)
+that reads the field's raised gradient at y and scalars of the segment's
+lam p0, so every use of f' stays in this module.
 """
 
 import math
@@ -83,19 +86,34 @@ class Kinetic:
         # one Hessian matvec and one dot, and a second dot for the Student-t
         # slope.  The state's arrays are bound once, for a solve's iterates.
         lam, g_up, denom, hessian = state.base, state.grad_up, state.denom, state.hessian
-        nu = self.nu
-        if nu == math.inf:
-            def force(x):
-                t = float(g_up.dot(x)) / denom
-                return offset + (-scale * t) * hessian.dot(lam.dot(x) - t * g_up)
-        else:
-            nu_n = nu + self.n
+        gaussian, nu, nu_n = self.nu == math.inf, self.nu, self.nu + self.n
 
-            def force(x):
-                t = float(g_up.dot(x)) / denom
-                w = lam.dot(x) - t * g_up
-                return offset + (-scale * (nu_n / (nu + float(w.dot(x)))) * t) * hessian.dot(w)
+        def force(x):
+            t = float(g_up.dot(x)) / denom
+            w = lam.dot(x) - t * g_up
+            slope = 1.0 if gaussian else nu_n / (nu + float(w.dot(x)))
+            return offset + (-scale * slope * t) * hessian.dot(w)
         return force
+
+    def _drift_map(self, q0, p0, u0, lam_p0, s):
+        # y -> q0 + s/2 (u0 + grad_p(y, p0)) over a drift of length s on a
+        # graph field, u0 = grad_p(q0, p0).  At y, with r = g_up.p0 and
+        # t = r / denom, Lam(y) p0 = lam p0 - t g_up and p0.Lam(y) p0 = s0 - r t,
+        # where c = q0 + s/2 u0 and s0 = p0.lam p0 are computed once per solve.
+        # An iterate reads the field's raised gradient at y and builds no state.
+        half_s = 0.5 * s
+        c = q0 + half_s * u0
+        raised = self.field._raised_gradient
+        gaussian, nu_n = self.nu == math.inf, self.nu + self.n
+        nu_s0 = self.nu + float(lam_p0.dot(p0))
+
+        def drift(y):
+            _, g_up, denom = raised(y)
+            r = float(g_up.dot(p0))
+            t = r / denom
+            slope = 1.0 if gaussian else nu_n / (nu_s0 - r * t)
+            return c + (half_s * slope) * (lam_p0 - t * g_up)
+        return drift
 
     def sample_momentum(self, q, rng) -> np.ndarray:
         """Exact draw: N(0, Lam^{-1}), over a chi-square scale for finite nu."""

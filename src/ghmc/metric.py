@@ -25,8 +25,8 @@ Lam(q) is built only on request (reflections and dense-algebra checks).
 The implicit drift's fixed-point iterate, at a y its solver has already
 shown finite, reads ``GraphMetric._raised_gradient`` alone: the feasibility
 scan, dV, g_up and denom at y, with the finiteness check that a state makes
-too, and no state.  It applies the rank-1 correction to the segment's lam p0
-itself.  The implicit kick's iterate reads a state's parts directly: since
+too, and no state.  The kinetic's drift map applies the rank-1 correction
+to the segment's lam p0 itself.  The implicit kick's iterate reads a state's parts directly: since
 Lam g = g_up / denom, the scalar g.Lam x is g_up.x / denom, and
 Lam x = lam x - (g_up.x / denom) g_up costs one lam product, so the
 kinetic's position force needs no second product with Lam.
