@@ -235,7 +235,10 @@ def _find_crossing(c_fun, s_hi, c_lo, c_hi):
     # each probe aimed at C = tol/2, the middle of the band: a probe aimed at
     # the root lands on the infeasible side about half the time, the feasible
     # end then never moves, and the search stalls.  On a wall linear in s the
-    # first probe lands in the band.  f_lo and f_hi are the bracket's
+    # first probe lands in the band, unless the wall is steeper than
+    # tol/ulp(s): then no float s has C in the band, and the search returns
+    # the feasible end, with C above tol.  A secant step that rounds onto an
+    # end falls back to bisection.  f_lo and f_hi are the bracket's
     # C - tol/2, with Illinois halving; the stop test reads the true c_lo.  A
     # NaN value is neither side of the wall, so it ends the trajectory.
     if math.isnan(c_lo) or math.isnan(c_hi):
@@ -273,19 +276,12 @@ def _kick_map(kinetic, p, dv, state, eps):
     return kinetic._force_map(state, p - 0.5 * eps * (dv + state.dlogdet), -0.5 * eps)
 
 
-def _drift_map(kinetic, q0, p0, u0, lam_p0, s):
-    # y -> q0 + s/2 (u0 + grad_p(y, p0)) over a drift of length s: the
-    # kinetic's drift map, which computes once per solve what does not
-    # depend on y
-    return kinetic._drift_map(q0, p0, u0, lam_p0, s)
-
-
 def _drift(kinetic, q0, p0, u0, lam_p0, s, config):
     # q after a drift over s from (q0, p0), u0 = grad_p(q0, p0): q0 + s u0 on a
-    # constant field (lam_p0 None), else the root of _drift_map solved from it
+    # constant field (lam_p0 None), else kinetic._drift_map's root solved from it
     y = q0 + s * u0
     if lam_p0 is not None:
-        y = _solve(_drift_map(kinetic, q0, p0, u0, lam_p0, s), y, config, "position")
+        y = _solve(kinetic._drift_map(q0, p0, u0, lam_p0, s), y, config, "position")
     return y
 
 

@@ -48,12 +48,16 @@ class CheckResult:
 
 def _check(name, requirement):
     # a check returns (passed, measured, detail); this times it and reports
-    # it as a CheckResult
+    # it as a CheckResult.  A check that raises fails with a NaN measurement,
+    # so the suite runs on and its table keeps the rows already finished.
     def wrap(fn):
         @functools.wraps(fn)
         def check(*args, **kwargs):
             t0 = time.perf_counter()
-            passed, measured, detail = fn(*args, **kwargs)
+            try:
+                passed, measured, detail = fn(*args, **kwargs)
+            except Exception as exc:
+                passed, measured, detail = False, math.nan, f"raised {type(exc).__name__}: {exc}"
             return CheckResult(
                 name, bool(passed), float(measured), requirement, detail, time.perf_counter() - t0
             )

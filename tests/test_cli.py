@@ -3,7 +3,10 @@
 import importlib.resources
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -451,6 +454,64 @@ def test_verify_command_exit_codes_and_table(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "gamma" in captured.err and "42" in captured.err
+
+
+def test_a_check_that_raises_fails_its_row_and_the_suite_runs_on(monkeypatch):
+    from ghmc import verify
+
+    @verify._check("fine", "<= 1")
+    def passing():
+        return True, 0.5, ""
+
+    @verify._check("broken", "<= 1")
+    def raising():
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(verify, "CHECKS", (passing, raising))
+    first, second = verify.run_checks()
+    assert first.passed and first.measured == 0.5
+    assert (second.name, second.passed) == ("broken", False) and math.isnan(second.measured)
+    assert second.detail == "raised ZeroDivisionError: float division by zero"
+
+
+COLD_START = """\
+import sys
+import ghmc
+import ghmc.cli
+assert ghmc.cli.main(["list-targets"]) == 0
+assert ghmc.cli.main(["sample", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
+assert "ghmc.verify" not in sys.modules
+assert ghmc.run_checks is ghmc.verify.run_checks
+assert ghmc.CheckResult is ghmc.verify.CheckResult and ghmc.verify.CHECKS
+names = {}
+exec("from ghmc import *", names)
+assert set(ghmc.__all__) <= set(names) and "run_checks" in names
+print("cold start ok")
+"""
+
+
+def _python(*args):
+    # a fresh interpreter that imports ghmc from this checkout's src/
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_import_and_sample_leave_the_verification_suite_unloaded(tmp_path):
+    # the suite loads on first use; import ghmc, list-targets and a sample run
+    # never use it
+    spec_file = tmp_path / "run.spec"
+    spec_file.write_text(GAUSS_SPEC)
+    run = _python("-c", COLD_START, str(spec_file), str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "cold start ok"
+
+
+def test_the_cli_module_runs_as_a_script():
+    run = _python("-m", "ghmc.cli", "list-targets")
+    assert run.returncode == 0, run.stderr
+    assert "std_gaussian" in run.stdout
 
 
 def test_verify_detects_an_injected_christoffel_bug(monkeypatch):

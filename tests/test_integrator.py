@@ -672,7 +672,7 @@ def test_lean_iterates_equal_the_implicit_equations(seed, nu, eps):
     u0 = kin.grad_p(state, p)
     lam_p = field.background.lam.dot(p)
     y = q + rng.normal(scale=0.1, size=n)
-    drift = integrator._drift_map(kin, q, p, u0, lam_p, eps)(y)
+    drift = kin._drift_map(q, p, u0, lam_p, eps)(y)
     u_y = kin.grad_p(field.state_at(y), p)
     expected = q + 0.5 * eps * (u0 + u_y)
     scale = np.abs(q).max() + 0.5 * eps * (np.abs(u0).max() + np.abs(u_y).max())
@@ -732,7 +732,7 @@ def test_lean_iterates_match_the_exact_equations_where_they_cancel(nu):
         # drift: s/2 grad_p(y, p0) = s/2 slope Lam(y) p0
         _, _, _, _, w, slope = _exact_banana_parts(fy, fp, exact_nu)
         exact = [half * slope * w[i] for i in range(2)]
-        drift = integrator._drift_map(kin, zero, p, zero, field.background.lam.dot(p), eps)(y)
+        drift = kin._drift_map(zero, p, zero, field.background.lam.dot(p), eps)(y)
         worst["drift"] = max(worst["drift"], _relative_error(drift, exact))
     assert worst["kick"] <= 1e-9 and worst["drift"] <= 1e-9, worst
 
@@ -956,6 +956,22 @@ def test_curved_wall_crossings_land_inside_the_band():
     for q in landed:
         assert 0.0 < 1.0 - float(q @ q) <= integrator._REFLECTION_TOL
     assert len(calls) < 61
+
+
+def test_wall_too_steep_for_the_band_falls_back_to_bisection_on_the_feasible_side():
+    # C = 1e7 (0.7 - s): the first secant step, 5e-18 short of s_hi, rounds
+    # onto it, so the search bisects and probes the midpoint first.  One ulp
+    # of s moves C by about 1.1e-9, more than the band's width, so no float s
+    # lands in the band: the search ends on the last feasible s below s_hi
+    probes = []
+
+    def wall(s):
+        probes.append(s)
+        return 1e7 * (0.7 - s)
+
+    s = integrator._find_crossing(wall, 0.7, wall(0.0), wall(0.7))
+    assert probes[2] == 0.35
+    assert s < 0.7 and wall(s) > 0.0
 
 
 def test_triple_root_wall_still_lands_on_the_feasible_side():
