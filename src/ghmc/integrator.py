@@ -6,8 +6,8 @@ solved by fixed-point iteration.  For a position-independent kinetic energy
 (a separable Hamiltonian) those equations are explicit, and the loop takes
 the plain kick-drift-kick leapfrog step inline: p - k, with k = eps/2 dV
 formed once per point for the two half-kicks that meet there; the drift
-q + (eps Lam) p over a whole step of a Gaussian profile, q + s u with
-u = slope Lam p otherwise; a finite check; one scan of the constraints at the
+q + (eps Lam) p over a whole step of a Gaussian profile, q + s u0 with
+u0 = grad_p otherwise; a finite check; one scan of the constraints at the
 drift's end, if the model has any; dV there and the second half-kick.  What
 a trajectory does not change (eps/2, Lam, eps Lam, the model's gradient, the
 constraint values and a constant field's one metric state) is bound once per
@@ -24,25 +24,16 @@ the point its caller passes in, which for a chain is the point it holds.  The
 end point goes back with the final state, and V there is read without a
 further constraint scan.
 
-On a graph field each fixed-point solve binds in a closure what does not
-depend on its iterate, and an iterate is one call that does only the rest.
-The momentum kick at the step's fixed q is the kinetic's force map with
-offset a = p - eps/2 (dV + dlogdet): an iterate x adds the x-dependent part
-of grad_q, -slope t H Lam x with t = g.Lam x = g_up.x / denom by
-Sherman-Morrison, one lam product, one Hessian product and a dot or two.
-The drift over s, in a step or a crossing probe, is the kinetic's drift
-map: it computes c = q0 + s/2 u0 once, with u0 = grad_p(q0, p0) built from
-the lam p0 that its iterates share, and an iterate at y is not a point: it
-evaluates dV and g_up at y, forms Lam(y) p0 = lam p0 - t g_up with
-t = g_up.p0 / denom and builds no metric state; the Student-t slope reads
-p0.Lam(y) p0 from p0.lam p0 and two scalars.  A solve stops when successive iterates agree within fp_tol in the max norm, read
-through one dot d.d of their change d; max|d| is taken only in a narrow band
-around the threshold.  Non-finite values are caught where they would first
-reach the model: a fixed-point solve checks its first iterate and then only
-the change between iterates, a drift checks its end position before scanning
-the constraints there, and a non-finite momentum left by the last kick makes
-the final energy non-finite.  A scan that finds every constraint positive at
-the end of a step is its feasibility check.
+On a graph field the first half-kick and each drift, in a step or a crossing
+probe, are fixed-point solves of the kinetic's force and drift maps; the
+segment's direction u0 = grad_p and the lam p that the drift's iterates share
+come from one ``Kinetic._direction`` call, and ``_solve`` iterates and stops.
+Non-finite values are caught where they would first reach the model: a
+fixed-point solve checks its first iterate and then only the change between
+iterates, a drift checks its end position before scanning the constraints
+there, and a non-finite momentum left by the last kick makes the final energy
+non-finite.  A scan that finds every constraint positive at the end of a
+step is its feasibility check.
 
 Strict inequality constraints are handled inside the drift.  Only when the
 end scan finds a constraint C <= 0 does the reflective drift run, from that
@@ -78,7 +69,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, UsageError
-from .metric import _rank1_dot
 from .model import TargetModel, _is_integer, as_position, potential_eval
 
 __all__ = [
@@ -237,10 +227,11 @@ def _find_crossing(c_fun, s_hi, c_lo, c_hi):
     # end then never moves, and the search stalls.  On a wall linear in s the
     # first probe lands in the band, unless the wall is steeper than
     # tol/ulp(s): then no float s has C in the band, and the search returns
-    # the feasible end, with C above tol.  A secant step that rounds onto an
-    # end falls back to bisection.  f_lo and f_hi are the bracket's
-    # C - tol/2, with Illinois halving; the stop test reads the true c_lo.  A
-    # NaN value is neither side of the wall, so it ends the trajectory.
+    # the feasible end, with C above tol, once no float lies strictly inside
+    # (lo, hi).  A secant step that rounds onto an end falls back to
+    # bisection.  f_lo and f_hi are the bracket's C - tol/2, with Illinois
+    # halving; the stop test reads the true c_lo.  A NaN value is neither side
+    # of the wall, so it ends the trajectory.
     if math.isnan(c_lo) or math.isnan(c_hi):
         raise DivergenceError(_NAN_CONSTRAINT)
     target = 0.5 * _REFLECTION_TOL
@@ -248,7 +239,7 @@ def _find_crossing(c_fun, s_hi, c_lo, c_hi):
     f_lo, f_hi = c_lo - target, c_hi - target
     kept = 0  # which end the last probe moved: +1 lo, -1 hi
     for _ in range(_CROSSING_MAX_ITER):
-        if c_lo <= _REFLECTION_TOL or (hi - lo) <= 1e-16 * max(1.0, abs(s_hi)):
+        if c_lo <= _REFLECTION_TOL or math.nextafter(lo, hi) >= hi:
             break
         s = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < s < hi:
@@ -267,13 +258,6 @@ def _find_crossing(c_fun, s_hi, c_lo, c_hi):
         else:
             raise DivergenceError(_NAN_CONSTRAINT)
     return lo
-
-
-def _kick_map(kinetic, p, dv, state, eps):
-    # x -> p - eps/2 (dv + grad_q(state, x)) at the step's fixed q: the
-    # kinetic's force map, whose offset a = p - eps/2 (dv + dlogdet) holds
-    # what does not depend on x and is computed once per solve
-    return kinetic._force_map(state, p - 0.5 * eps * (dv + state.dlogdet), -0.5 * eps)
 
 
 def _drift(kinetic, q0, p0, u0, lam_p0, s, config):
@@ -332,23 +316,17 @@ def _trajectory(model, kinetic, q, p, point, config):
     count = 0
     for _ in range(config.num_steps):
         if implicit:
-            kick = _kick_map(kinetic, p, dv, state, eps)
+            # x -> p - eps/2 (dV + grad_q(state, x)) at the step's fixed q
+            kick = kinetic._force_map(state, p - half_eps * (dv + state.dlogdet), -half_eps)
             p = _solve(kick, kick(p), config, "momentum")
         else:
             p = p - half_kick
         remaining, reflections = eps, 0
         while True:
-            # one drift segment over what remains of the step; on a graph
-            # field u0 = grad_p(state, p) comes from the lam p its iterates share
-            if implicit:
-                lam_p = lam.dot(p)
-                w = _rank1_dot(lam_p, state.grad_up, state.denom, p)
-                u0 = kinetic._slope(p, w) * w
+            # one drift segment over what remains of the step
+            if eps_lam is None or reflections:
+                u0, lam_p = kinetic._direction(state, p)
                 q_end = _drift(kinetic, q, p, u0, lam_p, remaining, config)
-            elif eps_lam is None or reflections:
-                w = lam.dot(p)
-                u0 = kinetic._slope(p, w) * w
-                q_end = q + remaining * u0
             else:
                 # u0 = Lam p is formed only when a reflection needs it
                 u0, q_end = None, q + eps_lam.dot(p)

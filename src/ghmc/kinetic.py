@@ -21,6 +21,7 @@ arrays: grad_q is it with the log-determinant term as offset and scale 1,
 and the integrator's implicit kick iterates it with offset a, scale -eps/2.
 The implicit drift iterates ``_drift_map``, a closure y -> c + s/2 grad_p(y, p0)
 that reads the field's raised gradient at y and scalars of the segment's
+lam p0, and ``_direction`` gives a segment's u0 = grad_p(q0, p0) with that
 lam p0, so every use of f' stays in this module.
 """
 
@@ -30,7 +31,7 @@ import numbers
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .metric import ConstantMetric, GraphMetric
+from .metric import ConstantMetric, GraphMetric, _rank1_dot
 
 __all__ = ["Kinetic", "euclidean_quadratic", "riemannian_quadratic", "student_t"]
 
@@ -67,8 +68,17 @@ class Kinetic:
         return f + 0.5 * state.logdet_sigma
 
     def grad_p(self, state, p) -> np.ndarray:
-        w = state.lam_dot(p)
-        return self._slope(p, w) * w
+        return self._direction(state, p)[0]
+
+    def _direction(self, state, p):
+        # (grad_p(state, p), lam p): a drift segment's direction u0 and, on a
+        # graph state, the background product lam p = base p that the drift's
+        # iterates share; None on a constant state
+        lam_p = state.base.dot(p)
+        if state.grad_up is None:
+            return self._slope(p, lam_p) * lam_p, None
+        w = _rank1_dot(lam_p, state.grad_up, state.denom, p)
+        return self._slope(p, w) * w, lam_p
 
     def grad_q(self, state, p) -> np.ndarray:
         # on the graph field, in O(n^2): the p-dependent part f' ds/dq plus

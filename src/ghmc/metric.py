@@ -22,14 +22,9 @@ A field's state at q is an operator: it keeps (lam, g_up = lam g, denom) and
 applies Lam(q) v = lam v - g_up (g_up.v) / denom with one matrix-vector
 product, so no n x n array is formed per position.  The dense
 Lam(q) is built only on request (reflections and dense-algebra checks).
-The implicit drift's fixed-point iterate, at a y its solver has already
-shown finite, reads ``GraphMetric._raised_gradient`` alone: the feasibility
-scan, dV, g_up and denom at y, with the finiteness check that a state makes
-too, and no state.  The kinetic's drift map applies the rank-1 correction
-to the segment's lam p0 itself.  The implicit kick's iterate reads a state's parts directly: since
-Lam g = g_up / denom, the scalar g.Lam x is g_up.x / denom, and
-Lam x = lam x - (g_up.x / denom) g_up costs one lam product, so the
-kinetic's position force needs no second product with Lam.
+Since Lam g = g_up / denom, the scalar g.Lam x is g_up.x / denom.
+``GraphMetric._raised_gradient`` gives (g, g_up, denom) at a point without a
+state, for the kinetic's drift iterates.
 """
 
 import math
@@ -95,9 +90,7 @@ class ConstantMetric:
     position_dependent = False
 
     def __init__(self, lam):
-        lam, chol_lam = spd_factor(lam, "inverse metric")
-        sigma = np.linalg.inv(lam)
-        sigma = 0.5 * (sigma + sigma.T)
+        lam, chol_lam, sigma = spd_factor(lam, "inverse metric")
         # log|Sigma| = -log|Lam|
         logdet = -2.0 * float(np.sum(np.log(np.diag(chol_lam))))
         self._set(lam, sigma, logdet, np.linalg.cholesky(sigma))
@@ -105,9 +98,7 @@ class ConstantMetric:
     @classmethod
     def from_sigma(cls, sigma) -> "ConstantMetric":
         """The field whose metric, the momentum covariance, is sigma."""
-        sigma, chol = spd_factor(sigma, "background metric")
-        lam = np.linalg.inv(sigma)
-        lam = 0.5 * (lam + lam.T)
+        sigma, chol, lam = spd_factor(sigma, "background metric")
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         return cls.__new__(cls)._set(lam, sigma, logdet, chol)
 

@@ -75,7 +75,8 @@ def as_position(q, n: int) -> np.ndarray:
 
 
 def spd_factor(mat, what: str):
-    """(symmetrized mat, its lower Cholesky factor); raises ValidationError if not SPD."""
+    """(symmetrized mat, its lower Cholesky factor, its symmetrized inverse);
+    raises ValidationError if not SPD."""
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValidationError(f"{what} must have finite entries")
@@ -85,9 +86,11 @@ def spd_factor(mat, what: str):
         raise ValidationError(f"{what} must be symmetric")
     mat = 0.5 * (mat + mat.T)
     try:
-        return mat, np.linalg.cholesky(mat)
+        chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         raise ValidationError(f"{what} must be positive-definite") from None
+    inv = np.linalg.inv(mat)
+    return mat, chol, 0.5 * (inv + inv.T)
 
 
 def potential_eval(model: TargetModel, q) -> float:
@@ -190,12 +193,10 @@ def _mvn(mean=None, cov=None) -> TargetModel:
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     if not np.all(np.isfinite(mean)):
         raise ValidationError("mvn mean must have finite entries")
-    cov, _ = spd_factor(cov, "mvn covariance")
+    cov, _, prec = spd_factor(cov, "mvn covariance")
     n = mean.size
     if cov.shape != (n, n):
         raise ValidationError("mvn mean and covariance sizes do not match")
-    prec = np.linalg.inv(cov)
-    prec = 0.5 * (prec + prec.T)
 
     def pot(q, mean=mean, prec=prec):
         d = q - mean

@@ -315,8 +315,13 @@ def parse_run_spec(text: str) -> RunSpec:
         raise SpecError("chains must be at least 1", entries[("chain", "chains")][1])
 
     # what is left of [chain] after the integrator keys are ChainConfig fields
-    integrator = IntegratorConfig(**{f.name: chain.pop(f.name) for f in fields(IntegratorConfig)})
-    config = ChainConfig(integrator=integrator, **chain)
+    try:
+        integrator = IntegratorConfig(**{f.name: chain.pop(f.name) for f in fields(IntegratorConfig)})
+        config = ChainConfig(integrator=integrator, **chain)
+    except UsageError as exc:
+        # each config refusal begins with the name of the field it refuses
+        key = ("chain", str(exc).split(" ", 1)[0])
+        raise SpecError(str(exc), entries.get(key, (None, None))[1]) from None
 
     params, line = dict(target_params), entries[("target", "name")][1]
     if "mean" in params and "cov" in params:  # mvn's covariance, at the mean's size

@@ -347,10 +347,40 @@ def check_momentum_symmetry():
     return worst <= 1e-12, worst, ""
 
 
+def _mapped(model, amat):
+    # (A^-1, the target in coordinates Q = A q): V(A^-1 Q) + log|det A|, with
+    # gradient A^-T dV and Hessian A^-T H A^-1
+    ainv = np.linalg.inv(amat)
+    _, log_abs_det = np.linalg.slogdet(amat)
+    return ainv, TargetModel(
+        n=model.n,
+        potential=lambda qq: float(model.potential(ainv @ qq) + log_abs_det),
+        gradient=lambda qq: ainv.T @ model.gradient(ainv @ qq),
+        hessian=lambda qq: ainv.T @ model.hessian(ainv @ qq) @ ainv,
+        name=f"{model.name}-mapped",
+    )
+
+
+def _energy_gap(model, mapped, kinetics, kinetics_t, amat, ainv, q, p):
+    # max |H_Q - H| over the paired kinetics, at (q, p) and at (A q, A^-T p)
+    q_t, p_t = amat @ q, ainv.T @ p
+    worst = 0.0
+    for kin, kin_t in zip(kinetics, kinetics_t):
+        h = model.potential(q) + kin.energy(kin.field.state_at(q), p)
+        h_t = mapped.potential(q_t) + kin_t.energy(kin_t.field.state_at(q_t), p_t)
+        worst = max(worst, abs(h_t - h))
+    return worst
+
+
 @_check("coordinate-invariance", "<= 1e-12")
 def check_coordinate_invariance():
     """H is a scalar: under Q = A q the kinetic and potential terms shift by
-    opposite log-Jacobian factors and the total energy is unchanged."""
+    opposite log-Jacobian factors and the total energy is unchanged.
+
+    A constant inverse metric maps to A lam A^T.  The paper's graph metric is
+    a tensor: over the background A^-T sigma A^-1 and the mapped gradient it
+    is A^-T Sigma(q) A^-1.
+    """
     rng = np.random.default_rng(44)
     n = 3
     base = builtin_target("std_gaussian", n=n)
@@ -359,26 +389,22 @@ def check_coordinate_invariance():
     worst = 0.0
     for _ in range(20):
         amat = _well_conditioned(rng, n)
-        ainv = np.linalg.inv(amat)
-        _, log_abs_det = np.linalg.slogdet(amat)
+        ainv, mapped = _mapped(base, amat)
         lam_t = amat @ lam @ amat.T
         kinetics_t = [euclidean_quadratic(lam_t), student_t(lam_t, nu=6.0)]
-        transformed = TargetModel(
-            n=n,
-            potential=lambda qq, ainv=ainv, c=log_abs_det: float(
-                base.potential(ainv @ qq) + c
-            ),
-            gradient=lambda qq, ainv=ainv: ainv.T @ base.gradient(ainv @ qq),
-            name="std_gaussian-mapped",
-        )
-        q = rng.normal(size=n)
-        p = rng.normal(size=n)
-        q_t = amat @ q
-        p_t = ainv.T @ p
-        for kin, kin_t in zip(kinetics, kinetics_t):
-            h = base.potential(q) + kin.energy(kin.field.state_at(q), p)
-            h_t = transformed.potential(q_t) + kin_t.energy(kin_t.field.state_at(q_t), p_t)
-            worst = max(worst, abs(h_t - h))
+        q, p = rng.normal(size=n), rng.normal(size=n)
+        worst = max(worst, _energy_gap(base, mapped, kinetics, kinetics_t, amat, ainv, q, p))
+    rng = np.random.default_rng(45)  # a stream of its own: the rows above keep their draws
+    for model in (builtin_target("banana"), builtin_target("funnel", n=3)):
+        field = GraphMetric(model)  # identity background
+        kinetics = [riemannian_quadratic(field), student_t(field, nu=6.0)]
+        for _ in range(20):
+            amat = _well_conditioned(rng, model.n)
+            ainv, mapped = _mapped(model, amat)
+            field_t = GraphMetric(mapped, ConstantMetric.from_sigma(ainv.T @ ainv))
+            kinetics_t = [riemannian_quadratic(field_t), student_t(field_t, nu=6.0)]
+            q, p = 0.5 * rng.normal(size=model.n), rng.normal(size=model.n)
+            worst = max(worst, _energy_gap(model, mapped, kinetics, kinetics_t, amat, ainv, q, p))
     return worst <= 1e-12, worst, ""
 
 

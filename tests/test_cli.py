@@ -527,6 +527,24 @@ def test_verify_detects_an_injected_christoffel_bug(monkeypatch):
     assert result.measured > 1e-2  # a sign flip is a gross error, far past tolerance
 
 
+def test_verify_detects_an_injected_graph_metric_bug(monkeypatch):
+    # the raised gradient g_up = lam g returned as g: right on the identity
+    # background, wrong on the mapped one, so H changes under Q = A q
+    from ghmc import metric as metric_mod
+    from ghmc.verify import check_coordinate_invariance
+
+    original = metric_mod.GraphMetric._raised_gradient
+
+    def unraised(self, q):
+        g, _, denom = original(self, q)
+        return g, g, denom
+
+    monkeypatch.setattr(metric_mod.GraphMetric, "_raised_gradient", unraised)
+    result = check_coordinate_invariance()
+    assert not result.passed
+    assert result.measured > 1e-2
+
+
 def _run_refused(tmp_path, capsys, spec_text, *options):
     # `ghmc sample` on a spec that must be refused: exit 2, one line on
     # stderr, and no chain run
@@ -569,6 +587,19 @@ def test_a_nan_step_size_exits_2(tmp_path, capsys):
     for value in ("nan", "inf"):
         bad = GAUSS_SPEC.replace("step_size = 0.1", f"step_size = {value}")
         assert "step_size" in _run_refused(tmp_path, capsys, bad)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("step_size", "0"), ("fp_tol", "nan"), ("num_steps", "0"), ("fp_max_iter", "0"),
+     ("seed", "-1"), ("warmup", "-3"), ("num_samples", "0")],
+)
+def test_a_chain_value_its_config_refuses_is_cited_at_its_line(tmp_path, capsys, key, value):
+    lines = [line for line in GAUSS_SPEC.splitlines() if not line.startswith(f"{key} =")]
+    at = lines.index("[chain]") + 1
+    lines.insert(at, f"{key} = {value}")
+    err = _run_refused(tmp_path, capsys, "\n".join(lines) + "\n")
+    assert err.startswith(f"spec error: {tmp_path / 'refused.spec'}: line {at + 1}: {key} "), err
 
 
 CHAIN_SECTION = "[chain]\nseed = 1\nnum_samples = 10\nstep_size = 0.1\nnum_steps = 2\n"

@@ -1,5 +1,7 @@
 """Integrators: hand-checked steps, reversibility, volume, reflections."""
 
+import ast
+import inspect
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -663,7 +665,7 @@ def test_lean_iterates_equal_the_implicit_equations(seed, nu, eps):
     q, p, x = rng.normal(scale=0.7, size=n), rng.normal(size=n), rng.normal(size=n)
     state = field.state_at(q, with_hessian=True)
 
-    kick = integrator._kick_map(kin, p, state.grad, state, eps)(x)
+    kick = kin._force_map(state, p - 0.5 * eps * (state.grad + state.dlogdet), -0.5 * eps)(x)
     force = state.grad + kin.grad_q(state, x)
     expected = p - 0.5 * eps * force
     scale = np.abs(p).max() + 0.5 * eps * np.abs(force).max()
@@ -726,7 +728,7 @@ def test_lean_iterates_match_the_exact_equations_where_they_cancel(nu):
         # kick: -eps/2 f' ds/dq at x, with ds/dq = -2 t H w
         _, h, _, t, w, slope = _exact_banana_parts(fq, fx, exact_nu)
         exact = [half * slope * t * (h[i][0] * w[0] + h[i][1] * w[1]) for i in range(2)]
-        kick = integrator._kick_map(kin, zero, -state.dlogdet, state, eps)(x)
+        kick = kin._force_map(state, zero, -0.5 * eps)(x)
         worst["kick"] = max(worst["kick"], _relative_error(kick, exact))
 
         # drift: s/2 grad_p(y, p0) = s/2 slope Lam(y) p0
@@ -972,6 +974,38 @@ def test_wall_too_steep_for_the_band_falls_back_to_bisection_on_the_feasible_sid
     s = integrator._find_crossing(wall, 0.7, wall(0.0), wall(0.7))
     assert probes[2] == 0.35
     assert s < 0.7 and wall(s) > 0.0
+
+
+@pytest.mark.parametrize("root, most", [(0.7, 55), (0.3, 54)])
+def test_steep_wall_search_stops_at_adjacent_floats(root, most):
+    # C = 1e7 (root - s) over [0, 0.7]: no float s has C in the band, so the
+    # search ends once lo and hi are adjacent floats, and lo is the last
+    # feasible float below the root
+    probes = []
+
+    def wall(s):
+        probes.append(s)
+        return 1e7 * (root - s)
+
+    c_lo, c_hi = wall(0.0), wall(0.7)
+    probes.clear()
+    s = integrator._find_crossing(wall, 0.7, c_lo, c_hi)
+    assert len(probes) <= most
+    assert s == math.nextafter(root, 0.0) and wall(s) > 0.0
+
+
+def test_the_step_loop_takes_its_kick_and_drift_from_the_kinetic():
+    # the rank-1 product and the profile's slope live in metric.py and
+    # kinetic.py: integrator.py imports nothing from the metric module and
+    # reads no part of a graph state's rank-1 term
+    tree = ast.parse(inspect.getsource(integrator))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "metric")
+        or (isinstance(node, ast.Attribute) and node.attr in ("_slope", "grad_up", "denom"))
+    ]
+    assert not found, f"integrator.py reaches into the metric on lines {found}"
 
 
 def test_triple_root_wall_still_lands_on_the_feasible_side():
