@@ -6,13 +6,16 @@ solved by fixed-point iteration.  For a position-independent kinetic energy
 (a separable Hamiltonian) those equations are explicit, and the loop takes
 the plain kick-drift-kick leapfrog step inline: p - k, with k = eps/2 dV
 formed once per point for the two half-kicks that meet there; the drift
-q + (eps Lam) p over a whole step of a Gaussian profile, q + s u0 with
-u0 = grad_p otherwise; a finite check; one scan of the constraints at the
-drift's end, if the model has any; dV there and the second half-kick.  What
-a trajectory does not change (eps/2, Lam, eps Lam, the model's gradient, the
-constraint values and a constant field's one metric state) is bound once per
-trajectory, so a constant field builds a metric state only where a
-reflection asks for Lam.  ``integrate`` is the loop's one entry, and
+q + (eps Lam) p of a Gaussian profile, q + eps u0 with u0 = grad_p
+otherwise; a finite check; one scan of the constraints at the drift's end,
+if the model has any; dV there and the second half-kick.  What a trajectory
+does not change (eps/2, Lam, eps Lam, the model's gradient, the kinetic's
+direction, the constraint values and a constant field's one metric state)
+is bound once per trajectory, so a constant field builds a metric state
+only where a reflection asks for Lam.  The half-kicks' eps/2 is a 0-d
+float64 array, which NumPy multiplies into dV without converting a Python
+float on each product, to the same bits.  ``integrate`` is the loop's one
+entry, and
 ``generalized_leapfrog_step`` is ``integrate`` with one step.  The step is a
 symmetric second-order map, hence reversible and volume-preserving, which is
 what the Metropolis correction in the sampler assumes.
@@ -35,10 +38,13 @@ there, and a non-finite momentum left by the last kick makes the final energy
 non-finite.  A scan that finds every constraint positive at the end of a
 step is its feasibility check.
 
-Strict inequality constraints are handled inside the drift.  Only when the
-end scan finds a constraint C <= 0 does the reflective drift run, from that
-segment's direction, end point and scan values; the values a step's end scan
-read are C at the next step's start, where a crossing search starts.  A NaN
+Strict inequality constraints are handled inside the drift.  A step forms
+its first drift segment over the whole step with no reflection bookkeeping.
+Only when the end scan finds a constraint C <= 0 does the reflective drift
+run, from that segment's direction and scan values: it reflects at the
+earliest crossing and drifts on over what remains of the step until a
+segment's end scan finds every C > 0.  The values a step's end scan read
+are C at the next step's start, where a crossing search starts.  A NaN
 constraint value, at the end scan or at a search probe, is neither feasible
 nor past the wall and ends the trajectory.  When a constraint function
 changes sign across a drift substep, the crossing is located by a bracketed
@@ -217,6 +223,7 @@ _CROSSING_MAX_ITER = 120
 _REFLECTION_TOL = 1e-10  # a crossing lands where 0 < C <= _REFLECTION_TOL
 _REFLECTION_MAX_EVENTS = 8  # more reflections in one step are a divergence
 _NAN_CONSTRAINT = "a constraint value is NaN"
+_NON_FINITE_POSITION = "non-finite position during integration"
 
 
 def _find_crossing(c_fun, s_hi, c_lo, c_hi):
@@ -269,28 +276,48 @@ def _drift(kinetic, q0, p0, u0, lam_p0, s, config):
     return y
 
 
-def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, config):
-    # The drift segment q0 -> path(s_end) has an end scan c_end with some
-    # C <= 0: find its earliest crossing, ties broken by constraint index,
-    # and reflect p0 there.  path(s) is the drift's q at s.  c_start holds
-    # the constraint values at q0 when a scan has read them.  Returns the
-    # landing q, the reflected p, the s advanced and the field's state at q,
-    # whose lam the reflection used.
+def _reflective_drift(model, kinetic, q, p, u0, lam_p, c_start, c_end, config):
+    # The step's drift segment from (q, p), u0 = grad_p, has an end scan
+    # c_end with some C <= 0: find its earliest crossing, ties broken by
+    # constraint index, reflect p there and drift on over what remains of
+    # the step, until a segment's end scan reads every C > 0.  path(s) is
+    # the current segment's q at s; c_start holds C at its start when a scan
+    # has read them.  Returns the end q, the reflected p, the field's state
+    # at the last landing, whose lam the last reflection used, the end scan
+    # and the number of reflections.
     def path(s):
-        return _drift(kinetic, q0, p0, u0, lam_p0, s, config)
+        return _drift(kinetic, q, p, u0, lam_p, s, config)
 
-    hits = []
-    for k, c_k in enumerate(c_end):
-        if not c_k > 0.0:
-            value = model.constraints[k].value
-            c_0 = float(value(q0)) if c_start is None else c_start[k]
-            s_k = _find_crossing(lambda s, v=value: float(v(path(s))), s_end, c_0, c_k)
-            hits.append((s_k, k))
-    s_hit, k = min(hits)
-    q = path(s_hit) if s_hit > 0.0 else q0
-    dc = np.asarray(model.constraints[k].grad(q), dtype=float)
-    state = kinetic.field.state_at(q)
-    return q, reflect_momentum(p0, dc, state.lam), s_hit, state
+    remaining, reflections = config.step_size, 0
+    while True:
+        reflections += 1
+        if reflections > _REFLECTION_MAX_EVENTS:
+            raise DivergenceError(f"more than {_REFLECTION_MAX_EVENTS} reflections in one step")
+        hits = []
+        for k, c_k in enumerate(c_end):
+            if not c_k > 0.0:
+                value = model.constraints[k].value
+                c_0 = float(value(q)) if c_start is None else c_start[k]
+                s_k = _find_crossing(lambda s, v=value: float(v(path(s))), remaining, c_0, c_k)
+                hits.append((s_k, k))
+        s_hit, k = min(hits)
+        if s_hit > 0.0:
+            q = path(s_hit)
+        dc = np.asarray(model.constraints[k].grad(q), dtype=float)
+        state = kinetic.field.state_at(q)
+        p = reflect_momentum(p, dc, state.lam)
+        remaining -= s_hit
+        u0, lam_p = kinetic._direction(state, p)
+        q_end = path(remaining)
+        if not (math.isfinite(q_end.dot(q_end)) or np.isfinite(q_end).all()):
+            raise DivergenceError(_NON_FINITE_POSITION)
+        c_end = [float(con.value(q_end)) for con in model.constraints]
+        for c in c_end:
+            if not c > 0.0:
+                break
+        else:
+            return q_end, p, state, c_end, reflections
+        c_start = None
 
 
 def _trajectory(model, kinetic, q, p, point, config):
@@ -305,13 +332,14 @@ def _trajectory(model, kinetic, q, p, point, config):
     # q strictly feasible, and the end kick reads dV there without a scan.
     eps = config.step_size
     half_eps = 0.5 * eps
+    half = np.array(half_eps)  # the separable half-kicks' factor
     implicit = kinetic.position_dependent
-    gradient = model.gradient
+    gradient, direction = model.gradient, kinetic._direction
     values = tuple(con.value for con in model.constraints)
     dv, state = point
     lam = state.base
     eps_lam = eps * lam if not implicit and kinetic.nu == math.inf else None
-    half_kick = half_eps * dv
+    half_kick = half * dv
     lam_p = c_start = None
     count = 0
     for _ in range(config.num_steps):
@@ -321,44 +349,34 @@ def _trajectory(model, kinetic, q, p, point, config):
             p = _solve(kick, kick(p), config, "momentum")
         else:
             p = p - half_kick
-        remaining, reflections = eps, 0
-        while True:
-            # one drift segment over what remains of the step
-            if eps_lam is None or reflections:
-                u0, lam_p = kinetic._direction(state, p)
-                q_end = _drift(kinetic, q, p, u0, lam_p, remaining, config)
-            else:
-                # u0 = Lam p is formed only when a reflection needs it
-                u0, q_end = None, q + eps_lam.dot(p)
-            # a finite q.q shows every entry finite; only when it is not
-            # (an entry is not finite, or the sum overflows) are the entries
-            # checked one by one
-            if not (math.isfinite(q_end.dot(q_end)) or np.isfinite(q_end).all()):
-                raise DivergenceError("non-finite position during integration")
-            c_end = [float(value(q_end)) for value in values] if values else values
+        if eps_lam is None:
+            u0, lam_p = direction(state, p)
+            q_end = q + eps * u0 if lam_p is None else _drift(kinetic, q, p, u0, lam_p, eps, config)
+        else:
+            # u0 = Lam p is formed only when a reflection needs it
+            u0, q_end = None, q + eps_lam.dot(p)
+        # a finite q.q shows every entry finite; only when it is not (an
+        # entry is not finite, or the sum overflows) are the entries checked
+        # one by one
+        if not (math.isfinite(q_end.dot(q_end)) or np.isfinite(q_end).all()):
+            raise DivergenceError(_NON_FINITE_POSITION)
+        if values:
+            c_end = [float(value(q_end)) for value in values]
             for c in c_end:
                 if not c > 0.0:
+                    q_end, p, state, c_end, reflections = _reflective_drift(
+                        model, kinetic, q, p, lam.dot(p) if u0 is None else u0, lam_p, c_start,
+                        c_end, config)
+                    count += reflections
                     break
-            else:
-                # the scan shows q_end strictly feasible: the step's drift ends
-                q, c_start = q_end, c_end
-                break
-            reflections += 1
-            if reflections > _REFLECTION_MAX_EVENTS:
-                raise DivergenceError(
-                    f"more than {_REFLECTION_MAX_EVENTS} reflections in one step"
-                )
-            q, p, s_hit, state = _reflect(model, kinetic, q, p, lam.dot(p) if u0 is None else u0,
-                                          lam_p, remaining, c_start, c_end, config)
-            c_start = None
-            remaining -= s_hit
-        count += reflections
+            c_start = c_end
+        q = q_end
         if implicit:
             dv, state = _point(model, kinetic, q)
             p = p - half_eps * (dv + kinetic.grad_q(state, p))
         else:
             dv = np.asarray(gradient(q), dtype=float)
-            half_kick = half_eps * dv
+            half_kick = half * dv
             p = p - half_kick
     return q, p, (dv, state), count
 

@@ -116,7 +116,7 @@ def _transition(model, kinetic, q, v, point, cfg, configs, rng):
     # trajectory's final energy.
     end = traj.state
     delta_h = end.energy - h_start
-    if math.log(rng.uniform()) < h_start - end.energy:
+    if math.log(rng.random()) < h_start - end.energy:
         return end.q, traj.potential, end.point, True, delta_h
     return q, v, point, False, delta_h
 

@@ -4,19 +4,20 @@ Each check exercises one contract against an independent oracle: round-trip
 integration for reversibility, finite-difference Jacobians for volume
 preservation, dense linear algebra for the rank-1 inverse and its
 log-determinant, finite-difference connection coefficients for the closed
-form, exact moments for the samplers, and wall-clock regressions for the
-O(n^2) cost target.  Each check runs at its contractual sizes, written here
-only.  The CLI ``verify`` command prints these as a table; the acceptance test
-suite asserts them.
+form, exact moments for the samplers, and wall-clock regressions and an
+operation count for the O(n^2) cost target.  Each check runs at its
+contractual sizes, written here only.  The CLI ``verify`` command prints these
+as a table; the acceptance test suite asserts them.
 """
 
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import DivergenceError
 from .integrator import (
     IntegratorConfig,
     PhaseState,
@@ -541,6 +542,115 @@ def check_cost_scaling():
     return max(step_exp, smw_exp) < 2.3, step_exp, detail
 
 
+_STEP_ITERATES = 8  # iterates per solve a step may need, at every n
+_STEP_MODEL_CALLS = 12  # gradient and Hessian calls a step may make, at every n
+_PRODUCTS = frozenset({"dot", "vdot", "inner", "outer", "matmul", "tensordot", "einsum", "kron",
+                       "multi_dot", "vecdot", "matvec", "vecmat"})
+
+
+def _of_matrices(operands):
+    # whether a product multiplies two arrays of rank 2 or more
+    return sum(isinstance(a, np.ndarray) and a.ndim >= 2 for a in operands) >= 2
+
+
+def _watching(log):
+    # an ndarray subclass whose n x n instances append to log, for each
+    # product they take part in, whether it multiplies two matrices; a matrix
+    # computed from one is watched too, a vector is not
+    def plain(x):
+        return x.view(np.ndarray) if isinstance(x, Watched) else x
+
+    def watch(x):
+        return x.view(Watched) if isinstance(x, np.ndarray) and x.ndim >= 2 else plain(x)
+
+    class Watched(np.ndarray):
+        def dot(self, other, out=None):
+            log.append(_of_matrices((self, other)))
+            return watch(self.view(np.ndarray).dot(plain(other), out=plain(out)))
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc.__name__ in _PRODUCTS:
+                log.append(_of_matrices(inputs))
+            if "out" in kwargs:
+                kwargs["out"] = tuple(map(plain, kwargs["out"]))
+            return watch(getattr(ufunc, method)(*map(plain, inputs), **kwargs))
+
+        def __array_function__(self, func, types, args, kwargs):
+            if func.__name__ in _PRODUCTS:
+                log.append(_of_matrices([a for arg in args for a in (
+                    arg if isinstance(arg, (list, tuple)) else [arg])]))
+            return watch(super().__array_function__(func, types, args, kwargs))
+
+    return Watched
+
+
+@_check("step-operations", f"no numpy.linalg call or n x n product; <= {_STEP_ITERATES} "
+        f"iterates per solve, <= {_STEP_MODEL_CALLS} model calls per step, at every n")
+def check_step_operations():
+    """Counted operations of one generalized leapfrog step on the graph field.
+
+    Cost-scaling's setup and step, counted instead of timed: the calls into
+    numpy.linalg, the products that the background lam or the Hessian H (or a
+    matrix computed from them) takes part in, by operand rank, the model's
+    gradient and Hessian calls, and the fewest iterates per solve that the
+    step converges with.  An O(n^2) step makes no numpy.linalg call and only
+    matrix-vector products, with counts that do not grow with n.
+    """
+    sizes = (64, 128, 256, 512)
+    rng = np.random.default_rng(0)
+    products, linalg_calls, calls = [], [], {"gradient": 0, "hessian": 0}
+    watched = _watching(products)
+    linalg = [name for name in np.linalg.__all__ if not isinstance(getattr(np.linalg, name), type)]
+    saved = {name: getattr(np.linalg, name) for name in linalg}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            out = fn(*args, **kwargs)
+            return np.asarray(out).view(watched) if name == "hessian" else out
+        return call
+
+    heavy, applied, rows = 0, 0, []
+    try:
+        for name in linalg:
+            setattr(np.linalg, name, lambda *a, fn=saved[name], name=name, **k:
+                    linalg_calls.append(name) or fn(*a, **k))
+        for n in sizes:
+            a = rng.normal(size=(n, n))
+            sigma = a.dot(a.T) + n * np.eye(n)
+            bg = ConstantMetric.from_sigma(sigma)
+            bg.lam = bg.lam.view(watched)
+            base = builtin_target("std_gaussian", n=n)
+            model = replace(base, gradient=counted("gradient", base.gradient),
+                            hessian=counted("hessian", base.hessian))
+            field = GraphMetric(model, bg)
+            q = rng.normal(size=n)
+            for kin in (riemannian_quadratic(field), student_t(field)):
+                p = kin.sample_momentum(q, np.random.default_rng(n))
+                for cap in range(1, _STEP_ITERATES + 2):
+                    del products[:], linalg_calls[:]
+                    calls.update(gradient=0, hessian=0)
+                    try:
+                        integrate(model, kin, PhaseState(q, p),
+                                  IntegratorConfig(0.2, 1, fp_max_iter=cap))
+                        break
+                    except DivergenceError:
+                        pass
+                heavy += len(linalg_calls) + sum(products)
+                applied = max(applied, len(products))
+                rows.append((cap, calls["gradient"] + calls["hessian"]))
+    finally:
+        for name, fn in saved.items():
+            setattr(np.linalg, name, fn)
+    iterates = max(cap for cap, _ in rows)
+    model_calls = [m for _, m in rows]
+    passed = heavy == 0 and iterates <= _STEP_ITERATES and max(model_calls) <= _STEP_MODEL_CALLS
+    detail = (f"numpy.linalg calls and n x n products {heavy} (lam or H applied up to "
+              f"{applied} times a step); iterates per solve <= {iterates}; "
+              f"model calls per step {min(model_calls)}-{max(model_calls)}")
+    return passed, heavy, detail
+
+
 CHECKS = (
     check_reversibility,
     check_volume_preservation,
@@ -556,6 +666,7 @@ CHECKS = (
     check_mvn_sampling,
     check_jitter_mixing,
     check_cost_scaling,
+    check_step_operations,
 )
 
 

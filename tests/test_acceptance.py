@@ -43,6 +43,11 @@ def test_criterion_05_cost_scaling():
     _report(5, "O(n^2) metric update", result, 60.0)
 
 
+def test_criterion_05_step_operations():
+    result = verify.check_step_operations()
+    _report(5, "O(n^2) step, counted", result, 5.0)
+
+
 def test_criterion_06_christoffel():
     _report(6, "Christoffel coefficients", verify.check_christoffel(), 5.0)
 

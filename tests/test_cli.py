@@ -527,6 +527,29 @@ def test_verify_detects_an_injected_christoffel_bug(monkeypatch):
     assert result.measured > 1e-2  # a sign flip is a gross error, far past tolerance
 
 
+@pytest.mark.parametrize("injected", ["dense-inverse", "hessian-times-lam"])
+def test_verify_detects_an_injected_cubic_operation(monkeypatch, injected):
+    # a metric state that also forms the dense inverse of Lam, or H lam: each
+    # is O(n^3), and the step-operations count sees it at every size
+    from ghmc import metric as metric_mod
+    from ghmc.verify import check_step_operations
+
+    original = metric_mod.GraphMetric.state_at
+
+    def heavy(self, q, with_hessian=False):
+        state = original(self, q, with_hessian)
+        if injected == "dense-inverse":
+            np.linalg.inv(state.base)
+        elif with_hessian:
+            state.hessian.dot(state.base)
+        return state
+
+    monkeypatch.setattr(metric_mod.GraphMetric, "state_at", heavy)
+    result = check_step_operations()
+    assert not result.passed
+    assert result.measured >= 8  # at least one per size and kinetic
+
+
 def test_verify_detects_an_injected_graph_metric_bug(monkeypatch):
     # the raised gradient g_up = lam g returned as g: right on the identity
     # background, wrong on the mapped one, so H changes under Q = A q

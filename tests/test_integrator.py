@@ -862,13 +862,20 @@ def test_non_finite_first_momentum_iterate_is_a_divergence():
     assert all(np.isfinite(q).all() for q in grads + hessians)
 
 
-@pytest.mark.parametrize("steps", [6, 9])
-def test_infinite_gradient_at_a_step_end_is_a_divergence(steps):
+@pytest.mark.parametrize("kinetic, steps", [
+    pytest.param("euclidean", 6, id="6"),
+    pytest.param("euclidean", 9, id="9"),
+    pytest.param("student_t", 8, id="student_t-8"),
+    pytest.param("student_t", 9, id="student_t-9"),
+    pytest.param("student_t", 15, id="student_t-15"),
+])
+def test_infinite_gradient_at_a_step_end_is_a_divergence(kinetic, steps):
     # dV is inf from q = 1 on; the harmonic trajectory from (0, 2) first ends
-    # a step past it at step 6.  At the last step the inf reaches only the
-    # final momentum, and so the final energy; at an earlier step it reaches
-    # the next kick, whose drift ends at a non-finite q.  Either way the
-    # model sees finite positions only.
+    # a step past it at step 6, and at step 8 under the Student-t kinetic,
+    # whose drift is slower at this momentum.  At the last step the inf
+    # reaches only the final momentum, and so the final energy; at an earlier
+    # step it reaches the next kick, whose drift ends at a non-finite q.
+    # Either way the model sees finite positions only.
     seen = []
 
     def potential(q):
@@ -880,10 +887,13 @@ def test_infinite_gradient_at_a_step_end_is_a_divergence(steps):
         return q.copy() if q[0] < 1.0 else np.array([math.inf])
 
     model = TargetModel(n=1, potential=potential, gradient=gradient, name="inf-wall")
-    kin = euclidean_quadratic(np.eye(1))
+    if kinetic == "euclidean":
+        kin, last_finite = euclidean_quadratic(np.eye(1)), 5
+    else:
+        kin, last_finite = student_t(np.eye(1), nu=5.0), 7
     start = PhaseState(np.array([0.0]), np.array([2.0]))
-    assert integrate(model, kin, start, IntegratorConfig(0.1, 5)).state.q[0] < 1.0
-    match = "non-finite energy" if steps == 6 else "non-finite position"
+    assert integrate(model, kin, start, IntegratorConfig(0.1, last_finite)).state.q[0] < 1.0
+    match = "non-finite energy" if steps == last_finite + 1 else "non-finite position"
     with pytest.raises(DivergenceError, match=match):
         integrate(model, kin, start, IntegratorConfig(0.1, steps))
     assert seen and all(np.isfinite(q).all() for q in seen)
@@ -1006,6 +1016,33 @@ def test_the_step_loop_takes_its_kick_and_drift_from_the_kinetic():
         or (isinstance(node, ast.Attribute) and node.attr in ("_slope", "grad_up", "denom"))
     ]
     assert not found, f"integrator.py reaches into the metric on lines {found}"
+
+
+@pytest.mark.parametrize("model, q, p, duration, reflections", [
+    (builtin_target("halfspace_gaussian", n=2), [0.5, 0.3], [-2.0, 0.7], 1.0, 1),
+    (_orthant(2), [0.5, 0.3], [-2.0, -1.7], 1.0, 2),
+    (_orthant(2), [0.4, 0.9], [-1.0, -2.5], 2.0, 2),
+], ids=["halfspace", "orthant", "orthant-long"])
+def test_a_reflected_trajectory_is_second_order(model, q, p, duration, reflections):
+    # With V = q.q/2, Lam = I and walls q_i > 0 each coordinate is an
+    # oscillator, whose free flow is the rotation q cos t + p sin t.  A wall
+    # at q_i = 0 mirrors it there: q_i hits the wall where the free q_i
+    # changes sign, and the reflection flips p_i, so the reflected flow is
+    # (|q_free|, sign(q_free) p_free).  Halving eps cuts the endpoint's
+    # error by 4 when the reflections keep the step second order.
+    q, p = np.array(q), np.array(p)
+    free_q = q * math.cos(duration) + p * math.sin(duration)
+    free_p = p * math.cos(duration) - q * math.sin(duration)
+    exact_q, exact_p = np.abs(free_q), np.sign(free_q) * free_p
+    kin = euclidean_quadratic(np.eye(2))
+    errors = []
+    for steps in (10, 20, 40, 80, 160):
+        traj = integrate(model, kin, PhaseState(q, p), IntegratorConfig(duration / steps, steps))
+        assert traj.reflection_count == reflections
+        end = traj.state
+        errors.append(max(np.max(np.abs(end.q - exact_q)), np.max(np.abs(end.p - exact_p))))
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert all(3.5 <= r <= 4.5 for r in ratios), ratios
 
 
 def test_triple_root_wall_still_lands_on_the_feasible_side():
