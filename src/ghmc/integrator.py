@@ -15,10 +15,10 @@ is bound once per trajectory, so a constant field builds a metric state
 only where a reflection asks for Lam.  The half-kicks' eps/2 is a 0-d
 float64 array, which NumPy multiplies into dV without converting a Python
 float on each product, to the same bits.  ``integrate`` is the loop's one
-entry, and
-``generalized_leapfrog_step`` is ``integrate`` with one step.  The step is a
-symmetric second-order map, hence reversible and volume-preserving, which is
-what the Metropolis correction in the sampler assumes.
+entry, and ``generalized_leapfrog_step`` is ``integrate`` with one step.
+The step is a symmetric second-order map, hence reversible and
+volume-preserving, which is what the Metropolis correction in the sampler
+assumes.
 
 Each point is evaluated once, as the potential gradient and the field's
 metric state there (a graph field's state carries the gradient): a step
@@ -38,13 +38,12 @@ there, and a non-finite momentum left by the last kick makes the final energy
 non-finite.  A scan that finds every constraint positive at the end of a
 step is its feasibility check.
 
-Strict inequality constraints are handled inside the drift.  A step forms
-its first drift segment over the whole step with no reflection bookkeeping.
-Only when the end scan finds a constraint C <= 0 does the reflective drift
-run, from that segment's direction and scan values: it reflects at the
-earliest crossing and drifts on over what remains of the step until a
-segment's end scan finds every C > 0.  The values a step's end scan read
-are C at the next step's start, where a crossing search starts.  A NaN
+Strict inequality constraints are handled inside the drift.  A step drifts
+over the whole step first; only when that segment's end scan finds a
+constraint C <= 0 does the step reflect at the earliest crossing and drift
+on over what remains of it, from the segment's direction and scan values,
+until an end scan finds every C > 0.  The values a step's end scan read are
+C at the next step's start, where a crossing search starts.  A NaN
 constraint value, at the end scan or at a search probe, is neither feasible
 nor past the wall and ends the trajectory.  When a constraint function
 changes sign across a drift substep, the crossing is located by a bracketed
@@ -223,7 +222,6 @@ _CROSSING_MAX_ITER = 120
 _REFLECTION_TOL = 1e-10  # a crossing lands where 0 < C <= _REFLECTION_TOL
 _REFLECTION_MAX_EVENTS = 8  # more reflections in one step are a divergence
 _NAN_CONSTRAINT = "a constraint value is NaN"
-_NON_FINITE_POSITION = "non-finite position during integration"
 
 
 def _find_crossing(c_fun, s_hi, c_lo, c_hi):
@@ -276,48 +274,28 @@ def _drift(kinetic, q0, p0, u0, lam_p0, s, config):
     return y
 
 
-def _reflective_drift(model, kinetic, q, p, u0, lam_p, c_start, c_end, config):
-    # The step's drift segment from (q, p), u0 = grad_p, has an end scan
-    # c_end with some C <= 0: find its earliest crossing, ties broken by
-    # constraint index, reflect p there and drift on over what remains of
-    # the step, until a segment's end scan reads every C > 0.  path(s) is
-    # the current segment's q at s; c_start holds C at its start when a scan
-    # has read them.  Returns the end q, the reflected p, the field's state
-    # at the last landing, whose lam the last reflection used, the end scan
-    # and the number of reflections.
+def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, config):
+    # The drift segment q0 -> path(s_end) has an end scan c_end with some
+    # C <= 0: find its earliest crossing, ties broken by constraint index,
+    # and reflect p0 there.  path(s) is the drift's q at s.  c_start holds
+    # the constraint values at q0 when a scan has read them.  Returns the
+    # landing q, the reflected p, the s advanced and the field's state at q,
+    # whose lam the reflection used.
     def path(s):
-        return _drift(kinetic, q, p, u0, lam_p, s, config)
+        return _drift(kinetic, q0, p0, u0, lam_p0, s, config)
 
-    remaining, reflections = config.step_size, 0
-    while True:
-        reflections += 1
-        if reflections > _REFLECTION_MAX_EVENTS:
-            raise DivergenceError(f"more than {_REFLECTION_MAX_EVENTS} reflections in one step")
-        hits = []
-        for k, c_k in enumerate(c_end):
-            if not c_k > 0.0:
-                value = model.constraints[k].value
-                c_0 = float(value(q)) if c_start is None else c_start[k]
-                s_k = _find_crossing(lambda s, v=value: float(v(path(s))), remaining, c_0, c_k)
-                hits.append((s_k, k))
-        s_hit, k = min(hits)
-        if s_hit > 0.0:
-            q = path(s_hit)
-        dc = np.asarray(model.constraints[k].grad(q), dtype=float)
-        state = kinetic.field.state_at(q)
-        p = reflect_momentum(p, dc, state.lam)
-        remaining -= s_hit
-        u0, lam_p = kinetic._direction(state, p)
-        q_end = path(remaining)
-        if not (math.isfinite(q_end.dot(q_end)) or np.isfinite(q_end).all()):
-            raise DivergenceError(_NON_FINITE_POSITION)
-        c_end = [float(con.value(q_end)) for con in model.constraints]
-        for c in c_end:
-            if not c > 0.0:
-                break
-        else:
-            return q_end, p, state, c_end, reflections
-        c_start = None
+    hits = []
+    for k, c_k in enumerate(c_end):
+        if not c_k > 0.0:
+            value = model.constraints[k].value
+            c_0 = float(value(q0)) if c_start is None else c_start[k]
+            s_k = _find_crossing(lambda s, v=value: float(v(path(s))), s_end, c_0, c_k)
+            hits.append((s_k, k))
+    s_hit, k = min(hits)
+    q = path(s_hit) if s_hit > 0.0 else q0
+    dc = np.asarray(model.constraints[k].grad(q), dtype=float)
+    state = kinetic.field.state_at(q)
+    return q, reflect_momentum(p0, dc, state.lam), s_hit, state
 
 
 def _trajectory(model, kinetic, q, p, point, config):
@@ -351,25 +329,39 @@ def _trajectory(model, kinetic, q, p, point, config):
             p = p - half_kick
         if eps_lam is None:
             u0, lam_p = direction(state, p)
-            q_end = q + eps * u0 if lam_p is None else _drift(kinetic, q, p, u0, lam_p, eps, config)
+            q_end = _drift(kinetic, q, p, u0, lam_p, eps, config)
         else:
             # u0 = Lam p is formed only when a reflection needs it
             u0, q_end = None, q + eps_lam.dot(p)
-        # a finite q.q shows every entry finite; only when it is not (an
-        # entry is not finite, or the sum overflows) are the entries checked
-        # one by one
-        if not (math.isfinite(q_end.dot(q_end)) or np.isfinite(q_end).all()):
-            raise DivergenceError(_NON_FINITE_POSITION)
-        if values:
+        remaining, reflections = eps, 0
+        while True:
+            # a finite q.q shows every entry finite; only when it is not
+            # (an entry is not finite, or the sum overflows) are the entries
+            # checked one by one
+            if not (math.isfinite(q_end.dot(q_end)) or np.isfinite(q_end).all()):
+                raise DivergenceError("non-finite position during integration")
+            if not values:
+                break
             c_end = [float(value(q_end)) for value in values]
             for c in c_end:
                 if not c > 0.0:
-                    q_end, p, state, c_end, reflections = _reflective_drift(
-                        model, kinetic, q, p, lam.dot(p) if u0 is None else u0, lam_p, c_start,
-                        c_end, config)
-                    count += reflections
                     break
-            c_start = c_end
+            else:
+                # the scan shows q_end strictly feasible: the step's drift ends
+                c_start = c_end
+                break
+            reflections += 1
+            if reflections > _REFLECTION_MAX_EVENTS:
+                raise DivergenceError(
+                    f"more than {_REFLECTION_MAX_EVENTS} reflections in one step"
+                )
+            q, p, s_hit, state = _reflect(model, kinetic, q, p, lam.dot(p) if u0 is None else u0,
+                                          lam_p, remaining, c_start, c_end, config)
+            c_start = None
+            remaining -= s_hit
+            u0, lam_p = direction(state, p)
+            q_end = _drift(kinetic, q, p, u0, lam_p, remaining, config)
+        count += reflections
         q = q_end
         if implicit:
             dv, state = _point(model, kinetic, q)

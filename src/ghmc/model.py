@@ -125,11 +125,8 @@ def _gradient_at(model, q):
 def _hessian_at(model, q):
     # the symmetrized Hessian of V at a q that as_position has already shaped;
     # halving the sum in place gives the bits of 0.5 * (h + h.T) with one
-    # n x n array fewer.  An ndarray subclass is kept, so that verify's
-    # operation count can follow H, except np.matrix, whose products are 2-d.
-    h = np.asanyarray(model.hessian(q), dtype=float)
-    if isinstance(h, np.matrix):
-        h = h.A
+    # n x n array fewer
+    h = np.asarray(model.hessian(q), dtype=float)
     s = h + h.T
     s *= 0.5
     return s

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import metric as metric_module
 from .errors import DivergenceError
 from .integrator import (
     IntegratorConfig,
@@ -602,16 +603,18 @@ def check_step_operations():
     watched = _watching(products)
     linalg = [name for name in np.linalg.__all__ if not isinstance(getattr(np.linalg, name), type)]
     saved = {name: getattr(np.linalg, name) for name in linalg}
+    hessian_at = metric_module._hessian_at
 
     def counted(name, fn):
         def call(*args, **kwargs):
             calls[name] += 1
-            out = fn(*args, **kwargs)
-            return np.asarray(out).view(watched) if name == "hessian" else out
+            return fn(*args, **kwargs)
         return call
 
     heavy, applied, rows = 0, 0, []
     try:
+        # _hessian_at returns a plain array; watch the state's H from there
+        metric_module._hessian_at = lambda model, q: hessian_at(model, q).view(watched)
         for name in linalg:
             setattr(np.linalg, name, lambda *a, fn=saved[name], name=name, **k:
                     linalg_calls.append(name) or fn(*a, **k))
@@ -640,6 +643,7 @@ def check_step_operations():
                 applied = max(applied, len(products))
                 rows.append((cap, calls["gradient"] + calls["hessian"]))
     finally:
+        metric_module._hessian_at = hessian_at
         for name, fn in saved.items():
             setattr(np.linalg, name, fn)
     iterates = max(cap for cap, _ in rows)
