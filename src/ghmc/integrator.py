@@ -1,64 +1,33 @@
 """Symplectic integration of the sampling dynamics, with boundary reflections.
 
-One trajectory loop runs every step, for both kinetic families: the
-generalized leapfrog, whose first half-kick and drift are implicit equations
-solved by fixed-point iteration.  For a position-independent kinetic energy
-(a separable Hamiltonian) those equations are explicit, and the loop takes
-the plain kick-drift-kick leapfrog step inline: p - k, with k = eps/2 dV
-formed once per point for the two half-kicks that meet there; the drift
-q + (eps Lam) p of a Gaussian profile, q + eps u0 with u0 = grad_p
-otherwise; a finite check; one scan of the constraints at the drift's end,
-if the model has any; dV there and the second half-kick.  What a trajectory
-does not change (eps/2, Lam, eps Lam, the model's gradient, the kinetic's
-direction, the constraint values and a constant field's one metric state)
-is bound once per trajectory, so a constant field builds a metric state
-only where a reflection asks for Lam.  The half-kicks' eps/2 is a 0-d
-float64 array, which NumPy multiplies into dV without converting a Python
-float on each product, to the same bits.  ``integrate`` is the loop's one
-entry, and ``generalized_leapfrog_step`` is ``integrate`` with one step.
-The step is a symmetric second-order map, hence reversible and
-volume-preserving, which is what the Metropolis correction in the sampler
-assumes.
+One trajectory loop, ``integrate``, runs every step for both kinetic
+families: the generalized leapfrog, whose first half-kick and drift are, on
+a position-dependent field, implicit equations solved by fixed-point
+iteration until successive iterates agree within ``fp_tol`` in the max norm.
+For a separable Hamiltonian they are explicit, and the step is the plain
+kick-drift-kick leapfrog.  ``generalized_leapfrog_step`` is ``integrate``
+with one step.  The step is a symmetric second-order map, hence reversible
+and volume-preserving, which is what the Metropolis correction in the
+sampler assumes.
 
 Each point is evaluated once, as the potential gradient and the field's
-metric state there (a graph field's state carries the gradient): a step
-starts from the point its predecessor ended on, and ``integrate`` starts from
-the point its caller passes in, which for a chain is the point it holds.  The
-end point goes back with the final state, and V there is read without a
-further constraint scan.
+metric state there: a step starts from the point its predecessor ended on,
+``integrate`` starts from the point its caller passes in, and the end point
+goes back with the final state and V there, read without a further
+constraint scan.  Non-finite values are caught before they reach the model.
 
-On a graph field the first half-kick and each drift, in a step or a crossing
-probe, are fixed-point solves of the kinetic's force and drift maps; the
-segment's direction u0 = grad_p and the lam p that the drift's iterates share
-come from one ``Kinetic._direction`` call, and ``_solve`` iterates and stops.
-Non-finite values are caught where they would first reach the model: a
-fixed-point solve checks its first iterate and then only the change between
-iterates, a drift checks its end position before scanning the constraints
-there, and a non-finite momentum left by the last kick makes the final energy
-non-finite.  A scan that finds every constraint positive at the end of a
-step is its feasibility check.
-
-Strict inequality constraints are handled inside the drift.  A step drifts
-over the whole step first; only when that segment's end scan finds a
-constraint C <= 0 does the step reflect at the earliest crossing and drift
-on over what remains of it, from the segment's direction and scan values,
-until an end scan finds every C > 0.  The values a step's end scan read are
-C at the next step's start, where a crossing search starts.  A NaN
-constraint value, at the end scan or at a search probe, is neither feasible
-nor past the wall and ends the trajectory.  When a constraint function
-changes sign across a drift substep, the crossing is located by a bracketed
-secant search (Illinois regula falsi) that aims at the middle of the band
-0 < C <= 1e-10, so the trajectory advances to just inside the boundary, and
-the momentum reflects through Delta p = -2 (n, p)_Lam n with n the unit
-constraint normal under the inverse-metric inner product (a, b)_Lam = a.Lam b.
-Aiming at one level set inside the band, and not at the root, also puts the
-landing point on a linear wall at the same place on the way out and on the
-way back, which keeps the reflective step reversible.
-The reflection conserves any kinetic energy built on the quadratic form
-p.Lam p exactly, so only the discretization of the partial steps contributes
-to the energy error.
-Crossings are found only at drift-substep endpoints, so a substep can tunnel
-through an excluded region that it enters and leaves again.
+Strict inequality constraints C > 0 are handled inside the drift.  When a
+drift ends with some C <= 0, a bracketed secant search (Illinois regula
+falsi) finds the earliest crossing, aiming at the middle of the band
+0 < C <= 1e-10, the momentum reflects through Delta p = -2 (n, p)_Lam n with
+n the unit constraint normal under (a, b)_Lam = a.Lam b, and the drift goes
+on over what remains of the step.  Aiming at one level set inside the band,
+not at the root, lands on a linear wall at the same place on the way out and
+on the way back, which keeps the reflective step reversible.  The reflection
+conserves every kinetic energy built on p.Lam p exactly.  A NaN constraint
+value ends the trajectory.  Crossings are found only at drift-substep
+endpoints, so a substep can tunnel through an excluded region that it enters
+and leaves again.
 
 Numerical failures (non-convergent implicit solves, too many reflections in
 one step, an infeasible iterate, a degenerate normal, non-finite or NaN
@@ -301,13 +270,26 @@ def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, config):
 def _trajectory(model, kinetic, q, p, point, config):
     # config.num_steps steps of implicit kick, reflective drift and explicit
     # kick from (q, p) and the point (dV, state) at q; returns the end q, p
-    # and point, and the number of reflections.  On a constant field
-    # grad_q = 0 and grad_p does not depend on q, so the kick and the drift
-    # are explicit, the field's one state serves every point, and a step is
-    # the plain leapfrog.  The constraint values that a step's end scan reads
-    # are those at the next step's start.  _find_crossing keeps s_hit below
-    # what remains of the step, so a step ends only where its end scan showed
-    # q strictly feasible, and the end kick reads dV there without a scan.
+    # and point, and the number of reflections.  The loop's invariants:
+    # - what a trajectory does not change is bound once: eps/2, as a 0-d
+    #   float64 array that NumPy multiplies into dV without converting a
+    #   Python float (same bits), eps Lam, the model's gradient, the kinetic's
+    #   direction and the constraint values;
+    # - on a constant field grad_q = 0 and grad_p does not depend on q, so
+    #   the kick and the drift are explicit, eps/2 dV is formed once per point
+    #   for the two half-kicks that meet there, and the field's one state
+    #   serves every point, so a state is built only where a reflection asks
+    #   for Lam;
+    # - on a graph field the kick and each drift are fixed-point solves of
+    #   the kinetic's force and drift maps, and u0 = grad_p and the lam p its
+    #   drift iterates share come from one _direction call;
+    # - a step drifts over the whole step first, and only an end scan with
+    #   some C <= 0 goes on to _reflect and a drift over what remains;
+    # - a drift's end is checked finite before its scan, and the values that
+    #   a step's end scan reads are those at the next step's start;
+    # - _find_crossing keeps s_hit below what remains of the step, so a step
+    #   ends only where its end scan showed q strictly feasible, and the end
+    #   kick reads dV there without a scan.
     eps = config.step_size
     half_eps = 0.5 * eps
     half = np.array(half_eps)  # the separable half-kicks' factor

@@ -240,14 +240,14 @@ def check_smw_inverse():
     return measured < 1e-10, measured, f"inverse {worst_inv:.1e}; logdet rel {worst_det:.1e}"
 
 
-def finite_difference_christoffel(field: GraphMetric, q, h: float = 1e-5) -> np.ndarray:
+def finite_difference_christoffel(field: GraphMetric, q) -> np.ndarray:
     """Connection coefficients from central differences of the dense metric.
 
     Independent of the closed form: builds d(Sigma)/dq numerically and applies
     the standard formula G^i_jk = lam^im (d_j S_mk + d_k S_mj - d_m S_jk) / 2
     with a dense inverse.
     """
-    n = field.n
+    n, h = field.n, 1e-5
     sigma = field.background.sigma
 
     def dense_metric(qq):

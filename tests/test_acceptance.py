@@ -68,6 +68,10 @@ def test_criterion_09_unconstrained_sampling():
     _report(9, "correlated Gaussian sampling", result, 30.0)
 
 
+def test_criterion_09_jitter_mixing():
+    _report(9, "path-length jitter mixing", verify.check_jitter_mixing(), 30.0)
+
+
 def test_criterion_10_coordinate_invariance():
     result = verify.check_coordinate_invariance()
     _report(10, "coordinate invariance of H", result, 5.0)

@@ -2,6 +2,7 @@
 
 import copy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -10,12 +11,12 @@ import ghmc.runspec
 import ghmc.sampler
 
 PUBLIC_NAMES = [
-    "ChainConfig", "ChainResult", "CheckResult", "ConstantMetric", "Constraint",
+    "ChainConfig", "ChainResult", "ConstantMetric", "Constraint",
     "DivergenceError", "GhmcError", "GraphMetric", "IntegratorConfig", "Kinetic", "PhaseState", "TargetModel", "Trajectory", "UsageError", "ValidationError",
     "builtin_target", "catalog_entries", "effective_sample_size", "euclidean_quadratic",
     "generalized_leapfrog_step", "hamiltonian", "hmc_transition", "integrate",
     "potential_eval", "potential_grad", "reflect_momentum", "riemannian_quadratic",
-    "run_chain", "run_checks", "student_t", "volume_check",
+    "run_chain", "student_t", "volume_check",
 ]
 
 
@@ -56,3 +57,17 @@ def test_the_names_the_benchmark_tracer_wraps_keep_their_signatures():
     cfg = ghmc.ChainConfig(seed=1, num_samples=100, integrator=ghmc.IntegratorConfig(0.2, 5))
     res = ghmc.runspec.run_chain(model, student, cfg, None)
     assert np.isfinite(ghmc.sampler.effective_sample_size(res.samples[:, 0]))
+
+
+def test_the_run_attributes_the_benchmark_reads_keep_working():
+    # the benchmark reads these from its explicit_mvn spec and from each
+    # run_chain result, beside the names its tracer wraps
+    spec = ghmc.runspec.load_run_spec(Path(__file__).resolve().parent.parent
+                                      / "perfbench" / "explicit_mvn.spec")
+    assert (spec.chains, spec.warmup, spec.num_samples) == (2, 50, 350)
+    assert spec.diagnostics_path == "diagnostics.json"
+    cfg = replace(spec.config, warmup=10, num_samples=40)
+    res = ghmc.run_chain(spec.model, spec.kinetic, cfg, None)
+    assert res.accepted.shape == (40,) and 0 < int(res.accepted.sum()) <= 40
+    assert res.divergence_count == 0
+    assert res.samples.shape == (40, 2) and res.ess.shape == (2,)
