@@ -136,7 +136,11 @@ class Kinetic:
         return z * math.sqrt(self.nu / u) if u > 0.0 else z * math.inf
 
     def lambda_at(self, q) -> np.ndarray:
-        """Inverse metric at q, as used by reflections."""
+        """Inverse metric at q.
+
+        The engine does not call it: a reflection reads the step state's lam.
+        It stays because the benchmark's tracer counts its calls.
+        """
         return self.field.state_at(q).lam
 
 

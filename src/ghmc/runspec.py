@@ -218,9 +218,10 @@ def _value(entries, section, key, parse, default):
 
 
 def _read_entries(text):
-    # (section, key) -> (raw value, line number) of every key line
+    # ((section, key) -> (raw value, line number) of every key line, the
+    # sections whose header appears)
     section = None
-    entries = {}
+    entries, sections = {}, set()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
         if not line or line.startswith("#"):
@@ -232,6 +233,7 @@ def _read_entries(text):
                     f"unknown section [{section}]; known: " + ", ".join(sorted(_KEYS)),
                     lineno,
                 )
+            sections.add(section)
             continue
         if "=" not in line:
             raise SpecError(f"expected 'key = value', got {line!r}", lineno)
@@ -241,12 +243,12 @@ def _read_entries(text):
         if (section, key) in entries:
             raise SpecError(f"duplicate key {key!r} in [{section}]", lineno)
         entries[(section, key)] = (raw, lineno)
-    return entries
+    return entries, sections
 
 
 def parse_run_spec(text: str) -> RunSpec:
     """Parse a run spec and build its run; raises SpecError with a line number."""
-    entries = _read_entries(text)
+    entries, sections = _read_entries(text)
     name = _value(entries, "target", "name", *_KEYS["target"]["name"])
     allowed = {section: set(keys) for section, keys in _KEYS.items()}
     allowed["target"] |= set(_TARGET_PARAMS[name])
@@ -282,7 +284,7 @@ def parse_run_spec(text: str) -> RunSpec:
         raise SpecError(
             "'nu' applies to the student_t kinetic only", entries[("kinetic", "nu")][1]
         )
-    if any(section == "metric" for section, _ in entries):
+    if "metric" in sections:
         if variant == "euclidean":
             raise SpecError(
                 "the euclidean kinetic uses [kinetic] lambda; remove the [metric] section"

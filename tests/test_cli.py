@@ -132,6 +132,12 @@ _CHAIN = "[chain]\nseed = 1\nnum_samples = 10\nstep_size = 0.1\nnum_steps = 2\n"
          "'nu' applies to the student_t kinetic only", 5),
         ("[kinetic]\nvariant = riemannian\n[metric]\nsigma = identity\n",
          "missing required key 'variant' in \\[metric\\]", None),
+        # an empty [metric] is a [metric] section
+        ("[kinetic]\nvariant = riemannian\n[metric]\n",
+         "missing required key 'variant' in \\[metric\\]", None),
+        ("[kinetic]\nvariant = student_t\n[metric]\n",
+         "missing required key 'variant' in \\[metric\\]", None),
+        ("[kinetic]\nvariant = euclidean\n[metric]\n", "remove the \\[metric\\] section", None),
         ("[kinetic]\nvariant = riemannian\n[metric]\nvariant = constant\n",
          "missing required key 'lambda' in \\[metric\\]", None),
         ("[kinetic]\nvariant = riemannian\n[metric]\nvariant = constant\nlambda = identity\n"
@@ -635,9 +641,6 @@ def test_a_chain_value_its_config_refuses_is_cited_at_its_line(tmp_path, capsys,
     assert err.startswith(f"spec error: {tmp_path / 'refused.spec'}: line {at + 1}: {key} "), err
 
 
-CHAIN_SECTION = "[chain]\nseed = 1\nnum_samples = 10\nstep_size = 0.1\nnum_steps = 2\n"
-
-
 def _mvn_spec(key, matrix):
     # a 2-d mvn spec with ``matrix`` as the value of ``key``, identity elsewhere
     kinetic = {
@@ -648,7 +651,7 @@ def _mvn_spec(key, matrix):
     }[key]
     cov = "M" if key == "target-cov" else "identity"
     text = f"[target]\nname = mvn\nmean = 0,0\ncov = {cov}\n[kinetic]\nvariant = {kinetic}"
-    return (text + CHAIN_SECTION).replace("M", matrix)
+    return (text + _CHAIN).replace("M", matrix)
 
 
 @pytest.mark.parametrize(
