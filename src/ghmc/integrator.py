@@ -164,13 +164,14 @@ def _solve(update, x, config, what):
     # m = n 2^-50, the change d has max|d| <= tol if d.d <= tol^2 (1 - m), and
     # is finite with max|d| > tol if n tol^2 (1 + m) < d.d < inf; max|d|
     # decides the rest.  Only finite iterates reach update: x is checked once,
-    # and then a finite d shows the next iterate finite.
+    # as _trajectory checks q, under integrate's errstate, and then a finite d
+    # shows the next iterate finite.
     tol, n = config.fp_tol, x.size
     done, going = -1.0, math.inf
     if 1e-100 <= tol <= 1e100:  # else tol^2 may underflow or overflow
         m = n * 2.0**-50
         done, going = tol * tol * (1.0 - m), n * tol * tol * (1.0 + m)
-    if np.isfinite(x).all():
+    if math.isfinite(x.dot(x)) or np.isfinite(x).all():
         for _ in range(config.fp_max_iter):
             x_new = update(x)
             d = x_new - x
@@ -297,8 +298,7 @@ def _trajectory(model, kinetic, q, p, point, config):
     gradient, direction = model.gradient, kinetic._direction
     values = tuple(con.value for con in model.constraints)
     dv, state = point
-    lam = state.base
-    eps_lam = eps * lam if not implicit and kinetic.nu == math.inf else None
+    eps_lam = eps * state.base if not implicit and kinetic.nu == math.inf else None
     half_kick = half * dv
     lam_p = c_start = None
     count = 0
@@ -337,8 +337,9 @@ def _trajectory(model, kinetic, q, p, point, config):
                 raise DivergenceError(
                     f"more than {_REFLECTION_MAX_EVENTS} reflections in one step"
                 )
-            q, p, s_hit, state = _reflect(model, kinetic, q, p, lam.dot(p) if u0 is None else u0,
-                                          lam_p, remaining, c_start, c_end, config)
+            u0 = state.base_dot(p) if u0 is None else u0
+            q, p, s_hit, state = _reflect(model, kinetic, q, p, u0, lam_p, remaining, c_start,
+                                          c_end, config)
             c_start = None
             remaining -= s_hit
             u0, lam_p = direction(state, p)

@@ -68,13 +68,14 @@ class Kinetic:
         return f + 0.5 * state.logdet_sigma
 
     def grad_p(self, state, p) -> np.ndarray:
-        return self._direction(state, p)[0]
+        w = state.lam_dot(p)
+        return self._slope(p, w) * w
 
     def _direction(self, state, p):
         # (grad_p(state, p), lam p): a drift segment's direction u0 and, on a
         # graph state, the background product lam p = base p that the drift's
         # iterates share; None on a constant state
-        lam_p = state.base.dot(p)
+        lam_p = state.base_dot(p)
         if state.grad_up is None:
             return self._slope(p, lam_p) * lam_p, None
         w = _rank1_dot(lam_p, state.grad_up, state.denom, p)
@@ -92,15 +93,16 @@ class Kinetic:
     def _force_map(self, state, offset, scale):
         # x -> offset + scale f'(s) ds/dq on a graph state with its Hessian,
         # where s = x.w, ds/dq = -2 (g.w) H w and w = Lam x.  Sherman-Morrison
-        # gives g.w = t = g_up.x / denom, so w = lam x - t g_up: one lam matvec,
-        # one Hessian matvec and one dot, and a second dot for the Student-t
-        # slope.  The state's arrays are bound once, for a solve's iterates.
-        lam, g_up, denom, hessian = state.base, state.grad_up, state.denom, state.hessian
+        # gives g.w = t = g_up.x / denom, so w = lam x - t g_up: one lam
+        # product (none on the identity), one Hessian matvec and one dot, and
+        # a second dot for the Student-t slope.  The state's arrays and
+        # product are bound once, for a solve's iterates.
+        lam_dot, g_up, denom, hessian = state.base_dot, state.grad_up, state.denom, state.hessian
         gaussian, nu, nu_n = self.nu == math.inf, self.nu, self.nu + self.n
 
         def force(x):
             t = float(g_up.dot(x)) / denom
-            w = lam.dot(x) - t * g_up
+            w = lam_dot(x) - t * g_up
             slope = 1.0 if gaussian else nu_n / (nu + float(w.dot(x)))
             return offset + (-scale * slope * t) * hessian.dot(w)
         return force

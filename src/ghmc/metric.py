@@ -25,12 +25,19 @@ Lam(q) is built only on request (reflections and dense-algebra checks).
 Since Lam g = g_up / denom, the scalar g.Lam x is g_up.x / denom.
 ``GraphMetric._raised_gradient`` gives (g, g_up, denom) at a point without a
 state, for the kinetic's drift iterates.
+
+A ``ConstantMetric`` chooses once, when it is built, how it applies lam: a
+lam that is exactly the identity applies as a pass-through, and any other
+lam as a matrix-vector product.  BLAS forms I v by adding exact zeros to the
+one product 1 v_i, so for finite v the two agree bit for bit, up to the sign
+of a zero.  The graph field's default background is the identity, so with
+Sigma = I + g g^T the only n x n work of a step is the Hessian's.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,16 +54,19 @@ class MetricState:
     The inverse metric at q is Lam = base - grad_up grad_up^T / denom, where
     ``base`` is the constant field's matrix or the graph field's background
     inverse, and the rank-1 term exists on the graph field only.
-    ``lam_dot(v)`` applies Lam without forming it; the dense ``lam`` is built
-    on first request.  ``logdet_sigma`` is the log-determinant of the metric
-    itself.  The graph field also carries the potential gradient ``grad``,
-    its raised version ``grad_up``, the denominator ``denom`` =
-    1 + grad.grad_up >= 1 and, on request, the Hessian of V with the
-    momentum-independent term ``dlogdet`` = hessian grad_up / denom, the
-    position gradient of log|Sigma|/2.
+    ``base_dot(v)`` is base v, as its field applies it: on the identity it
+    returns v itself.  ``lam_dot(v)`` applies Lam without forming it and
+    returns an array of its own; the dense ``lam`` is built on first
+    request.  ``logdet_sigma`` is the log-determinant of the metric itself.
+    The graph field also carries the potential gradient ``grad``, its raised
+    version ``grad_up``, the denominator ``denom`` = 1 + grad.grad_up >= 1
+    and, on request, the Hessian of V with the momentum-independent term
+    ``dlogdet`` = hessian grad_up / denom, the position gradient of
+    log|Sigma|/2.
     """
 
     base: np.ndarray
+    base_dot: Callable
     logdet_sigma: float
     grad: Optional[np.ndarray] = None
     grad_up: Optional[np.ndarray] = None
@@ -66,10 +76,12 @@ class MetricState:
 
     def lam_dot(self, v) -> np.ndarray:
         """Lam v, in O(n^2) work and with no n x n temporary."""
-        w = self.base.dot(v)
         if self.grad_up is None:
-            return w
-        return _rank1_dot(w, self.grad_up, self.denom, v)
+            # the dense product, which refuses a v of the wrong length and
+            # never hands v back: the pass-through serves the step's own
+            # iterates, not the caller's arrays
+            return self.base.dot(v)
+        return _rank1_dot(self.base_dot(v), self.grad_up, self.denom, v)
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -77,6 +89,11 @@ class MetricState:
         if self.grad_up is None:
             return self.base
         return self.base - np.outer(self.grad_up, self.grad_up) / self.denom
+
+
+def _pass_through(v) -> np.ndarray:
+    # I v: v itself as a float array, as lam.dot(v) accepts it
+    return np.asarray(v, float)
 
 
 def _rank1_dot(base_v, grad_up, denom, v) -> np.ndarray:
@@ -110,8 +127,19 @@ class ConstantMetric:
         self.sigma = sigma
         self.logdet_sigma = logdet_sigma
         self.chol_sigma = chol_sigma
-        self._state = MetricState(base=lam, logdet_sigma=logdet_sigma)
+        # lam = I, and with it chol(sigma) = I, applies as a pass-through
+        eye = np.eye(len(lam))
+        if np.array_equal(lam, eye) and np.array_equal(chol_sigma, eye):
+            self._lam_dot = self._chol_dot = _pass_through
+        else:
+            self._lam_dot, self._chol_dot = self._dense_lam_dot, chol_sigma.dot
+        self._state = MetricState(base=lam, base_dot=self._lam_dot, logdet_sigma=logdet_sigma)
         return self
+
+    def _dense_lam_dot(self, v) -> np.ndarray:
+        # lam v, reading self.lam when called: a view put in its place after
+        # construction is the matrix applied
+        return self.lam.dot(v)
 
     @property
     def n(self) -> int:
@@ -124,7 +152,7 @@ class ConstantMetric:
 
     def sample_gaussian(self, q, rng) -> np.ndarray:
         """Draw from N(0, sigma)."""
-        return self.chol_sigma.dot(rng.standard_normal(self.n))
+        return self._chol_dot(rng.standard_normal(self.n))
 
 
 class GraphMetric:
@@ -167,6 +195,7 @@ class GraphMetric:
         g, g_up, denom = self._raised_gradient(q)
         state = MetricState(
             base=self.background.lam,
+            base_dot=self.background._lam_dot,
             logdet_sigma=self.background.logdet_sigma + math.log(denom),
             grad=g,
             grad_up=g_up,
@@ -181,7 +210,7 @@ class GraphMetric:
         # (g, g_up = lam g, denom = 1 + g.g_up) at a shaped, finite q, after
         # the feasibility scan that comes with the gradient
         g = _gradient_at(self.model, q)
-        g_up = self.background.lam.dot(g)
+        g_up = self.background._lam_dot(g)
         denom = 1.0 + float(g.dot(g_up))
         # a non-finite entry of g makes the quadratic form non-finite
         if not math.isfinite(denom):

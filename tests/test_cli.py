@@ -543,10 +543,12 @@ def test_verify_detects_an_injected_christoffel_bug(monkeypatch):
     assert result.measured > 1e-2  # a sign flip is a gross error, far past tolerance
 
 
-@pytest.mark.parametrize("injected", ["dense-inverse", "hessian-times-lam"])
+@pytest.mark.parametrize("injected", ["dense-inverse", "hessian-times-lam", "hessian-matmul-lam",
+                                      "np-dot-hessian-lam"])
 def test_verify_detects_an_injected_cubic_operation(monkeypatch, injected):
-    # a metric state that also forms the dense inverse of Lam, or H lam: each
-    # is O(n^3), and the step-operations count sees it at every size
+    # a metric state that also forms the dense inverse of Lam, or H lam as a
+    # method, an operator or a function: each is O(n^3), and the
+    # step-operations count sees it at every size
     from ghmc import metric as metric_mod
     from ghmc.verify import check_step_operations
 
@@ -557,7 +559,9 @@ def test_verify_detects_an_injected_cubic_operation(monkeypatch, injected):
         if injected == "dense-inverse":
             np.linalg.inv(state.base)
         elif with_hessian:
-            state.hessian.dot(state.base)
+            h, lam = state.hessian, state.base
+            {"hessian-times-lam": lambda: h.dot(lam), "hessian-matmul-lam": lambda: h @ lam,
+             "np-dot-hessian-lam": lambda: np.dot(h, lam)}[injected]()
         return state
 
     monkeypatch.setattr(metric_mod.GraphMetric, "state_at", heavy)

@@ -862,6 +862,45 @@ def test_non_finite_first_momentum_iterate_is_a_divergence():
     assert all(np.isfinite(q).all() for q in grads + hessians)
 
 
+def _solve_from(x):
+    # the iterates _solve passes to an update that is at its fixed point, as
+    # integrate runs it
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrator._solve(lambda y: seen.append(y) or y, x, IntegratorConfig(0.1, 1), "test")
+    return seen
+
+
+def test_a_finite_first_iterate_whose_square_overflows_is_iterated():
+    x = np.array([1e200, -1e200])
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(x.dot(x))
+    assert [y.tobytes() for y in _solve_from(x)] == [x.tobytes()]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_first_iterate_is_refused(bad):
+    with pytest.raises(DivergenceError, match="test"):
+        _solve_from(np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize("nu", [math.inf, 4.0], ids=["euclidean", "student_t"])
+def test_a_reflecting_step_conserves_the_kinetic_form(nu):
+    # V = 0, so the kicks leave p alone and only the reflection, off the wall
+    # q_1 = 0 under a lam that is not the identity, changes it.  A reflection
+    # that reads I for lam conserves p.p instead, and misses by 84% here.
+    lam = np.array([[1.5, 0.6], [0.6, 0.8]])
+    wall = Constraint(value=lambda q: float(q[0]), grad=lambda q: np.array([1.0, 0.0]))
+    model = TargetModel(n=2, potential=lambda q: 0.0, gradient=lambda q: np.zeros(2),
+                        constraints=(wall,), name="flat-halfplane")
+    kin = Kinetic(ConstantMetric(lam), nu=nu)
+    p = np.array([-1.0, 0.4])
+    traj = integrate(model, kin, PhaseState(np.array([0.1, 0.0]), p), IntegratorConfig(0.5, 1))
+    assert traj.reflection_count == 1
+    form, reflected = p.dot(lam.dot(p)), traj.state.p.dot(lam.dot(traj.state.p))
+    assert abs(reflected - form) <= 1e-14 * form
+
+
 @pytest.mark.parametrize("kinetic, steps", [
     pytest.param("euclidean", 6, id="6"),
     pytest.param("euclidean", 9, id="9"),

@@ -1,12 +1,17 @@
 """Graph-induced metric: rank-1 inverse, log-determinant, Christoffels."""
 
+import math
+
 import numpy as np
 import pytest
 
+from ghmc import metric as metric_module
 from ghmc.errors import DivergenceError, UsageError, ValidationError
+from ghmc.integrator import IntegratorConfig, PhaseState, integrate
+from ghmc.kinetic import Kinetic
 from ghmc.metric import ConstantMetric, GraphMetric
 from ghmc.model import TargetModel, builtin_target, potential_grad
-from ghmc.verify import finite_difference_christoffel
+from ghmc.verify import _watching, finite_difference_christoffel
 
 
 def _linear_model(n, g):
@@ -256,3 +261,94 @@ def test_gaussian_draws_have_the_graph_covariance():
     draws = np.array([field.sample_gaussian(q, rng) for _ in range(50000)])
     sample_cov = np.cov(draws, rowvar=False)
     assert np.max(np.abs(sample_cov - target_cov)) / np.max(np.abs(target_cov)) < 0.05
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 64, 512])
+def test_blas_applies_the_identity_bit_for_bit(n):
+    # what the identity's pass-through rests on: BLAS forms I v by adding
+    # exact zeros to the one product 1 v_i, so I v is v, for finite v of any
+    # magnitude, subnormal ones included
+    rng = np.random.default_rng(n)
+    eye = np.eye(n)
+    for _ in range(20):
+        v = rng.normal(size=n) * 2.0 ** rng.integers(-1070, 1020, size=n)
+        assert eye.dot(v).tobytes() == v.tobytes()
+        assert (eye @ v).tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("build", [ConstantMetric, ConstantMetric.from_sigma])
+def test_an_identity_background_applies_as_a_pass_through(build):
+    field = build(np.eye(3))
+    assert field._lam_dot is field._chol_dot is metric_module._pass_through
+    assert field._lam_dot is not build(np.diag([1.0, 1.0, 2.0]))._lam_dot
+
+
+def _identity_results(field_kind, nu):
+    # energy, grad_p, grad_q, lam_dot, a momentum draw and a 5-step
+    # trajectory through the wall q_1 = 0, on an identity field.  The graph
+    # field reads the unconstrained potential, so that its drift iterates may
+    # probe past the wall.
+    n = 3
+    model = builtin_target("halfspace_gaussian", n=n)
+    field = ConstantMetric(np.eye(n))
+    if field_kind == "graph":
+        field = GraphMetric(builtin_target("std_gaussian", n=n))
+    kin = Kinetic(field, nu=nu)
+    q, p = np.array([0.4, -0.3, 0.2]), np.array([-1.5, 0.7, -0.4])
+    state = field.state_at(q, with_hessian=True)
+    traj = integrate(model, kin, PhaseState(q, p), IntegratorConfig(0.2, 5))
+    assert traj.reflection_count >= 1
+    return [kin.energy(state, p), kin.grad_p(state, p), kin.grad_q(state, p), state.lam_dot(p),
+            kin.sample_momentum(q, np.random.default_rng(7)),
+            traj.state.q, traj.state.p, traj.state.energy, traj.reflection_count]
+
+
+@pytest.mark.parametrize("nu", [math.inf, 4.0], ids=["gaussian", "student_t"])
+@pytest.mark.parametrize("field_kind", ["constant", "graph"])
+def test_the_identity_pass_through_gives_the_dense_products_bits(field_kind, nu, monkeypatch):
+    passed = _identity_results(field_kind, nu)
+    # fields built from here on apply lam = I, and chol(sigma) = I, as the
+    # dense product
+    monkeypatch.setattr(metric_module, "_pass_through", np.eye(3).dot)
+    dense = _identity_results(field_kind, nu)
+    for got, want in zip(passed, dense):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_public_products_on_the_identity_keep_the_dense_products_contract():
+    # they hand back no caller's array, and refuse a p of the wrong length
+    p, wrong = np.array([0.3, -1.2]), np.array([0.3, -1.2, 0.5])
+    for field in (ConstantMetric(np.eye(2)), GraphMetric(builtin_target("std_gaussian", n=2))):
+        state = field.state_at(np.array([0.5, 0.1]), with_hessian=True)
+        for kin in (Kinetic(field), Kinetic(field, nu=4.0)):
+            for got in (state.lam_dot(p), kin.grad_p(state, p), kin.grad_q(state, p)):
+                assert not np.shares_memory(got, p)
+            for public in (state.lam_dot, lambda v: kin.energy(state, v),
+                           lambda v: kin.grad_p(state, v)):
+                with pytest.raises(ValueError):
+                    public(wrong)
+
+
+# lam products in one step of each graph kinetic over the dense background
+# below: its solve iterates, directions, raised gradients and end energies
+_DENSE_BACKGROUND_PRODUCTS = 27
+
+
+@pytest.mark.parametrize("background", ["identity", "dense"])
+def test_a_graph_step_applies_only_a_dense_background(background):
+    # a background lam watched after construction, as step-operations
+    # watches it: the identity takes part in no product, and a dense lam is
+    # read when each product is taken, so the view is the matrix applied
+    n = 4
+    log = []
+    model = builtin_target("std_gaussian", n=n)
+    a = np.random.default_rng(3).normal(size=(n, n))
+    sigma = np.eye(n) if background == "identity" else a.dot(a.T) + n * np.eye(n)
+    bg = ConstantMetric.from_sigma(sigma)
+    bg.lam = bg.lam.view(_watching(log))
+    field = GraphMetric(model, bg)
+    q, p = np.array([0.3, -0.5, 0.8, 0.1]), np.array([1.1, 0.4, -0.9, 0.6])
+    for kin in (Kinetic(field), Kinetic(field, nu=5.0)):
+        integrate(model, kin, PhaseState(q, p), IntegratorConfig(0.2, 1))
+    assert not any(log)  # matrix-vector products only
+    assert len(log) == (0 if background == "identity" else _DENSE_BACKGROUND_PRODUCTS)
