@@ -4,10 +4,11 @@ Each check exercises one contract against an independent oracle: round-trip
 integration for reversibility, finite-difference Jacobians for volume
 preservation, dense linear algebra for the rank-1 inverse and its
 log-determinant, finite-difference connection coefficients for the closed
-form, exact moments for the samplers, and wall-clock regressions and an
-operation count for the O(n^2) cost target.  Each check runs at its
-contractual sizes, written here only.  The CLI ``verify`` command prints these
-as a table; the acceptance test suite asserts them.
+form, Stein's identity for the exact momentum draws, exact moments for the
+samplers, and wall-clock regressions and an operation count for the O(n^2)
+cost target.  Each check runs at its contractual sizes, written here only.  The
+CLI ``verify`` command prints these as a table; the acceptance test suite
+asserts them.
 """
 
 import functools
@@ -73,6 +74,20 @@ def _check(name, requirement):
     return wrap
 
 
+# the paper's kinetic families: a Gaussian or Student-t profile over a constant
+# inverse metric (the first two) or the metric of the potential's graph
+_FAMILIES = ("euclidean", "student_t", "graph", "student_t-graph")
+
+
+def _kinetic(family, model, mat=None, nu=5.0):
+    # a family's kinetic over model: mat is the constant families' inverse
+    # metric and the graph families' background metric sigma, I by default
+    mat = np.eye(model.n) if mat is None else mat
+    if family.endswith("graph"):
+        mat = GraphMetric(model, ConstantMetric.from_sigma(mat))
+    return student_t(mat, nu) if family.startswith("student_t") else riemannian_quadratic(mat)
+
+
 def _roundtrip(model, kin, q0, p0, eps, num_steps):
     # (round-trip error, fewest reflections of the two legs) of num_steps
     # steps forward, a momentum flip, and num_steps steps back
@@ -117,9 +132,8 @@ def check_reversibility():
             q0 = rng.normal(size=model.n) * 0.5
             p0 = rng.normal(size=model.n)
             eps_implicit = 0.1
-        err_e, _ = _roundtrip(model, euclidean_quadratic(np.eye(model.n)), q0, p0, 0.1, 20)
-        ki = riemannian_quadratic(GraphMetric(model))
-        err_i, _ = _roundtrip(model, ki, q0, p0, eps_implicit, 20)
+        err_e, _ = _roundtrip(model, _kinetic("euclidean", model), q0, p0, 0.1, 20)
+        err_i, _ = _roundtrip(model, _kinetic("graph", model), q0, p0, eps_implicit, 20)
         worst_explicit = max(worst_explicit, err_e)
         worst_implicit = max(worst_implicit, err_i)
         detail.append(f"{model.name}: explicit {err_e:.1e} implicit {err_i:.1e}")
@@ -132,12 +146,11 @@ def check_reversibility():
     for label, model, q0, p0 in walls:
         q0, p0 = np.array(q0), np.array(p0)
         row = []
-        for name, kin in (("euclidean", euclidean_quadratic(np.eye(model.n))),
-                          ("student-t", student_t(np.eye(model.n), nu=5.0))):
-            err, reflections = _roundtrip(model, kin, q0, p0, 0.1, 30)
+        for family in _FAMILIES[:2]:
+            err, reflections = _roundtrip(model, _kinetic(family, model), q0, p0, 0.1, 30)
             worst_walls = max(worst_walls, err)
             fewest_reflections = min(fewest_reflections, reflections)
-            row.append(f"{name} {err:.1e} ({reflections} refl)")
+            row.append(f"{family} {err:.1e} ({reflections} refl)")
         detail.append(f"{label}: " + " ".join(row))
     passed = (
         worst_explicit <= 1e-10
@@ -152,7 +165,7 @@ def check_reversibility():
 def check_volume_preservation():
     """|det J - 1| of one step at random states, explicit and implicit."""
     g2 = builtin_target("std_gaussian", n=2)
-    ke = euclidean_quadratic(np.array([[1.3, 0.4], [0.4, 0.9]]))
+    ke = _kinetic("euclidean", g2, np.array([[1.3, 0.4], [0.4, 0.9]]))
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(10):
@@ -160,7 +173,7 @@ def check_volume_preservation():
             worst, volume_check(g2, ke, rng.normal(size=2), rng.normal(size=2), 0.1)
         )
     ban = builtin_target("banana")
-    kb = riemannian_quadratic(GraphMetric(ban))
+    kb = _kinetic("graph", ban)
     rng = np.random.default_rng(7)
     worst_impl = 0.0
     for _ in range(10):
@@ -194,13 +207,10 @@ def check_energy_error_order():
     g1 = builtin_target("std_gaussian", n=1)
     ban = builtin_target("banana")
     ratios = {
-        "harmonic": _halving_ratio(g1, euclidean_quadratic(np.eye(1)), [1.0], [0.5], 0.2, 10),
-        "banana": _halving_ratio(
-            ban, euclidean_quadratic(np.eye(2)), [0.3, 0.2], [0.7, -0.4], 0.02, 100
-        ),
-        "implicit-graph": _halving_ratio(
-            g1, riemannian_quadratic(GraphMetric(g1)), [1.0], [0.5], 0.02, 100
-        ),
+        "harmonic": _halving_ratio(g1, _kinetic("euclidean", g1), [1.0], [0.5], 0.2, 10),
+        "banana": _halving_ratio(ban, _kinetic("euclidean", ban), [0.3, 0.2], [0.7, -0.4],
+                                 0.02, 100),
+        "implicit-graph": _halving_ratio(g1, _kinetic("graph", g1), [1.0], [0.5], 0.02, 100),
     }
     passed = all(3.5 <= r <= 4.5 for r in ratios.values())
     measured = max(ratios.values(), key=lambda r: abs(r - 4.0))
@@ -330,14 +340,10 @@ def check_reflection():
 def check_momentum_symmetry():
     """T(q, -p) = T(q, p) and dT/dp odd, for every kinetic family."""
     rng = np.random.default_rng(33)
-    field = GraphMetric(builtin_target("banana"))
+    ban = builtin_target("banana")
     lam = np.array([[2.0, 0.3], [0.3, 1.0]])
-    kinetics = [
-        euclidean_quadratic(lam),
-        riemannian_quadratic(field),
-        student_t(lam, nu=4.0),
-        student_t(field, nu=4.0),
-    ]
+    # the constant families over lam, the graph families over sigma = I
+    kinetics = [_kinetic(f, ban, None if f.endswith("graph") else lam, nu=4.0) for f in _FAMILIES]
     worst = 0.0
     for _ in range(1000 // len(kinetics)):
         q = rng.normal(size=2) * 0.8
@@ -348,6 +354,40 @@ def check_momentum_symmetry():
             odd = float(np.max(np.abs(kin.grad_p(state, -p) + kin.grad_p(state, p))))
             worst = max(worst, even, odd)
     return worst <= 1e-12, worst, ""
+
+
+@_check("admissibility", "<= 4 sigma")
+def check_admissibility():
+    """E[grad_p T p^T] = I under the exact draw p ~ exp(-T(q, .)), entry by
+    entry, for every kinetic family.
+
+    Integration by parts (Stein's identity, as in Gorham & Mackey, NeurIPS
+    2015) ties each family's momentum draw to its energy gradient.  The
+    constant families run a non-diagonal lam, the graph families the
+    identity background.  At each q the potential gradient g lies along an
+    axis, so that an error in the rank-1 term of a graph draw shows in one
+    entry; in any other entry the cross terms of Sigma = I + g g^T add noise
+    that grows with |g|^2.
+    """
+    draws = 5000
+    rng = np.random.default_rng(0)
+    worst, detail = 0.0, []
+    # g = (0, 11) on banana and (7/3, 0, 0, 0, 0) on funnel
+    for model, q in ((builtin_target("banana"), [-0.1, 0.065]),
+                     (builtin_target("funnel", n=5), [3.0, 0.0, 0.0, 0.0, 0.0])):
+        n, q = model.n, np.array(q)
+        lam = np.eye(n) + 0.5 * np.ones((n, n))
+        worst_z = 0.0
+        for family in _FAMILIES:
+            kin = _kinetic(family, model, None if family.endswith("graph") else lam)
+            state = kin.field.state_at(q)
+            p = np.array([kin.sample_momentum(q, rng) for _ in range(draws)])
+            prods = np.array([kin.grad_p(state, pk) for pk in p])[:, :, None] * p[:, None, :]
+            z = (prods.mean(axis=0) - np.eye(n)) / (prods.std(axis=0, ddof=1) / math.sqrt(draws))
+            worst_z = max(worst_z, float(np.max(np.abs(z))))
+        worst = max(worst, worst_z)
+        detail.append(f"{model.name} n={n} {worst_z:.2f} sigma")
+    return worst <= 4.0, worst, "; ".join(detail)
 
 
 def _mapped(model, amat):
@@ -364,17 +404,6 @@ def _mapped(model, amat):
     )
 
 
-def _energy_gap(model, mapped, kinetics, kinetics_t, amat, ainv, q, p):
-    # max |H_Q - H| over the paired kinetics, at (q, p) and at (A q, A^-T p)
-    q_t, p_t = amat @ q, ainv.T @ p
-    worst = 0.0
-    for kin, kin_t in zip(kinetics, kinetics_t):
-        h = model.potential(q) + kin.energy(kin.field.state_at(q), p)
-        h_t = mapped.potential(q_t) + kin_t.energy(kin_t.field.state_at(q_t), p_t)
-        worst = max(worst, abs(h_t - h))
-    return worst
-
-
 @_check("coordinate-invariance", "<= 1e-12")
 def check_coordinate_invariance():
     """H is a scalar: under Q = A q the kinetic and potential terms shift by
@@ -384,30 +413,27 @@ def check_coordinate_invariance():
     a tensor: over the background A^-T sigma A^-1 and the mapped gradient it
     is A^-T Sigma(q) A^-1.
     """
-    rng = np.random.default_rng(44)
-    n = 3
-    base = builtin_target("std_gaussian", n=n)
     lam = np.array([[1.5, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]])
-    kinetics = [euclidean_quadratic(lam), student_t(lam, nu=6.0)]
+    graph_rng = np.random.default_rng(45)  # one stream for the graph cells, in this order
+    # (target, the constant families' lam or None for sigma = I, generator, scale of q)
+    cells = [(builtin_target("std_gaussian", n=3), lam, np.random.default_rng(44), 1.0),
+             (builtin_target("banana"), None, graph_rng, 0.5),
+             (builtin_target("funnel", n=3), None, graph_rng, 0.5)]
     worst = 0.0
-    for _ in range(20):
-        amat = _well_conditioned(rng, n)
-        ainv, mapped = _mapped(base, amat)
-        lam_t = amat @ lam @ amat.T
-        kinetics_t = [euclidean_quadratic(lam_t), student_t(lam_t, nu=6.0)]
-        q, p = rng.normal(size=n), rng.normal(size=n)
-        worst = max(worst, _energy_gap(base, mapped, kinetics, kinetics_t, amat, ainv, q, p))
-    rng = np.random.default_rng(45)  # a stream of its own: the rows above keep their draws
-    for model in (builtin_target("banana"), builtin_target("funnel", n=3)):
-        field = GraphMetric(model)  # identity background
-        kinetics = [riemannian_quadratic(field), student_t(field, nu=6.0)]
+    for model, mat, rng, scale in cells:
+        families = _FAMILIES[2:] if mat is None else _FAMILIES[:2]
+        kinetics = [_kinetic(f, model, mat, nu=6.0) for f in families]
         for _ in range(20):
             amat = _well_conditioned(rng, model.n)
             ainv, mapped = _mapped(model, amat)
-            field_t = GraphMetric(mapped, ConstantMetric.from_sigma(ainv.T @ ainv))
-            kinetics_t = [riemannian_quadratic(field_t), student_t(field_t, nu=6.0)]
-            q, p = 0.5 * rng.normal(size=model.n), rng.normal(size=model.n)
-            worst = max(worst, _energy_gap(model, mapped, kinetics, kinetics_t, amat, ainv, q, p))
+            mat_t = ainv.T @ ainv if mat is None else amat @ mat @ amat.T
+            q, p = scale * rng.normal(size=model.n), rng.normal(size=model.n)
+            q_t, p_t = amat @ q, ainv.T @ p
+            for f, kin in zip(families, kinetics):
+                kin_t = _kinetic(f, mapped, mat_t, nu=6.0)
+                h = model.potential(q) + kin.energy(kin.field.state_at(q), p)
+                h_t = mapped.potential(q_t) + kin_t.energy(kin_t.field.state_at(q_t), p_t)
+                worst = max(worst, abs(h_t - h))
     return worst <= 1e-12, worst, ""
 
 
@@ -416,7 +442,7 @@ def check_stationarity():
     """One transition applied to exact draws must keep the target's moments."""
     chains = 10000
     model = builtin_target("std_gaussian", n=1)
-    kin = euclidean_quadratic(np.eye(1))
+    kin = _kinetic("euclidean", model)
     cfg = ChainConfig(seed=0, num_samples=1, integrator=IntegratorConfig(0.1, 20))
     rng = np.random.default_rng(77)
     start = rng.standard_normal(chains)
@@ -430,9 +456,9 @@ def check_stationarity():
     return measured <= 4.0, measured, f"mean {z_mean:.2f} sigma; var {z_var:.2f} sigma"
 
 
-def _jittered_chain(model, kin, seed, num_samples, warmup, step_size, num_steps):
-    # the chain of a sampling check: path-length jitter on, from the target's
-    # initial point
+def _jittered_chain(model, family, seed, num_samples, warmup, step_size, num_steps, mat=None):
+    # the chain of a sampling check: a family's kinetic over mat, path-length
+    # jitter on, from the target's initial point
     cfg = ChainConfig(
         seed=seed,
         num_samples=num_samples,
@@ -440,13 +466,13 @@ def _jittered_chain(model, kin, seed, num_samples, warmup, step_size, num_steps)
         integrator=IntegratorConfig(step_size, num_steps),
         jitter_steps=True,
     )
-    return run_chain(model, kin, cfg)
+    return run_chain(model, _kinetic(family, model, mat), cfg)
 
 
 @_check("constrained-sampling", "normalized deviation <= 1, zero infeasible")
 def check_constrained_sampling():
     """Half-space Gaussian: feasibility and the half-normal moments."""
-    res = _jittered_chain(builtin_target("halfspace_gaussian"), euclidean_quadratic(np.eye(1)),
+    res = _jittered_chain(builtin_target("halfspace_gaussian"), "euclidean",
                           3, 20000, 200, 0.15, 10)
     infeasible = int(np.sum(res.samples[:, 0] <= 0.0))
     mean_dev = abs(res.mean[0] - math.sqrt(2.0 / math.pi))
@@ -462,8 +488,7 @@ def check_constrained_sampling():
 @_check("gaussian-sampling", "ESS > 1000, |mean| <= 0.05, var in [0.90, 1.10]")
 def check_gaussian_sampling():
     """Unit Gaussian chain: ESS floor and first two moments."""
-    res = _jittered_chain(builtin_target("std_gaussian", n=1), euclidean_quadratic(np.eye(1)),
-                          1, 20000, 100, 0.2, 8)
+    res = _jittered_chain(builtin_target("std_gaussian", n=1), "euclidean", 1, 20000, 100, 0.2, 8)
     ess = float(res.ess[0])
     var = float(res.cov[0, 0])
     passed = ess > 1000.0 and abs(res.mean[0]) <= 0.05 and 0.90 <= var <= 1.10
@@ -476,8 +501,7 @@ def check_mvn_sampling():
     """Correlated Gaussian with a user-supplied constant inverse metric."""
     cov = np.array([[1.0, 0.9], [0.9, 1.0]])
     model = builtin_target("mvn", mean=[0.0, 0.0], cov=cov)
-    res = _jittered_chain(model, euclidean_quadratic(np.linalg.inv(cov)),
-                          5, 10000, 200, 0.12, 50)
+    res = _jittered_chain(model, "euclidean", 5, 10000, 200, 0.12, 50, np.linalg.inv(cov))
     rel = np.abs(res.cov - cov) / np.abs(cov)
     measured = float(np.max(rel))
     ess_min = float(np.min(res.ess))
@@ -488,7 +512,7 @@ def check_mvn_sampling():
 @_check("jitter-mixing", "ESS > 5% of the draws")
 def check_jitter_mixing():
     """Path-length jitter breaks the period trap at step*length near pi."""
-    res = _jittered_chain(builtin_target("std_gaussian", n=1), euclidean_quadratic(np.eye(1)),
+    res = _jittered_chain(builtin_target("std_gaussian", n=1), "euclidean",
                           8, 4000, 100, math.pi / 20.0, 20)
     ess = float(res.ess[0])
     draws = len(res.samples)

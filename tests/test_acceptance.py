@@ -29,6 +29,7 @@ CRITERIA = {
     verify.check_coordinate_invariance: (10, "coordinate invariance of H", 5.0),
     verify.check_stationarity: (11, "one-transition stationarity", 30.0),
     verify.check_momentum_symmetry: (12, "momentum evenness conditions", 5.0),
+    verify.check_admissibility: (13, "exact momentum draws vs energy gradients", 5.0),
 }
 
 

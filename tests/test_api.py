@@ -1,6 +1,8 @@
 """The public API, and the names outside tools wrap with their signatures."""
 
 import copy
+import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -71,3 +73,16 @@ def test_the_run_attributes_the_benchmark_reads_keep_working():
     assert res.accepted.shape == (40,) and 0 < int(res.accepted.sum()) <= 40
     assert res.divergence_count == 0
     assert res.samples.shape == (40, 2) and res.ess.shape == (2,)
+
+
+def test_the_ci_benchmark_loops_run_every_declared_workload():
+    # the workflow spells the workload names out in its `for w in ...` loops;
+    # read as text, since no YAML parser is a test dependency, each loop must
+    # list exactly the workloads that BENCHMARK.json declares, in its order
+    root = Path(__file__).resolve().parent.parent
+    declared = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    loops = re.findall(r"^\s*for w in ([^;]*); do$", workflow, re.MULTILINE)
+    assert len(loops) == 3
+    for loop in loops:
+        assert loop.split() == declared

@@ -544,11 +544,11 @@ def test_verify_detects_an_injected_christoffel_bug(monkeypatch):
 
 
 @pytest.mark.parametrize("injected", ["dense-inverse", "hessian-times-lam", "hessian-matmul-lam",
-                                      "np-dot-hessian-lam"])
+                                      "np-dot-hessian-lam", "np-matmul-hessian-lam-out"])
 def test_verify_detects_an_injected_cubic_operation(monkeypatch, injected):
     # a metric state that also forms the dense inverse of Lam, or H lam as a
-    # method, an operator or a function: each is O(n^3), and the
-    # step-operations count sees it at every size
+    # method, an operator or a function, into a new array or into out=: each
+    # is O(n^3), and the step-operations count sees it at every size
     from ghmc import metric as metric_mod
     from ghmc.verify import check_step_operations
 
@@ -561,7 +561,9 @@ def test_verify_detects_an_injected_cubic_operation(monkeypatch, injected):
         elif with_hessian:
             h, lam = state.hessian, state.base
             {"hessian-times-lam": lambda: h.dot(lam), "hessian-matmul-lam": lambda: h @ lam,
-             "np-dot-hessian-lam": lambda: np.dot(h, lam)}[injected]()
+             "np-dot-hessian-lam": lambda: np.dot(h, lam),
+             "np-matmul-hessian-lam-out": lambda: np.matmul(h, lam, out=np.empty_like(h)),
+             }[injected]()
         return state
 
     monkeypatch.setattr(metric_mod.GraphMetric, "state_at", heavy)
@@ -586,6 +588,36 @@ def test_verify_detects_an_injected_graph_metric_bug(monkeypatch):
     result = check_coordinate_invariance()
     assert not result.passed
     assert result.measured > 1e-2
+
+
+def _without_rank1(self, q, rng):
+    return self.background.sample_gaussian(q, rng)
+
+
+def _rank1_scaled(self, q, rng):
+    g = self.model.gradient(np.asarray(q, float))
+    return self.background.sample_gaussian(q, rng) + 1.1 * g * rng.standard_normal()
+
+
+def _chisquare_with_one_more_degree(self, q, rng):
+    z = self.field.sample_gaussian(q, rng)
+    return z if self.nu == math.inf else z * math.sqrt(self.nu / rng.chisquare(self.nu + 1.0))
+
+
+@pytest.mark.parametrize("owner, name, injected", [
+    (GraphMetric, "sample_gaussian", _without_rank1),
+    (GraphMetric, "sample_gaussian", _rank1_scaled),
+    (Kinetic, "sample_momentum", _chisquare_with_one_more_degree),
+], ids=["graph-draw-without-rank1", "graph-draw-rank1-scaled", "chisquare-nu-plus-one"])
+def test_verify_detects_an_injected_momentum_draw_bug(monkeypatch, owner, name, injected):
+    # a momentum draw that no longer follows exp(-T(q, .)) breaks
+    # E[grad_p T p^T] = I, and the admissibility row sees it past its bound
+    from ghmc.verify import check_admissibility
+
+    monkeypatch.setattr(owner, name, injected)
+    result = check_admissibility()
+    assert not result.passed
+    assert result.measured > 6.0, result.detail
 
 
 def _run_refused(tmp_path, capsys, spec_text, *options):

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from ghmc.errors import UsageError, ValidationError
+from ghmc.integrator import IntegratorConfig, PhaseState, integrate
 from ghmc.kinetic import euclidean_quadratic, riemannian_quadratic, student_t
 from ghmc.metric import GraphMetric
 from ghmc.model import builtin_target
@@ -263,3 +264,34 @@ def test_list_momentum_gives_the_bits_of_an_array(name, kin):
     ]:
         assert isinstance(got, np.ndarray)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", ["euclidean", "student_t", "graph", "student_t-graph"])
+def test_a_verification_family_gives_the_bits_of_its_hand_built_kinetic(family):
+    # the verification suite builds a graph family over the background
+    # ConstantMetric.from_sigma(I), where GraphMetric(model) defaults to
+    # ConstantMetric(I): both must give the same bits
+    from ghmc.verify import _FAMILIES, _kinetic
+
+    banana = builtin_target("banana")
+    hand_built = {
+        "euclidean": euclidean_quadratic(np.eye(2)),
+        "student_t": student_t(np.eye(2), nu=5.0),
+        "graph": riemannian_quadratic(GraphMetric(banana)),
+        "student_t-graph": student_t(GraphMetric(banana), nu=5.0),
+    }
+    assert tuple(hand_built) == _FAMILIES
+    got, want = _kinetic(family, banana), hand_built[family]
+    q, p = np.array([0.3, 0.2]), np.array([0.7, -0.4])
+    assert got.energy(_at(got, q), p) == want.energy(_at(want, q), p)
+    rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
+    traj_got, traj_want = (integrate(banana, kin, PhaseState(q, p), IntegratorConfig(0.02, 5))
+                           for kin in (got, want))
+    for a, b in [
+        (got.grad_p(_at(got, q), p), want.grad_p(_at(want, q), p)),
+        (got.grad_q(_at(got, q), p), want.grad_q(_at(want, q), p)),
+        *[(got.sample_momentum(q, rng_got), want.sample_momentum(q, rng_want)) for _ in range(3)],
+        (traj_got.state.q, traj_want.state.q),
+        (traj_got.state.p, traj_want.state.p),
+    ]:
+        assert a.tobytes() == b.tobytes()
