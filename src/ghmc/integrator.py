@@ -151,7 +151,12 @@ def reflect_momentum(p, dc, lam) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     dc = np.asarray(dc, dtype=float)
-    lam_dc = np.asarray(lam, dtype=float).dot(dc)
+    return _mirror(p, dc, np.asarray(lam, dtype=float).dot(dc))
+
+
+def _mirror(p, dc, lam_dc):
+    # p - 2 (lam_dc.p / dc.lam_dc) dc, for float arrays p, dc and
+    # lam_dc = Lam dc: reflect_momentum and a step's reflection both end here
     norm2 = float(dc.dot(lam_dc))
     if not math.isfinite(norm2) or norm2 <= 0.0:
         raise DivergenceError("constraint normal has non-positive norm under the inverse metric")
@@ -205,14 +210,18 @@ def _find_crossing(c_fun, s_hi, c_lo, c_hi):
     # the feasible end, with C above tol, once no float lies strictly inside
     # (lo, hi).  A secant step that rounds onto an end falls back to
     # bisection.  f_lo and f_hi are the bracket's C - tol/2, with Illinois
-    # halving; the stop test reads the true c_lo.  A NaN value is neither side
-    # of the wall, so it ends the trajectory.
+    # halving that compounds: the k-th probe in a row that moves the same end
+    # scales the other end's f by 2^-(k-1).  On a flat root, C ~ (r - s)^3,
+    # f at the moving end falls faster than plain halving, and the probes
+    # creep toward the root from one side; the compounded factor outruns any
+    # geometric fall.  The stop test reads the true c_lo.  A NaN value is
+    # neither side of the wall, so it ends the trajectory.
     if math.isnan(c_lo) or math.isnan(c_hi):
         raise DivergenceError(_NAN_CONSTRAINT)
     target = 0.5 * _REFLECTION_TOL
     lo, hi = 0.0, s_hi
     f_lo, f_hi = c_lo - target, c_hi - target
-    kept = 0  # which end the last probe moved: +1 lo, -1 hi
+    run = 0  # probes in a row that moved lo (> 0) or hi (< 0)
     for _ in range(_CROSSING_MAX_ITER):
         if c_lo <= _REFLECTION_TOL or math.nextafter(lo, hi) >= hi:
             break
@@ -222,14 +231,12 @@ def _find_crossing(c_fun, s_hi, c_lo, c_hi):
         c = c_fun(s)
         if c > 0.0:
             lo, c_lo, f_lo = s, c, c - target
-            if kept > 0:
-                f_hi *= 0.5
-            kept = 1
+            run = max(run, 0) + 1
+            f_hi *= 0.5 ** (run - 1)
         elif c <= 0.0:
             hi, f_hi = s, c - target
-            if kept < 0:
-                f_lo *= 0.5
-            kept = -1
+            run = min(run, 0) - 1
+            f_lo *= 0.5 ** (-1 - run)
         else:
             raise DivergenceError(_NAN_CONSTRAINT)
     return lo
@@ -244,28 +251,35 @@ def _drift(kinetic, q0, p0, u0, lam_p0, s, config):
     return y
 
 
-def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, config):
+def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, state, config):
     # The drift segment q0 -> path(s_end) has an end scan c_end with some
     # C <= 0: find its earliest crossing, ties broken by constraint index,
-    # and reflect p0 there.  path(s) is the drift's q at s.  c_start holds
-    # the constraint values at q0 when a scan has read them.  Returns the
-    # landing q, the reflected p, the s advanced and the field's state at q,
-    # whose lam the reflection used.
-    def path(s):
-        return _drift(kinetic, q0, p0, u0, lam_p0, s, config)
+    # and reflect p0 there.  probes keeps the drift's q at each s that a
+    # search tries, and the landing q is the probe that the search returns
+    # (q0 at s = 0).  c_start holds the constraint values at q0 when a scan
+    # has read them, and state is the field's state at q0.  Returns the
+    # landing q, the reflected p, the s advanced and the field's state at q:
+    # a constant field's one state, or a graph field's built there, whose
+    # operator gives the reflection Lam(q) dc.
+    probes = {0.0: q0}
+
+    def c_at(s, value):
+        y = probes[s] = _drift(kinetic, q0, p0, u0, lam_p0, s, config)
+        return float(value(y))
 
     hits = []
     for k, c_k in enumerate(c_end):
         if not c_k > 0.0:
             value = model.constraints[k].value
             c_0 = float(value(q0)) if c_start is None else c_start[k]
-            s_k = _find_crossing(lambda s, v=value: float(v(path(s))), s_end, c_0, c_k)
+            s_k = _find_crossing(lambda s, v=value: c_at(s, v), s_end, c_0, c_k)
             hits.append((s_k, k))
     s_hit, k = min(hits)
-    q = path(s_hit) if s_hit > 0.0 else q0
+    q = probes[s_hit]
     dc = np.asarray(model.constraints[k].grad(q), dtype=float)
-    state = kinetic.field.state_at(q)
-    return q, reflect_momentum(p0, dc, state.lam), s_hit, state
+    if lam_p0 is not None:
+        state = kinetic.field.state_at(q)
+    return q, _mirror(p0, dc, state.lam_dot(dc)), s_hit, state
 
 
 def _trajectory(model, kinetic, q, p, point, config):
@@ -279,13 +293,15 @@ def _trajectory(model, kinetic, q, p, point, config):
     # - on a constant field grad_q = 0 and grad_p does not depend on q, so
     #   the kick and the drift are explicit, eps/2 dV is formed once per point
     #   for the two half-kicks that meet there, and the field's one state
-    #   serves every point, so a state is built only where a reflection asks
-    #   for Lam;
+    #   serves every point, a reflection's landing point included, so no
+    #   state is built;
     # - on a graph field the kick and each drift are fixed-point solves of
     #   the kinetic's force and drift maps, and u0 = grad_p and the lam p its
     #   drift iterates share come from one _direction call;
     # - a step drifts over the whole step first, and only an end scan with
-    #   some C <= 0 goes on to _reflect and a drift over what remains;
+    #   some C <= 0 goes on to _reflect and a drift over what remains; a
+    #   reflection lands on a crossing probe and applies Lam to the normal
+    #   as an operator, from a state built there on a graph field only;
     # - a drift's end is checked finite before its scan, and the values that
     #   a step's end scan reads are those at the next step's start;
     # - _find_crossing keeps s_hit below what remains of the step, so a step
@@ -339,7 +355,7 @@ def _trajectory(model, kinetic, q, p, point, config):
                 )
             u0 = state.base_dot(p) if u0 is None else u0
             q, p, s_hit, state = _reflect(model, kinetic, q, p, u0, lam_p, remaining, c_start,
-                                          c_end, config)
+                                          c_end, state, config)
             c_start = None
             remaining -= s_hit
             u0, lam_p = direction(state, p)

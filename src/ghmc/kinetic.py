@@ -140,7 +140,8 @@ class Kinetic:
     def lambda_at(self, q) -> np.ndarray:
         """Inverse metric at q.
 
-        The engine does not call it: a reflection reads the step state's lam.
+        The engine does not call it: a reflection applies the step state's
+        Lam to the normal as an operator.
         It stays because the benchmark's tracer counts its calls.
         """
         return self.field.state_at(q).lam

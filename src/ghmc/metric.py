@@ -21,7 +21,7 @@ potential is constant and drops out of every gradient.
 A field's state at q is an operator: it keeps (lam, g_up = lam g, denom) and
 applies Lam(q) v = lam v - g_up (g_up.v) / denom with one matrix-vector
 product, so no n x n array is formed per position.  The dense
-Lam(q) is built only on request (reflections and dense-algebra checks).
+Lam(q) is built only on request, by the dense-algebra checks.
 Since Lam g = g_up / denom, the scalar g.Lam x is g_up.x / denom.
 ``GraphMetric._raised_gradient`` gives (g, g_up, denom) at a point without a
 state, for the kinetic's drift iterates.

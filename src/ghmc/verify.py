@@ -1,7 +1,8 @@
 """Executable verification of the engine's geometric invariants.
 
 Each check exercises one contract against an independent oracle: round-trip
-integration for reversibility, finite-difference Jacobians for volume
+integration for reversibility, the trajectory in mapped coordinates for
+covariance under linear maps, finite-difference Jacobians for volume
 preservation, dense linear algebra for the rank-1 inverse and its
 log-determinant, finite-difference connection coefficients for the closed
 form, Stein's identity for the exact momentum draws, exact moments for the
@@ -31,7 +32,7 @@ from .integrator import (
 )
 from .kinetic import euclidean_quadratic, riemannian_quadratic, student_t
 from .metric import ConstantMetric, GraphMetric
-from .model import TargetModel, builtin_target, potential_grad
+from .model import Constraint, TargetModel, builtin_target, potential_grad
 from .sampler import ChainConfig, hmc_transition, run_chain
 
 __all__ = ["CheckResult", "run_checks"]
@@ -392,14 +393,19 @@ def check_admissibility():
 
 def _mapped(model, amat):
     # (A^-1, the target in coordinates Q = A q): V(A^-1 Q) + log|det A|, with
-    # gradient A^-T dV and Hessian A^-T H A^-1
+    # gradient A^-T dV and Hessian A^-T H A^-1, and each wall C(A^-1 Q), with
+    # gradient A^-T dC
     ainv = np.linalg.inv(amat)
     _, log_abs_det = np.linalg.slogdet(amat)
+    walls = tuple(Constraint(value=lambda qq, c=c: c.value(ainv @ qq),
+                             grad=lambda qq, c=c: ainv.T @ c.grad(ainv @ qq))
+                  for c in model.constraints)
     return ainv, TargetModel(
         n=model.n,
         potential=lambda qq: float(model.potential(ainv @ qq) + log_abs_det),
         gradient=lambda qq: ainv.T @ model.gradient(ainv @ qq),
         hessian=lambda qq: ainv.T @ model.hessian(ainv @ qq) @ ainv,
+        constraints=walls,
         name=f"{model.name}-mapped",
     )
 
@@ -435,6 +441,56 @@ def check_coordinate_invariance():
                 h_t = mapped.potential(q_t) + kin_t.energy(kin_t.field.state_at(q_t), p_t)
                 worst = max(worst, abs(h_t - h))
     return worst <= 1e-12, worst, ""
+
+
+@_check("covariance", "explicit <= 1e-10, implicit <= 1e-8, walls <= 1e-10 with >= 1 reflection")
+def check_covariance():
+    """Trajectories transform as tensors under Q = A q: up to rounding on
+    explicit paths and through walls, within the solve tolerance on implicit
+    ones.
+
+    With the target and its walls mapped by _mapped, p -> A^-T p, a constant
+    lam -> A lam A^T (random SPD) and a graph background sigma = I ->
+    A^-T A^-1, the trajectory from (A q, A^-T p) ends at the image of the one
+    from (q, p): the error is max|A^-1 Q' - q'| or max|A^T P' - p'|.  A
+    reflection through another inner product than Lam's, such as I, is not
+    covariant.  Each leg of a wall cell must reflect.
+    """
+    rng = np.random.default_rng(5)
+    # (target, q, p, step size, steps, families); the graph families join
+    # the wall cell once their drift reflects at a wall instead of diverging
+    # there (ROADMAP item 1)
+    cells = [(builtin_target("banana"), [0.3, 0.2], [0.7, -0.4], 0.02, 20, _FAMILIES),
+             (builtin_target("funnel", n=3), [0.4, 0.3, -0.2], [0.6, -0.8, 0.5], 0.1, 20,
+              _FAMILIES),
+             (builtin_target("halfspace_gaussian", n=2), [0.4, 0.0], [-1.5, 0.7], 0.1, 30,
+              _FAMILIES[:2])]
+    worst = {"explicit": 0.0, "implicit": 0.0, "walls": 0.0}
+    fewest_reflections = math.inf
+    for model, q, p, eps, steps, families in cells:
+        q, p, n = np.array(q), np.array(p), model.n
+        cfg = IntegratorConfig(eps, steps, fp_tol=1e-12)
+        for _ in range(10):
+            amat = _well_conditioned(rng, n)
+            ainv, mapped = _mapped(model, amat)
+            lam = _well_conditioned(rng, n, spd=True)
+            for family in families:
+                graph = family.endswith("graph")
+                mat, mat_t = (None, ainv.T @ ainv) if graph else (lam, amat @ lam @ amat.T)
+                end = integrate(model, _kinetic(family, model, mat), PhaseState(q, p), cfg)
+                end_t = integrate(mapped, _kinetic(family, mapped, mat_t),
+                                  PhaseState(amat @ q, ainv.T @ p), cfg)
+                err = max(float(np.max(np.abs(ainv @ end_t.state.q - end.state.q))),
+                          float(np.max(np.abs(amat.T @ end_t.state.p - end.state.p))))
+                kind = "walls" if model.constraints else "implicit" if graph else "explicit"
+                worst[kind] = max(worst[kind], err)
+                if model.constraints:
+                    fewest_reflections = min(fewest_reflections, end.reflection_count,
+                                             end_t.reflection_count)
+    passed = (worst["explicit"] <= 1e-10 and worst["implicit"] <= 1e-8
+              and worst["walls"] <= 1e-10 and fewest_reflections >= 1)
+    detail = " ".join(f"{kind} {err:.1e}" for kind, err in worst.items())
+    return passed, max(worst.values()), f"{detail} ({fewest_reflections} refl)"
 
 
 @_check("stationarity", "<= 4 sigma")

@@ -30,6 +30,7 @@ CRITERIA = {
     verify.check_stationarity: (11, "one-transition stationarity", 30.0),
     verify.check_momentum_symmetry: (12, "momentum evenness conditions", 5.0),
     verify.check_admissibility: (13, "exact momentum draws vs energy gradients", 5.0),
+    verify.check_covariance: (14, "trajectories covariant under linear maps", 1.0),
 }
 
 

@@ -590,6 +590,22 @@ def test_verify_detects_an_injected_graph_metric_bug(monkeypatch):
     assert result.measured > 1e-2
 
 
+def test_verify_detects_a_reflection_through_the_identity(monkeypatch):
+    # a step that reflects through I in place of Lam(q) makes a Householder
+    # map: the chain still samples the target, but the kinetic energy is not
+    # conserved and the trajectory through a wall no longer maps under
+    # Q = A q.  Swapping Lam dc for dc in the reflection that both the step
+    # and reflect_momentum end in puts I at the step's reflections.
+    from ghmc import integrator
+    from ghmc.verify import check_covariance
+
+    mirror = integrator._mirror
+    monkeypatch.setattr(integrator, "_mirror", lambda p, dc, lam_dc: mirror(p, dc, dc))
+    result = check_covariance()
+    assert not result.passed
+    assert result.measured > 0.1, result.detail
+
+
 def _without_rank1(self, q, rng):
     return self.background.sample_gaussian(q, rng)
 

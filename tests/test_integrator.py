@@ -312,8 +312,8 @@ def test_integrate_equals_chained_single_steps(case, steps):
 
 @pytest.mark.parametrize("case", ["unconstrained", "reflective"])
 def test_constant_field_builds_states_only_at_reflections(case):
-    # a constant field's one state serves the whole trajectory: only a
-    # reflection asks the field for Lam, at the point where it reflects
+    # a constant field's one state serves the whole trajectory, the points
+    # where it reflects included: no state is built
     if case == "unconstrained":
         model = builtin_target("mvn", mean=[0.0, 0.0], cov=[[1.0, 0.9], [0.9, 1.0]])
         q, p = np.array([0.3, -0.2]), np.array([0.5, 1.0])
@@ -327,7 +327,64 @@ def test_constant_field_builds_states_only_at_reflections(case):
     built = _counted_state_at(kin.field)
     traj = integrate(model, kin, start, IntegratorConfig(0.1, 30))
     assert (traj.reflection_count == 0) == (case == "unconstrained")
-    assert [b.tobytes() for b in built] == [q.tobytes() for q in landed]
+    assert len(landed) == traj.reflection_count
+    assert built == []
+
+
+@pytest.mark.parametrize("nu", [math.inf, 5.0], ids=["euclidean", "student_t"])
+def test_a_reflection_lands_on_its_crossing_probe(nu, monkeypatch):
+    # a reflection keeps the q of each crossing probe and lands on the one the
+    # search returns: _drift runs once per probe and once per drift over what
+    # remains, and never again to the landing point.  The Student-t step's
+    # first drift is a _drift call too; the Gaussian's is a product with
+    # eps Lam.
+    probes, drifts = [], []
+    find, drift = integrator._find_crossing, integrator._drift
+
+    def counted_find(c_fun, *args):
+        return find(lambda s: probes.append(s) or c_fun(s), *args)
+
+    def counted_drift(*args):
+        drifts.append(args[5])
+        return drift(*args)
+
+    monkeypatch.setattr(integrator, "_find_crossing", counted_find)
+    monkeypatch.setattr(integrator, "_drift", counted_drift)
+    model, landed = _landings(_orthant(3))
+    kin = Kinetic(ConstantMetric(np.array([[1.5, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 1.0]])), nu)
+    cfg = IntegratorConfig(0.1, 30)
+    traj = integrate(model, kin, PhaseState(np.ones(3), np.array([-1.5, 0.7, -2.0])), cfg)
+    assert traj.reflection_count == len(landed) >= 2
+    first = cfg.num_steps if nu != math.inf else 0
+    assert len(drifts) == len(probes) + traj.reflection_count + first
+
+
+def test_a_graph_reflection_applies_lam_as_an_operator(monkeypatch):
+    # the reflection applies Lam(q) at the landing point to the normal
+    # through the state's operator, and conserves p.Lam(q) p.  The field's
+    # target has no wall, so every probe's position solve stays feasible,
+    # while the wall q_1 > 0.2 that the reflection reads is the model's.
+    def refuse(state):
+        raise AssertionError("dense inverse metric built")
+
+    monkeypatch.setattr(MetricState, "lam", property(refuse))
+    target = builtin_target("std_gaussian", n=3)
+    kin = student_t(GraphMetric(target), nu=5.0)
+    wall = Constraint(value=lambda q: float(q[0]) - 0.2, grad=lambda q: np.array([1.0, 0.0, 0.0]))
+    model = replace(target, constraints=(wall,))
+    q0, p0, cfg = np.array([0.3, -0.2, 0.1]), np.array([-1.5, 0.7, 0.4]), IntegratorConfig(0.1, 1)
+    state = kin.field.state_at(q0)
+    u0, lam_p0 = kin._direction(state, p0)
+    c_end = [wall.value(integrator._drift(kin, q0, p0, u0, lam_p0, 0.1, cfg))]
+    assert c_end[0] <= 0.0
+    q, p, s_hit, landed = integrator._reflect(model, kin, q0, p0, u0, lam_p0, 0.1, None, c_end,
+                                              state, cfg)
+    assert 0.0 < s_hit < 0.1
+    assert 0.0 < wall.value(q) <= integrator._REFLECTION_TOL
+    assert landed is not state and np.array_equal(landed.grad, q)
+    form = p0.dot(landed.lam_dot(p0))
+    assert abs(p.dot(landed.lam_dot(p)) - form) <= 1e-14 * form
+    assert landed.lam_dot(p)[0] == pytest.approx(-landed.lam_dot(p0)[0], rel=1e-14)
 
 
 def _nan_beyond(lo, hi):
@@ -1045,14 +1102,15 @@ def test_steep_wall_search_stops_at_adjacent_floats(root, most):
 
 def test_the_step_loop_takes_its_kick_and_drift_from_the_kinetic():
     # the rank-1 product and the profile's slope live in metric.py and
-    # kinetic.py: integrator.py imports nothing from the metric module and
-    # reads no part of a graph state's rank-1 term
+    # kinetic.py: integrator.py imports nothing from the metric module, reads
+    # no part of a graph state's rank-1 term and never asks a state for its
+    # dense Lam
     tree = ast.parse(inspect.getsource(integrator))
     found = [
         node.lineno
         for node in ast.walk(tree)
         if (isinstance(node, ast.ImportFrom) and node.module == "metric")
-        or (isinstance(node, ast.Attribute) and node.attr in ("_slope", "grad_up", "denom"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("_slope", "grad_up", "denom", "lam"))
     ]
     assert not found, f"integrator.py reaches into the metric on lines {found}"
 
@@ -1085,13 +1143,20 @@ def test_a_reflected_trajectory_is_second_order(model, q, p, duration, reflectio
 
 
 def test_triple_root_wall_still_lands_on_the_feasible_side():
-    # C = q1^3 is flat at its root, where secant steps creep; the search still
-    # ends inside the band within its iteration cap
+    # C = q1^3 is flat at its root, where secant steps creep from one side:
+    # with plain Illinois halving the search took 20 probes, 42 constraint
+    # calls in all against 29 with bisection.  Compounded halving takes 7,
+    # besides one scan per step, one for the start and one after the
+    # reflection, and still ends inside the band.
     cube = Constraint(value=lambda q: q[0] ** 3, grad=lambda q: np.array([3.0 * q[0] ** 2, 0.0]))
-    model, landed = _landings(replace(builtin_target("std_gaussian", n=2), constraints=(cube,)))
+    model, calls = _counted_constraints(
+        replace(builtin_target("std_gaussian", n=2), constraints=(cube,))
+    )
+    model, landed = _landings(model)
     kin = euclidean_quadratic(np.eye(2))
     cfg = IntegratorConfig(0.1, 20)
     traj = integrate(model, kin, PhaseState(np.array([0.5, 0.1]), np.array([-3.0, 1.0])), cfg)
     assert traj.reflection_count == len(landed) == 1
     assert 0.0 < landed[0][0] ** 3 <= integrator._REFLECTION_TOL
     assert traj.state.q[0] > 0.0
+    assert len(calls) == cfg.num_steps + 1 + 1 + 7
