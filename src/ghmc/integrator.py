@@ -53,7 +53,6 @@ __all__ = [
     "generalized_leapfrog_step",
     "reflect_momentum",
     "integrate",
-    "volume_check",
 ]
 
 
@@ -372,14 +371,7 @@ def _trajectory(model, kinetic, q, p, point, config):
     return q, p, (dv, state), count
 
 
-def generalized_leapfrog_step(
-    model: TargetModel,
-    kinetic,
-    q,
-    p,
-    step_size: float,
-    fp_tol: float = IntegratorConfig.fp_tol,
-):
+def generalized_leapfrog_step(model: TargetModel, kinetic, q, p, step_size: float):
     """One implicit kick / implicit drift / explicit kick step, with reflections.
 
     The symmetric composition makes the map second order and reversible up to
@@ -387,8 +379,7 @@ def generalized_leapfrog_step(
     becomes explicit and the step reduces to the plain leapfrog.  Returns the
     end (q, p) of ``integrate`` over one step, and raises as it does.
     """
-    config = IntegratorConfig(step_size, 1, fp_tol=fp_tol)
-    end = integrate(model, kinetic, PhaseState(q, p), config).state
+    end = integrate(model, kinetic, PhaseState(q, p), IntegratorConfig(step_size, 1)).state
     return end.q, end.p
 
 
@@ -436,35 +427,3 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
         reflection_count=count,
     )
 
-
-def volume_check(
-    model: TargetModel,
-    kinetic,
-    q,
-    p,
-    step_size: float,
-) -> float:
-    """|det J - 1| for the Jacobian of one integrator step at (q, p).
-
-    The 2n x 2n Jacobian is built column by column from central differences
-    with perturbation h = 1e-6; the state must sit in an unconstrained
-    neighborhood.  Implicit steps are solved to 1e-14, so the differencing
-    noise stays well below the h-scale signal.
-    """
-    q = as_position(q, model.n)
-    p = as_position(p, model.n)
-    n, h = model.n, 1e-6
-
-    def step_map(z):
-        q2, p2 = generalized_leapfrog_step(model, kinetic, z[:n], z[n:], step_size, 1e-14)
-        return np.concatenate([q2, p2])
-
-    z0 = np.concatenate([q, p])
-    jac = np.empty((2 * n, 2 * n))
-    for i in range(2 * n):
-        zp = z0.copy()
-        zm = z0.copy()
-        zp[i] += h
-        zm[i] -= h
-        jac[:, i] = (step_map(zp) - step_map(zm)) / (2.0 * h)
-    return abs(float(np.linalg.det(jac)) - 1.0)

@@ -127,23 +127,15 @@ class ConstantMetric:
         self.sigma = sigma
         self.logdet_sigma = logdet_sigma
         self.chol_sigma = chol_sigma
+        self.n = len(lam)
         # lam = I, and with it chol(sigma) = I, applies as a pass-through
-        eye = np.eye(len(lam))
+        eye = np.eye(self.n)
         if np.array_equal(lam, eye) and np.array_equal(chol_sigma, eye):
             self._lam_dot = self._chol_dot = _pass_through
         else:
-            self._lam_dot, self._chol_dot = self._dense_lam_dot, chol_sigma.dot
+            self._lam_dot, self._chol_dot = lam.dot, chol_sigma.dot
         self._state = MetricState(base=lam, base_dot=self._lam_dot, logdet_sigma=logdet_sigma)
         return self
-
-    def _dense_lam_dot(self, v) -> np.ndarray:
-        # lam v, reading self.lam when called: a view put in its place after
-        # construction is the matrix applied
-        return self.lam.dot(v)
-
-    @property
-    def n(self) -> int:
-        return self.lam.shape[0]
 
     def state_at(self, q, with_hessian: bool = False) -> MetricState:
         # the field is the same everywhere: one state serves every position

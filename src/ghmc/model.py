@@ -82,7 +82,8 @@ def spd_factor(mat, what: str):
         raise ValidationError(f"{what} must have finite entries")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{what} must be a square matrix")
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
+    # rounding in the entries scales with the largest of them
+    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * np.max(np.abs(mat), initial=1.0)):
         raise ValidationError(f"{what} must be symmetric")
     mat = 0.5 * (mat + mat.T)
     try:

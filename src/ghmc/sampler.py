@@ -193,7 +193,9 @@ def effective_sample_size(series) -> float:
     """ESS from the autocorrelation time, truncated by initial positive pairs.
 
     Autocorrelations are summed in adjacent pairs until a pair sum goes
-    non-positive; tau = 2 * (partial sum) - 1 and ESS = N / tau.  A constant
+    non-positive; tau = 2 * (partial sum) - 1, floored at 1 / log10(N) as in
+    Stan and ArviZ, and ESS = N / tau <= N log10(N): an antithetic series,
+    such as a chain trapped in a period, has a pair sum near zero.  A constant
     series, such as a stalled chain's, has no ESS and gives NaN; a non-finite
     one, or one whose variance overflows, is refused.
     """
@@ -223,5 +225,5 @@ def effective_sample_size(series) -> float:
         if pair <= 0.0:
             break
         total += pair
-    tau = max(2.0 * total - 1.0, 1e-8)
+    tau = max(2.0 * total - 1.0, 1.0 / math.log10(n))
     return float(n / tau)

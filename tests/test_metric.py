@@ -141,6 +141,19 @@ def test_constant_metric_state_and_validation():
         ConstantMetric(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_symmetry_is_judged_at_the_scale_of_the_entries():
+    # rounding in a product with entries of order 1e5 is far above 1e-12,
+    # which once refused this symmetric matrix; an asymmetric one still fails.
+    # One ulp at [0, 1] keeps it asymmetric, whatever the BLAS rounds to
+    b = 100.0 * np.random.default_rng(0).normal(size=(50, 50))
+    sigma = b.dot(b.T.copy()) + 50e4 * np.eye(50)
+    sigma[0, 1] = np.nextafter(sigma[1, 0], np.inf)
+    assert np.max(np.abs(sigma - sigma.T)) > 1e-12
+    np.testing.assert_array_equal(ConstantMetric.from_sigma(sigma).sigma, 0.5 * (sigma + sigma.T))
+    with pytest.raises(ValidationError, match="must be symmetric"):
+        ConstantMetric.from_sigma(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
 @pytest.mark.parametrize("refused, error, message", [
     (lambda: GraphMetric(builtin_target("std_gaussian", n=2), ConstantMetric(np.eye(3))),
      UsageError, "background metric dimension"),
@@ -337,8 +350,8 @@ _DENSE_BACKGROUND_PRODUCTS = 27
 @pytest.mark.parametrize("background", ["identity", "dense"])
 def test_a_graph_step_applies_only_a_dense_background(background):
     # a background lam watched after construction, as step-operations
-    # watches it: the identity takes part in no product, and a dense lam is
-    # read when each product is taken, so the view is the matrix applied
+    # watches it, a dense lam's product swapped together with the matrix: the
+    # identity, which keeps its pass-through, takes part in no product
     n = 4
     log = []
     model = builtin_target("std_gaussian", n=n)
@@ -346,6 +359,8 @@ def test_a_graph_step_applies_only_a_dense_background(background):
     sigma = np.eye(n) if background == "identity" else a.dot(a.T) + n * np.eye(n)
     bg = ConstantMetric.from_sigma(sigma)
     bg.lam = bg.lam.view(_watching(log))
+    if background == "dense":
+        bg._lam_dot = bg.lam.dot
     field = GraphMetric(model, bg)
     q, p = np.array([0.3, -0.5, 0.8, 0.1]), np.array([1.1, 0.4, -0.9, 0.6])
     for kin in (Kinetic(field), Kinetic(field, nu=5.0)):

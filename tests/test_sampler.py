@@ -352,6 +352,20 @@ def test_ess_ar1_band():
     assert 350 <= ess <= 750  # analytic value n(1-phi)/(1+phi) ~ 526
 
 
+def test_an_antithetic_series_reads_at_most_n_log10_n():
+    # a pair sum near zero once floored tau at 1e-8: an alternating series of
+    # 4000 draws read ESS 4.0e11, and a chain trapped in a period 29286,
+    # although its variance is 0.0166 against 1
+    n = 4000
+    cap = n * math.log10(n)
+    assert effective_sample_size(np.tile([1.0, -1.0], n // 2)) == pytest.approx(cap, rel=1e-12)
+    model = builtin_target("std_gaussian", n=1)
+    res = run_chain(model, euclidean_quadratic(np.eye(1)),
+                    _config(seed=8, num_samples=n, warmup=100, eps=math.pi / 20.0, steps=20))
+    assert res.cov[0, 0] < 0.05
+    assert res.ess[0] <= cap * (1.0 + 1e-12)
+
+
 def test_a_stalled_chain_has_no_ess():
     # banana under the Gaussian graph kinetic at eps = 0.4 never accepts: every
     # proposal diverges or is rejected, and one row is kept 500 times.  Its ESS
