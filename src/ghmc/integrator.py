@@ -27,12 +27,20 @@ on the way back, which keeps the reflective step reversible.  The reflection
 conserves every kinetic energy built on p.Lam p exactly.  A NaN constraint
 value ends the trajectory.  Crossings are found only at drift-substep
 endpoints, so a substep can tunnel through an excluded region that it enters
-and leaves again.
+and leaves again.  Feasibility is decided here alone, at a trajectory's
+start, end scans and crossing probes: a drift iterate may pass a wall.
+
+On a position-dependent field a drift whose end lies past a wall is a
+divergence, not a reflection.  The step's half-kicks balance the volume
+change of the whole implicit drift; split at a crossing, the two parts no
+longer match them, and a reflected graph step moves |det J - 1| by about
+1e-2 (the wall cells of ``ghmc verify``'s volume row).
 
 Numerical failures (non-convergent implicit solves, too many reflections in
-one step, an infeasible iterate, a degenerate normal, non-finite or NaN
-values) raise DivergenceError from ``integrate``; the sampler treats that as
-an automatic rejection, equivalent to proposing a state of infinite energy.
+one step, a graph drift past a wall, a degenerate normal, non-finite or
+NaN values) raise DivergenceError from ``integrate``; the sampler treats that
+as an automatic rejection, equivalent to proposing a state of infinite
+energy.
 """
 
 import math
@@ -196,6 +204,7 @@ _CROSSING_MAX_ITER = 120
 _REFLECTION_TOL = 1e-10  # a crossing lands where 0 < C <= _REFLECTION_TOL
 _REFLECTION_MAX_EVENTS = 8  # more reflections in one step are a divergence
 _NAN_CONSTRAINT = "a constraint value is NaN"
+_GRAPH_CROSSING = "a graph drift ended past a wall, where a reflection does not preserve volume"
 
 
 def _find_crossing(c_fun, s_hi, c_lo, c_hi):
@@ -241,29 +250,19 @@ def _find_crossing(c_fun, s_hi, c_lo, c_hi):
     return lo
 
 
-def _drift(kinetic, q0, p0, u0, lam_p0, s, config):
-    # q after a drift over s from (q0, p0), u0 = grad_p(q0, p0): q0 + s u0 on a
-    # constant field (lam_p0 None), else kinetic._drift_map's root solved from it
-    y = q0 + s * u0
-    if lam_p0 is not None:
-        y = _solve(kinetic._drift_map(q0, p0, u0, lam_p0, s), y, config, "position")
-    return y
-
-
-def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, state, config):
-    # The drift segment q0 -> path(s_end) has an end scan c_end with some
-    # C <= 0: find its earliest crossing, ties broken by constraint index,
-    # and reflect p0 there.  probes keeps the drift's q at each s that a
-    # search tries, and the landing q is the probe that the search returns
-    # (q0 at s = 0).  c_start holds the constraint values at q0 when a scan
-    # has read them, and state is the field's state at q0.  Returns the
-    # landing q, the reflected p, the s advanced and the field's state at q:
-    # a constant field's one state, or a graph field's built there, whose
-    # operator gives the reflection Lam(q) dc.
+def _reflect(model, q0, p0, u0, s_end, c_start, c_end, state):
+    # The constant-field drift segment q0 -> q0 + s_end u0 has an end scan
+    # c_end with some C <= 0: find its earliest crossing, ties broken by
+    # constraint index, and reflect p0 there.  probes keeps the drift's q at
+    # each s that a search tries, and the landing q is the probe that the
+    # search returns (q0 at s = 0).  c_start holds the constraint values at
+    # q0 when a scan has read them, and state is the field's one state, whose
+    # operator gives the reflection Lam dc.  Returns the landing q, the
+    # reflected p and the s advanced.
     probes = {0.0: q0}
 
     def c_at(s, value):
-        y = probes[s] = _drift(kinetic, q0, p0, u0, lam_p0, s, config)
+        y = probes[s] = q0 + s * u0
         return float(value(y))
 
     hits = []
@@ -276,9 +275,7 @@ def _reflect(model, kinetic, q0, p0, u0, lam_p0, s_end, c_start, c_end, state, c
     s_hit, k = min(hits)
     q = probes[s_hit]
     dc = np.asarray(model.constraints[k].grad(q), dtype=float)
-    if lam_p0 is not None:
-        state = kinetic.field.state_at(q)
-    return q, _mirror(p0, dc, state.lam_dot(dc)), s_hit, state
+    return q, _mirror(p0, dc, state.lam_dot(dc)), s_hit
 
 
 def _trajectory(model, kinetic, q, p, point, config):
@@ -298,9 +295,10 @@ def _trajectory(model, kinetic, q, p, point, config):
     #   the kinetic's force and drift maps, and u0 = grad_p and the lam p its
     #   drift iterates share come from one _direction call;
     # - a step drifts over the whole step first, and only an end scan with
-    #   some C <= 0 goes on to _reflect and a drift over what remains; a
-    #   reflection lands on a crossing probe and applies Lam to the normal
-    #   as an operator, from a state built there on a graph field only;
+    #   some C <= 0 goes on: to a divergence on a graph field, else to
+    #   _reflect and a drift over what remains; a reflection lands on a
+    #   crossing probe and applies the field's one Lam to the normal as an
+    #   operator;
     # - a drift's end is checked finite before its scan, and the values that
     #   a step's end scan reads are those at the next step's start;
     # - _find_crossing keeps s_hit below what remains of the step, so a step
@@ -315,7 +313,7 @@ def _trajectory(model, kinetic, q, p, point, config):
     dv, state = point
     eps_lam = eps * state.base if not implicit and kinetic.nu == math.inf else None
     half_kick = half * dv
-    lam_p = c_start = None
+    c_start = None
     count = 0
     for _ in range(config.num_steps):
         if implicit:
@@ -326,7 +324,10 @@ def _trajectory(model, kinetic, q, p, point, config):
             p = p - half_kick
         if eps_lam is None:
             u0, lam_p = direction(state, p)
-            q_end = _drift(kinetic, q, p, u0, lam_p, eps, config)
+            q_end = q + eps * u0
+            if implicit:
+                drift = kinetic._drift_map(q, p, u0, lam_p, eps)
+                q_end = _solve(drift, q_end, config, "position")
         else:
             # u0 = Lam p is formed only when a reflection needs it
             u0, q_end = None, q + eps_lam.dot(p)
@@ -347,18 +348,19 @@ def _trajectory(model, kinetic, q, p, point, config):
                 # the scan shows q_end strictly feasible: the step's drift ends
                 c_start = c_end
                 break
+            if implicit:
+                raise DivergenceError(_GRAPH_CROSSING)
             reflections += 1
             if reflections > _REFLECTION_MAX_EVENTS:
                 raise DivergenceError(
                     f"more than {_REFLECTION_MAX_EVENTS} reflections in one step"
                 )
             u0 = state.base_dot(p) if u0 is None else u0
-            q, p, s_hit, state = _reflect(model, kinetic, q, p, u0, lam_p, remaining, c_start,
-                                          c_end, state, config)
+            q, p, s_hit = _reflect(model, q, p, u0, remaining, c_start, c_end, state)
             c_start = None
             remaining -= s_hit
-            u0, lam_p = direction(state, p)
-            q_end = _drift(kinetic, q, p, u0, lam_p, remaining, config)
+            u0, _ = direction(state, p)
+            q_end = q + remaining * u0
         count += reflections
         q = q_end
         if implicit:
@@ -395,8 +397,7 @@ def integrate(model: TargetModel, kinetic, state: PhaseState, config: Integrator
     carries H and the point at the endpoint, and the trajectory V there, so
     a chain can start its next transition from it.
     Raises UsageError when the initial state has infinite energy and
-    DivergenceError when the trajectory fails numerically, including a step
-    that evaluates the model at an infeasible point.
+    DivergenceError when the trajectory fails numerically.
     """
     q = as_position(state.q, model.n)
     p = as_position(state.p, model.n)

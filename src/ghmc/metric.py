@@ -42,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergenceError, UsageError, ValidationError
-from .model import TargetModel, _gradient_at, _hessian_at, as_position, potential_grad, spd_factor
+from .model import TargetModel, _hessian_at, as_position, spd_factor
 
 __all__ = ["ConstantMetric", "GraphMetric"]
 
@@ -110,7 +110,12 @@ class ConstantMetric:
         lam, chol_lam, sigma = spd_factor(lam, "inverse metric")
         # log|Sigma| = -log|Lam|
         logdet = -2.0 * float(np.sum(np.log(np.diag(chol_lam))))
-        self._set(lam, sigma, logdet, np.linalg.cholesky(sigma))
+        try:
+            chol_sigma = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            # lam factors, but rounding leaves its inverse indefinite
+            raise ValidationError("inverse metric is too near singular to invert") from None
+        self._set(lam, sigma, logdet, chol_sigma)
 
     @classmethod
     def from_sigma(cls, sigma) -> "ConstantMetric":
@@ -179,8 +184,7 @@ class GraphMetric:
         return self.model.n
 
     def state_at(self, q, with_hessian: bool = False) -> MetricState:
-        # one shape check, one finite check and one feasibility scan before
-        # the model sees q
+        # one shape check and one finite check before the model sees q
         q = as_position(q, self.n)
         if not np.isfinite(q).all():
             raise DivergenceError("position has non-finite entries; metric undefined")
@@ -199,9 +203,9 @@ class GraphMetric:
         return state
 
     def _raised_gradient(self, q):
-        # (g, g_up = lam g, denom = 1 + g.g_up) at a shaped, finite q, after
-        # the feasibility scan that comes with the gradient
-        g = _gradient_at(self.model, q)
+        # (g, g_up = lam g, denom = 1 + g.g_up) at a shaped, finite q, which
+        # a drift iterate may put past a wall: the integrator alone scans
+        g = np.asarray(self.model.gradient(q), dtype=float)
         g_up = self.background._lam_dot(g)
         denom = 1.0 + float(g.dot(g_up))
         # a non-finite entry of g makes the quadratic form non-finite
@@ -215,7 +219,7 @@ class GraphMetric:
         The background's draw chol(sigma) z1 plus g z2 has exactly the required
         covariance, keeping the draw at O(n^2) without factorizing the update.
         """
-        g = potential_grad(self.model, q)
+        g = np.asarray(self.model.gradient(as_position(q, self.n)), dtype=float)
         return self.background.sample_gaussian(q, rng) + g * rng.standard_normal()
 
     def christoffel(self, q) -> np.ndarray:

@@ -3,8 +3,8 @@
 A target is its potential V(q) = -log pi(q), known only up to an additive
 constant, together with the gradient of V, an optional Hessian, and optional
 strict inequality constraints C_k(q) > 0.  Outside the feasible region the
-potential is treated as infinite; the gradient is undefined there and
-requesting it is an error (boundary crossings are the integrator's job).
+potential is treated as infinite and ``potential_grad`` refuses q.  The
+integrator alone decides feasibility in a chain and handles crossings.
 
 The built-in catalog provides analytic test targets with known moments where
 they exist, which the verification and acceptance suites use as oracles.
@@ -42,7 +42,10 @@ class TargetModel:
 
     ``analytic_moments`` is a (mean, covariance) pair when the target has
     closed-form moments, used by tests as an oracle.  ``initial_point`` is a
-    feasible starting point for chains.
+    feasible starting point for chains.  ``gradient`` must accept any finite
+    q, since a graph metric's drift iterates may pass a wall before the
+    integrator judges the drift's end.  A non-finite value there is a
+    divergence; an exception raised there is not caught and ends the chain.
     """
 
     n: int
@@ -110,13 +113,8 @@ def potential_grad(model: TargetModel, q) -> np.ndarray:
     Raises DivergenceError off the feasible region: the potential jumps to
     infinity across the boundary so no gradient exists there.
     """
-    return _gradient_at(model, as_position(q, model.n))
-
-
-def _gradient_at(model, q):
-    # potential_grad at a q that as_position has already shaped; an
-    # unconstrained model skips the scan
-    if model.constraints and not all(float(c.value(q)) > 0.0 for c in model.constraints):
+    q = as_position(q, model.n)
+    if not all(float(c.value(q)) > 0.0 for c in model.constraints):
         raise DivergenceError(
             "gradient requested at an infeasible point; it is undefined on the boundary"
         )

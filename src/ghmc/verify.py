@@ -164,9 +164,10 @@ def check_reversibility():
 
 def _volume_error(model, kin, q, p, step_size):
     # |det J - 1| for the Jacobian of one step at (q, p), from central
-    # differences of +-h along each row of h I; the state must sit in an
-    # unconstrained neighborhood.  Implicit steps are solved to 1e-14, so the
-    # differencing noise stays well below the h-scale signal.
+    # differences of +-h along each row of h I; every probe must take the
+    # same branch: no wall, or the same reflections.  Implicit steps are
+    # solved to 1e-14, so the differencing noise stays well below the
+    # h-scale signal.
     n, h = model.n, 1e-6
     cfg = IntegratorConfig(step_size, 1, fp_tol=1e-14)
 
@@ -180,9 +181,13 @@ def _volume_error(model, kin, q, p, step_size):
     return abs(float(np.linalg.det(jac)) - 1.0)
 
 
-@_check("volume-preservation", "< 1e-6")
+@_check("volume-preservation", "< 1e-6; at a wall, reflect or (graph) diverge")
 def check_volume_preservation():
-    """|det J - 1| of one step at random states, explicit and implicit."""
+    """|det J - 1| of one step at random states, explicit and implicit, and
+    through a wall for each family: from just inside q > 1 on a unit
+    Gaussian toward the wall, so that the step and each probe reflect once.
+    A graph family's step there may diverge instead (see ``integrator``).
+    """
     g2 = builtin_target("std_gaussian", n=2)
     ke = _kinetic("euclidean", g2, np.array([[1.3, 0.4], [0.4, 0.9]]))
     rng = np.random.default_rng(3)
@@ -199,8 +204,24 @@ def check_volume_preservation():
         q0 = np.array([1.0, 1.0]) + rng.normal(size=2) * np.array([0.05, 0.1])
         p0 = rng.normal(size=2) * 0.08
         worst_impl = max(worst_impl, _volume_error(ban, kb, q0, p0, 0.01))
-    measured = max(worst, worst_impl)
-    return measured < 1e-6, measured, f"explicit {worst:.1e}; implicit {worst_impl:.1e}"
+    wall = builtin_target("halfspace_gaussian", n=1, constraints=[([1.0], -1.0)])
+    q0, p0 = np.array([1.05]), np.array([-1.0])
+    worst_walls, cells = 0.0, []
+    for family in _FAMILIES:
+        kin = _kinetic(family, wall)
+        try:
+            end = integrate(wall, kin, PhaseState(q0, p0), IntegratorConfig(0.1, 1))
+            err = _volume_error(wall, kin, q0, p0, 0.1) if end.reflection_count else math.inf
+        except DivergenceError:
+            if not family.endswith("graph"):
+                raise
+            cells.append(f"{family} diverges")
+            continue
+        worst_walls = max(worst_walls, err)
+        cells.append(f"{family} {err:.1e}")
+    measured = max(worst, worst_impl, worst_walls)
+    detail = f"explicit {worst:.1e}; implicit {worst_impl:.1e}; walls: " + ", ".join(cells)
+    return measured < 1e-6, measured, detail
 
 
 def _max_energy_drift(model, kin, q, p, eps, steps):

@@ -666,6 +666,14 @@ def test_unequal_matrix_rows_are_refused_with_their_line(old, new, line, tmp_pat
     assert f"line {line}" in _run_refused(tmp_path, capsys, bad)
 
 
+def test_a_near_singular_lambda_exits_2_at_its_line(tmp_path, capsys):
+    # the matrix factors, but its inverse does not: a ValidationError cited
+    # at the lambda line, not a traceback
+    lam = "1.000000000000001,2.0,3.0;2.0,4.000000000000001,6.0;3.0,6.0,9.000000000000002"
+    bad = GAUSS_SPEC.replace("n = 1", "n = 3").replace("lambda = identity", f"lambda = {lam}")
+    assert "line 8: inverse metric is too near singular" in _run_refused(tmp_path, capsys, bad)
+
+
 def test_a_negative_seed_exits_2(tmp_path, capsys):
     bad = GAUSS_SPEC.replace("seed = 42", "seed = -1")
     assert "seed" in _run_refused(tmp_path, capsys, bad)

@@ -1,6 +1,7 @@
 """Transition kernel, chain driver, and diagnostics."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -93,12 +94,46 @@ def test_divergent_transitions_reject_and_are_counted():
 
 @pytest.mark.parametrize("make", [riemannian_quadratic, student_t])
 def test_graph_metric_at_a_boundary_diverges_instead_of_raising(make):
-    # a drift iterate past the half-space boundary asks the graph metric for
-    # an undefined gradient; the chain must reject, not crash
+    # a graph drift that ends past the half-space boundary is a divergence,
+    # not a reflection; the chain must reject, not crash
     model = builtin_target("halfspace_gaussian", n=2)
     res = run_chain(model, make(GraphMetric(model)), _config(seed=3, eps=0.3, steps=10, jitter=True))
     assert res.divergence_count > 0
     assert np.all(res.samples[:, 0] > 0.0)
+
+
+def _gradient_past_the_wall(past):
+    # the unit Gaussian's gradient where q1 > 0, and past(q) where it is not
+    return lambda q: q.copy() if q[0] > 0.0 else past(q)
+
+
+@pytest.mark.parametrize("make", [riemannian_quadratic, student_t])
+def test_a_gradient_that_is_nan_past_the_wall_is_a_divergence(make):
+    # a constrained target's gradient is read at any finite q that a graph
+    # drift iterate reaches; a non-finite value there diverges the
+    # trajectory, with no error and no warning, and the chain keeps no
+    # infeasible sample
+    base = builtin_target("halfspace_gaussian", n=2)
+    model = replace(base, gradient=_gradient_past_the_wall(lambda q: np.full(2, np.nan)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_chain(model, make(GraphMetric(model)),
+                        _config(seed=3, num_samples=500, eps=0.3, steps=10, jitter=True))
+    assert res.divergence_count > 0
+    assert np.all(res.samples[:, 0] > 0.0)
+
+
+def test_a_gradient_that_raises_past_the_wall_ends_the_chain():
+    # the model contract: an exception from the gradient is not caught, so a
+    # gradient such as log(q1)'s, which raises past the wall, ends the chain
+    def refuse(q):
+        raise ValueError("math domain error")
+
+    base = builtin_target("halfspace_gaussian", n=2)
+    model = replace(base, gradient=_gradient_past_the_wall(refuse))
+    with pytest.raises(ValueError, match="math domain error"):
+        run_chain(model, riemannian_quadratic(GraphMetric(model)),
+                  _config(seed=3, eps=0.3, steps=10, jitter=True))
 
 
 def test_accept_rate_matches_flags():
