@@ -5,10 +5,12 @@ families: the generalized leapfrog, whose first half-kick and drift are, on
 a position-dependent field, implicit equations solved by fixed-point
 iteration until successive iterates agree within ``fp_tol`` in the max norm.
 For a separable Hamiltonian they are explicit, and the step is the plain
-kick-drift-kick leapfrog.  ``generalized_leapfrog_step`` is ``integrate``
-with one step.  The step is a symmetric second-order map, hence reversible
-and volume-preserving, which is what the Metropolis correction in the
-sampler assumes.
+kick-drift-kick leapfrog; a trajectory of them runs as the textbook
+leapfrog, whose two half-kicks at each interior point are one kick by
+eps dV.  ``generalized_leapfrog_step`` is ``integrate`` with one step.  The
+step is a symmetric second-order map, hence reversible and
+volume-preserving, which is what the Metropolis correction in the sampler
+assumes.
 
 Each point is evaluated once, as the potential gradient and the field's
 metric state there: a step starts from the point its predecessor ended on,
@@ -282,15 +284,15 @@ def _trajectory(model, kinetic, q, p, point, config):
     # config.num_steps steps of implicit kick, reflective drift and explicit
     # kick from (q, p) and the point (dV, state) at q; returns the end q, p
     # and point, and the number of reflections.  The loop's invariants:
-    # - what a trajectory does not change is bound once: eps/2, as a 0-d
-    #   float64 array that NumPy multiplies into dV without converting a
+    # - what a trajectory does not change is bound once: eps/2 and eps, as
+    #   0-d float64 arrays that NumPy multiplies into dV without converting a
     #   Python float (same bits), eps Lam, the model's gradient, the kinetic's
     #   direction and the constraint values;
     # - on a constant field grad_q = 0 and grad_p does not depend on q, so
-    #   the kick and the drift are explicit, eps/2 dV is formed once per point
-    #   for the two half-kicks that meet there, and the field's one state
-    #   serves every point, a reflection's landing point included, so no
-    #   state is built;
+    #   the kick and the drift are explicit, the end half-kick of a step and
+    #   the start half-kick of the next are one kick by eps dV at the point
+    #   between them, and the field's one state serves every point, a
+    #   reflection's landing point included, so no state is built;
     # - on a graph field the kick and each drift are fixed-point solves of
     #   the kinetic's force and drift maps, and u0 = grad_p and the lam p its
     #   drift iterates share come from one _direction call;
@@ -306,22 +308,22 @@ def _trajectory(model, kinetic, q, p, point, config):
     #   kick reads dV there without a scan.
     eps = config.step_size
     half_eps = 0.5 * eps
-    half = np.array(half_eps)  # the separable half-kicks' factor
+    half, full = np.array(half_eps), np.array(eps)  # the separable kicks' factors
     implicit = kinetic.position_dependent
     gradient, direction = model.gradient, kinetic._direction
     values = tuple(con.value for con in model.constraints)
     dv, state = point
     eps_lam = eps * state.base if not implicit and kinetic.nu == math.inf else None
-    half_kick = half * dv
+    if not implicit:
+        p = p - half * dv
     c_start = None
     count = 0
-    for _ in range(config.num_steps):
+    steps = config.num_steps
+    for k in range(1, steps + 1):
         if implicit:
             # x -> p - eps/2 (dV + grad_q(state, x)) at the step's fixed q
             kick = kinetic._force_map(state, p - half_eps * (dv + state.dlogdet), -half_eps)
             p = _solve(kick, kick(p), config, "momentum")
-        else:
-            p = p - half_kick
         if eps_lam is None:
             u0, lam_p = direction(state, p)
             q_end = q + eps * u0
@@ -368,8 +370,8 @@ def _trajectory(model, kinetic, q, p, point, config):
             p = p - half_eps * (dv + kinetic.grad_q(state, p))
         else:
             dv = np.asarray(gradient(q), dtype=float)
-            half_kick = half * dv
-            p = p - half_kick
+            # an interior point's two half-kicks, end and start, as one kick
+            p = p - (full if k < steps else half) * dv
     return q, p, (dv, state), count
 
 

@@ -30,7 +30,7 @@ import numbers
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import DivergenceError, UsageError, ValidationError
 from .metric import ConstantMetric, GraphMetric, _rank1_dot
 
 __all__ = ["Kinetic", "euclidean_quadratic", "riemannian_quadratic", "student_t"]
@@ -61,6 +61,10 @@ class Kinetic:
 
     def energy(self, state, p) -> float:
         s = float(state.lam_dot(p).dot(p))
+        if s < 0.0:
+            # p.Lam p cancelled below 0, as it can on an ill-conditioned graph
+            # Lam: an energy that the sampler reads as a rejection
+            return math.inf
         if self.nu == math.inf:
             f = 0.5 * s
         else:
@@ -103,7 +107,7 @@ class Kinetic:
         def force(x):
             t = float(g_up.dot(x)) / denom
             w = lam_dot(x) - t * g_up
-            slope = 1.0 if gaussian else nu_n / (nu + float(w.dot(x)))
+            slope = 1.0 if gaussian else _t_slope(nu_n, nu + float(w.dot(x)))
             return offset + (-scale * slope * t) * hessian.dot(w)
         return force
 
@@ -123,7 +127,7 @@ class Kinetic:
             _, g_up, denom = raised(y)
             r = float(g_up.dot(p0))
             t = r / denom
-            slope = 1.0 if gaussian else nu_n / (nu_s0 - r * t)
+            slope = 1.0 if gaussian else _t_slope(nu_n, nu_s0 - r * t)
             return c + (half_s * slope) * (lam_p0 - t * g_up)
         return drift
 
@@ -145,6 +149,15 @@ class Kinetic:
         It stays because the benchmark's tracer counts its calls.
         """
         return self.field.state_at(q).lam
+
+
+def _t_slope(nu_n, d):
+    # 2 f' = (nu + n) / d of the Student-t profile at d = nu + x.Lam(y) x.
+    # In exact arithmetic d > nu; on a graph Lam it can cancel to d <= 0 when
+    # dV is large or the background near-singular, and the iterate diverges.
+    if not d > 0.0:
+        raise DivergenceError("a Student-t quadratic form cancelled to a non-positive nu + p.Lam p")
+    return nu_n / d
 
 
 def _as_field(field_or_matrix):

@@ -107,20 +107,15 @@ class ConstantMetric:
     position_dependent = False
 
     def __init__(self, lam):
-        lam, chol_lam, sigma = spd_factor(lam, "inverse metric")
+        lam, chol_lam, sigma, chol_sigma = spd_factor(lam, "inverse metric")
         # log|Sigma| = -log|Lam|
         logdet = -2.0 * float(np.sum(np.log(np.diag(chol_lam))))
-        try:
-            chol_sigma = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            # lam factors, but rounding leaves its inverse indefinite
-            raise ValidationError("inverse metric is too near singular to invert") from None
         self._set(lam, sigma, logdet, chol_sigma)
 
     @classmethod
     def from_sigma(cls, sigma) -> "ConstantMetric":
         """The field whose metric, the momentum covariance, is sigma."""
-        sigma, chol, lam = spd_factor(sigma, "background metric")
+        sigma, chol, lam, _ = spd_factor(sigma, "background metric")
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         return cls.__new__(cls)._set(lam, sigma, logdet, chol)
 

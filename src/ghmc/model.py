@@ -78,8 +78,9 @@ def as_position(q, n: int) -> np.ndarray:
 
 
 def spd_factor(mat, what: str):
-    """(symmetrized mat, its lower Cholesky factor, its symmetrized inverse);
-    raises ValidationError if not SPD."""
+    """(symmetrized mat, its lower Cholesky factor, its symmetrized inverse and
+    that inverse's lower Cholesky factor); raises ValidationError if mat is not
+    SPD, or if rounding leaves its inverse indefinite."""
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValidationError(f"{what} must have finite entries")
@@ -94,7 +95,12 @@ def spd_factor(mat, what: str):
     except np.linalg.LinAlgError:
         raise ValidationError(f"{what} must be positive-definite") from None
     inv = np.linalg.inv(mat)
-    return mat, chol, 0.5 * (inv + inv.T)
+    inv = 0.5 * (inv + inv.T)
+    try:
+        chol_inv = np.linalg.cholesky(inv)
+    except np.linalg.LinAlgError:
+        raise ValidationError(f"{what} is too near singular to invert") from None
+    return mat, chol, inv, chol_inv
 
 
 def potential_eval(model: TargetModel, q) -> float:
@@ -192,7 +198,7 @@ def _mvn(mean=None, cov=None) -> TargetModel:
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     if not np.all(np.isfinite(mean)):
         raise ValidationError("mvn mean must have finite entries")
-    cov, _, prec = spd_factor(cov, "mvn covariance")
+    cov, _, prec, _ = spd_factor(cov, "mvn covariance")
     n = mean.size
     if cov.shape != (n, n):
         raise ValidationError("mvn mean and covariance sizes do not match")
@@ -250,13 +256,21 @@ def _funnel(n: int = 2) -> TargetModel:
     """
     n = _dimension(n, 2)
 
+    def exp_neg(v):
+        # exp(-v), inf where it overflows (v < -709), so that a trajectory
+        # that goes there diverges
+        try:
+            return math.exp(-v)
+        except OverflowError:
+            return math.inf
+
     def pot(q):
         v = q[0]
-        return v * v / 18.0 + 0.5 * (n - 1) * v + 0.5 * math.exp(-v) * float(q[1:].dot(q[1:]))
+        return v * v / 18.0 + 0.5 * (n - 1) * v + 0.5 * exp_neg(v) * float(q[1:].dot(q[1:]))
 
     def grad(q):
         v = q[0]
-        ev = math.exp(-v)
+        ev = exp_neg(v)
         g = np.empty(n)
         g[0] = v / 9.0 + 0.5 * (n - 1) - 0.5 * ev * float(q[1:].dot(q[1:]))
         g[1:] = ev * q[1:]
@@ -264,7 +278,7 @@ def _funnel(n: int = 2) -> TargetModel:
 
     def hess(q):
         v = q[0]
-        ev = math.exp(-v)
+        ev = exp_neg(v)
         h = np.zeros((n, n))
         h[0, 0] = 1.0 / 9.0 + 0.5 * ev * float(q[1:].dot(q[1:]))
         h[0, 1:] = -ev * q[1:]

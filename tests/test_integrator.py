@@ -233,8 +233,10 @@ def test_integrate_unconstrained_harmonic():
     traj = integrate(model, kin, start, cfg)
     assert traj.reflection_count == 0
     end, energies = _energy_trace(model, kin, start, cfg)
-    np.testing.assert_array_equal(end.q, traj.state.q)
-    assert end.energy == traj.state.energy
+    # a trajectory merges the half-kicks that chained steps take apart:
+    # (p - h) - h and p - 2h differ in the last bits only
+    np.testing.assert_allclose(end.q, traj.state.q, rtol=0.0, atol=1e-14)
+    assert end.energy == pytest.approx(traj.state.energy, rel=0.0, abs=1e-14)
     assert np.max(np.abs(energies - energies[0])) < 5e-3
     # closed-form rotation of the harmonic oscillator as an oracle
     t = 0.1 * 20
@@ -298,16 +300,42 @@ _CHAINED_STEPS = {
 def test_integrate_equals_chained_single_steps(case, steps):
     # one loop serves both: k steps of integrate, which carries each step's
     # end point and constraint scan into the next, are k one-step calls that
-    # evaluate their start afresh, bit for bit
+    # evaluate their start afresh, as generalized_leapfrog_step does.  A graph
+    # trajectory is its chained steps bit for bit.  A constant-field one
+    # merges the two half-kicks at each interior point, which chained steps
+    # take apart, so it agrees to rounding, with the same reflections.
     model, kin, q0, p0, eps = _CHAINED_STEPS[case]
     traj = integrate(model, kin, PhaseState(q0, p0), IntegratorConfig(eps, steps))
-    q, p = q0, p0
+    q, p, count = q0, p0, 0
     for _ in range(steps):
-        q, p = generalized_leapfrog_step(model, kin, q, p, eps)
-    np.testing.assert_array_equal(q, traj.state.q)
-    np.testing.assert_array_equal(p, traj.state.p)
+        end = integrate(model, kin, PhaseState(q, p), IntegratorConfig(eps, 1))
+        q, p, count = end.state.q, end.state.p, count + end.reflection_count
+    assert count == traj.reflection_count
+    if kin.position_dependent:
+        np.testing.assert_array_equal(q, traj.state.q)
+        np.testing.assert_array_equal(p, traj.state.p)
+    else:
+        np.testing.assert_allclose(q, traj.state.q, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(p, traj.state.p, rtol=0.0, atol=1e-14)
     if steps == 9 and not kin.position_dependent:
         assert traj.reflection_count >= 1
+
+
+@pytest.mark.parametrize("steps", [1, 4, 9])
+def test_a_separable_trajectory_is_the_merged_leapfrog(steps):
+    # the textbook leapfrog, written out: a half-kick, then drifts and full
+    # kicks in turn, then a closing half-kick; integrate gives its bits
+    model = builtin_target("mvn", mean=[0.2, -0.1], cov=[[1.0, 0.6], [0.6, 0.5]])
+    lam = np.array([[1.5, 0.3], [0.3, 0.8]])
+    q0, p0, eps = np.array([0.7, -0.4]), np.array([0.5, 1.2]), 0.3
+    traj = integrate(model, euclidean_quadratic(lam), PhaseState(q0, p0),
+                     IntegratorConfig(eps, steps))
+    q, p = q0, p0 - 0.5 * eps * model.gradient(q0)
+    for k in range(steps):
+        q = q + (eps * lam).dot(p)
+        p = p - (eps if k < steps - 1 else 0.5 * eps) * model.gradient(q)
+    np.testing.assert_array_equal(q, traj.state.q)
+    np.testing.assert_array_equal(p, traj.state.p)
 
 
 @pytest.mark.parametrize("case", ["unconstrained", "reflective"])

@@ -149,6 +149,18 @@ def test_a_near_singular_inverse_metric_is_refused():
         ConstantMetric(np.outer(v, v) + 1e-15 * np.eye(3))
 
 
+@pytest.mark.parametrize("build", [
+    lambda cov: builtin_target("mvn", mean=np.zeros(3), cov=cov),
+    ConstantMetric.from_sigma,
+], ids=["mvn", "from_sigma"])
+def test_a_near_singular_covariance_is_refused(build):
+    # the covariance factors, but its inverse does not: a precision or a lam
+    # with a negative eigenvalue, and an mvn potential unbounded below
+    v = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ValidationError, match="is too near singular to invert"):
+        build(np.outer(v, v) + 1e-15 * np.eye(3))
+
+
 def test_symmetry_is_judged_at_the_scale_of_the_entries():
     # rounding in a product with entries of order 1e5 is far above 1e-12,
     # which once refused this symmetric matrix; an asymmetric one still fails.

@@ -11,7 +11,7 @@ import ghmc.sampler
 from ghmc.errors import UsageError
 from ghmc.integrator import IntegratorConfig, PhaseState, integrate
 from ghmc.kinetic import euclidean_quadratic, riemannian_quadratic, student_t
-from ghmc.metric import GraphMetric
+from ghmc.metric import ConstantMetric, GraphMetric
 from ghmc.model import TargetModel, builtin_target
 from ghmc.sampler import ChainConfig, effective_sample_size, hmc_transition, run_chain
 
@@ -121,6 +121,47 @@ def test_a_gradient_that_is_nan_past_the_wall_is_a_divergence(make):
                         _config(seed=3, num_samples=500, eps=0.3, steps=10, jitter=True))
     assert res.divergence_count > 0
     assert np.all(res.samples[:, 0] > 0.0)
+
+
+def _funnel_overflow():
+    # exp(-q1) overflows once a trajectory reaches q1 < -709
+    model = builtin_target("funnel", n=2)
+    return model, euclidean_quadratic(np.eye(2)), _config(seed=1, num_samples=200, eps=1.5,
+                                                          steps=10)
+
+
+def _banana_graph_drift():
+    # nu + p.Lam(y) p cancels to 0 in a Student-t graph drift iterate
+    model = builtin_target("banana", a=-0.17297181360891345, b=1.3819167333878122)
+    background = ConstantMetric.from_sigma([[0.17412747960131061, -0.08416831565390354],
+                                            [-0.08416831565390354, 0.04068459401043915]])
+    kin = student_t(GraphMetric(model, background), nu=0.1949131206103205)
+    return model, kin, _config(seed=630, num_samples=20, warmup=5, eps=0.12725639947445205,
+                               steps=13)
+
+
+def _mvn_graph_energy():
+    # p.Lam p cancels below 0 at a trajectory's end, on a covariance whose
+    # condition number is 1.2e12
+    model = builtin_target("mvn", mean=[-0.6603231564190221, -1.0513811966960376],
+                           cov=[[0.29627009382641367, -0.0640102857731516],
+                                [-0.0640102857731516, 0.013829666814907183]])
+    kin = student_t(GraphMetric(model), nu=5.557689716730076)
+    return model, kin, _config(seed=862, num_samples=20, warmup=5, eps=0.08546845658436934,
+                               steps=6, jitter=True)
+
+
+@pytest.mark.parametrize("case", [_funnel_overflow, _banana_graph_drift, _mvn_graph_energy],
+                         ids=["funnel-overflow", "graph-drift-cancels", "graph-energy-cancels"])
+def test_a_numerical_escape_inside_a_trajectory_is_a_divergence(case):
+    # each case once ended run_chain with an exception that is not a
+    # divergence: OverflowError, ZeroDivisionError and a log1p ValueError
+    model, kin, cfg = case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_chain(model, kin, cfg)
+    assert res.divergence_count > 0
+    assert np.isfinite(res.samples).all()
 
 
 def test_a_gradient_that_raises_past_the_wall_ends_the_chain():
