@@ -23,7 +23,10 @@ drift ends with some C <= 0, a bracketed secant search (Illinois regula
 falsi) finds the earliest crossing, aiming at the middle of the band
 0 < C <= 1e-10, the momentum reflects through Delta p = -2 (n, p)_Lam n with
 n the unit constraint normal under (a, b)_Lam = a.Lam b, and the drift goes
-on over what remains of the step.  Aiming at one level set inside the band,
+on over what remains of the step.  On a constant field a drift runs along
+Lam p at the speed factor 2 f'(p.Lam p) of the kinetic's profile; a
+reflection conserves p.Lam p, so a step reads that factor once and keeps it
+through every wall it meets.  Aiming at one level set inside the band,
 not at the root, lands on a linear wall at the same place on the way out and
 on the way back, which keeps the reflective step reversible.  The reflection
 conserves every kinetic energy built on p.Lam p exactly.  A NaN constraint
@@ -255,28 +258,33 @@ def _find_crossing(c_fun, s_hi, c_lo, c_hi):
 def _reflect(model, q0, p0, u0, s_end, c_start, c_end, state):
     # The constant-field drift segment q0 -> q0 + s_end u0 has an end scan
     # c_end with some C <= 0: find its earliest crossing, ties broken by
-    # constraint index, and reflect p0 there.  probes keeps the drift's q at
-    # each s that a search tries, and the landing q is the probe that the
-    # search returns (q0 at s = 0).  c_start holds the constraint values at
-    # q0 when a scan has read them, and state is the field's one state, whose
-    # operator gives the reflection Lam dc.  Returns the landing q, the
-    # reflected p and the s advanced.
-    probes = {0.0: q0}
+    # constraint index, and reflect p0 there: the searches run in index
+    # order, and a later one replaces the earliest only when strictly
+    # earlier.  The landing q is the probe that the search returns (q0 at
+    # s = 0), the last with C > 0, since each such probe moves the search's
+    # feasible end.  c_start holds the constraint values at q0 when a scan has
+    # read them, and state is the field's one state, whose operator gives the
+    # reflection Lam dc.  Returns the landing q, the reflected p and the s
+    # advanced.
+    value = landing = None
 
-    def c_at(s, value):
-        y = probes[s] = q0 + s * u0
-        return float(value(y))
+    def c_at(s):
+        nonlocal landing
+        y = q0 + s * u0
+        c = float(value(y))
+        if c > 0.0:
+            landing = y
+        return c
 
-    hits = []
+    s_hit = math.inf
     for k, c_k in enumerate(c_end):
         if not c_k > 0.0:
-            value = model.constraints[k].value
+            value, landing = model.constraints[k].value, q0
             c_0 = float(value(q0)) if c_start is None else c_start[k]
-            s_k = _find_crossing(lambda s, v=value: c_at(s, v), s_end, c_0, c_k)
-            hits.append((s_k, k))
-    s_hit, k = min(hits)
-    q = probes[s_hit]
-    dc = np.asarray(model.constraints[k].grad(q), dtype=float)
+            s_k = _find_crossing(c_at, s_end, c_0, c_k)
+            if s_k < s_hit:
+                s_hit, q, hit = s_k, landing, k
+    dc = np.asarray(model.constraints[hit].grad(q), dtype=float)
     return q, _mirror(p0, dc, state.lam_dot(dc)), s_hit
 
 
@@ -293,9 +301,14 @@ def _trajectory(model, kinetic, q, p, point, config):
     #   the start half-kick of the next are one kick by eps dV at the point
     #   between them, and the field's one state serves every point, a
     #   reflection's landing point included, so no state is built;
+    # - on a constant field a drift moves along Lam p at one speed 2 f'
+    #   (p.Lam p), read once per step from one _direction call (1 for the
+    #   Gaussian profile) and kept through the step's reflections, which
+    #   conserve p.Lam p: the drift is q + (eps 2f') Lam p, and u0 = 2f' Lam p
+    #   is formed only when a reflection needs it;
     # - on a graph field the kick and each drift are fixed-point solves of
-    #   the kinetic's force and drift maps, and u0 = grad_p and the lam p its
-    #   drift iterates share come from one _direction call;
+    #   the kinetic's force and drift maps, and u0 = 2f' Lam(q) p and the
+    #   lam p its drift iterates share come from one _direction call;
     # - a step drifts over the whole step first, and only an end scan with
     #   some C <= 0 goes on: to a divergence on a graph field, else to
     #   _reflect and a drift over what remains; a reflection lands on a
@@ -314,6 +327,7 @@ def _trajectory(model, kinetic, q, p, point, config):
     values = tuple(con.value for con in model.constraints)
     dv, state = point
     eps_lam = eps * state.base if not implicit and kinetic.nu == math.inf else None
+    slope, lam_p = 1.0, None  # the Gaussian speed factor; Lam p is not kept
     if not implicit:
         p = p - half * dv
     c_start = None
@@ -324,15 +338,18 @@ def _trajectory(model, kinetic, q, p, point, config):
             # x -> p - eps/2 (dV + grad_q(state, x)) at the step's fixed q
             kick = kinetic._force_map(state, p - half_eps * (dv + state.dlogdet), -half_eps)
             p = _solve(kick, kick(p), config, "momentum")
-        if eps_lam is None:
-            u0, lam_p = direction(state, p)
-            q_end = q + eps * u0
-            if implicit:
-                drift = kinetic._drift_map(q, p, u0, lam_p, eps)
-                q_end = _solve(drift, q_end, config, "position")
-        else:
-            # u0 = Lam p is formed only when a reflection needs it
+        if eps_lam is not None:
             u0, q_end = None, q + eps_lam.dot(p)
+        elif implicit:
+            slope, w, lam_p = direction(state, p)
+            u0 = slope * w
+            drift = kinetic._drift_map(q, p, u0, lam_p, eps)
+            q_end = _solve(drift, q + eps * u0, config, "position")
+        else:
+            # the step's one speed factor 2 f'; u0 = slope Lam p is formed
+            # only when a reflection needs it
+            slope, lam_p, _ = direction(state, p)
+            u0, q_end = None, q + (eps * slope) * lam_p
         remaining, reflections = eps, 0
         while True:
             # a finite q.q shows every entry finite; only when it is not
@@ -357,11 +374,13 @@ def _trajectory(model, kinetic, q, p, point, config):
                 raise DivergenceError(
                     f"more than {_REFLECTION_MAX_EVENTS} reflections in one step"
                 )
-            u0 = state.base_dot(p) if u0 is None else u0
+            if u0 is None:
+                u0 = slope * (state.base_dot(p) if lam_p is None else lam_p)
             q, p, s_hit = _reflect(model, q, p, u0, remaining, c_start, c_end, state)
             c_start = None
             remaining -= s_hit
-            u0, _ = direction(state, p)
+            # a reflection conserves p.Lam p, so the drift keeps its speed
+            u0 = slope * state.base_dot(p)
             q_end = q + remaining * u0
         count += reflections
         q = q_end

@@ -21,8 +21,9 @@ arrays: grad_q is it with the log-determinant term as offset and scale 1,
 and the integrator's implicit kick iterates it with offset a, scale -eps/2.
 The implicit drift iterates ``_drift_map``, a closure y -> c + s/2 grad_p(y, p0)
 that reads the field's raised gradient at y and scalars of the segment's
-lam p0, and ``_direction`` gives a segment's u0 = grad_p(q0, p0) with that
-lam p0, so every use of f' stays in this module.
+lam p0, and ``_direction`` gives a segment's 2 f' and Lam(q0) p0, whose
+product is u0 = grad_p(q0, p0), with that lam p0, so every use of f' stays in
+this module.
 """
 
 import math
@@ -76,14 +77,15 @@ class Kinetic:
         return self._slope(p, w) * w
 
     def _direction(self, state, p):
-        # (grad_p(state, p), lam p): a drift segment's direction u0 and, on a
-        # graph state, the background product lam p = base p that the drift's
-        # iterates share; None on a constant state
+        # (2 f', w, lam p) at a drift segment's start: its direction
+        # u0 = grad_p(state, p) is 2 f' w with w = Lam(q) p, and lam p = base p
+        # is the background product that a graph drift's iterates share, w
+        # itself on a constant state
         lam_p = state.base_dot(p)
         if state.grad_up is None:
-            return self._slope(p, lam_p) * lam_p, None
+            return self._slope(p, lam_p), lam_p, lam_p
         w = _rank1_dot(lam_p, state.grad_up, state.denom, p)
-        return self._slope(p, w) * w, lam_p
+        return self._slope(p, w), w, lam_p
 
     def grad_q(self, state, p) -> np.ndarray:
         # on the graph field, in O(n^2): the p-dependent part f' ds/dq plus

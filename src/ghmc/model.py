@@ -80,7 +80,7 @@ def as_position(q, n: int) -> np.ndarray:
 def spd_factor(mat, what: str):
     """(symmetrized mat, its lower Cholesky factor, its symmetrized inverse and
     that inverse's lower Cholesky factor); raises ValidationError if mat is not
-    SPD, or if rounding leaves its inverse indefinite."""
+    SPD, or if rounding leaves it singular or its inverse indefinite."""
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValidationError(f"{what} must have finite entries")
@@ -94,9 +94,9 @@ def spd_factor(mat, what: str):
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         raise ValidationError(f"{what} must be positive-definite") from None
-    inv = np.linalg.inv(mat)
-    inv = 0.5 * (inv + inv.T)
     try:
+        inv = np.linalg.inv(mat)
+        inv = 0.5 * (inv + inv.T)
         chol_inv = np.linalg.cholesky(inv)
     except np.linalg.LinAlgError:
         raise ValidationError(f"{what} is too near singular to invert") from None

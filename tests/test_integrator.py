@@ -321,21 +321,47 @@ def test_integrate_equals_chained_single_steps(case, steps):
         assert traj.reflection_count >= 1
 
 
-@pytest.mark.parametrize("steps", [1, 4, 9])
-def test_a_separable_trajectory_is_the_merged_leapfrog(steps):
+@pytest.mark.parametrize("steps, nu", [(1, math.inf), (4, math.inf), (9, math.inf),
+                                       (1, 5.0), (4, 5.0), (9, 5.0)],
+                         ids=["1", "4", "9", "student_t-1", "student_t-4", "student_t-9"])
+def test_a_separable_trajectory_is_the_merged_leapfrog(steps, nu):
     # the textbook leapfrog, written out: a half-kick, then drifts and full
-    # kicks in turn, then a closing half-kick; integrate gives its bits
+    # kicks in turn, then a closing half-kick; integrate gives its bits.  A
+    # Student-t drift moves along lam p by one scaled product, at the speed
+    # 2 f' = (nu + n) / (nu + p.lam p)
     model = builtin_target("mvn", mean=[0.2, -0.1], cov=[[1.0, 0.6], [0.6, 0.5]])
     lam = np.array([[1.5, 0.3], [0.3, 0.8]])
     q0, p0, eps = np.array([0.7, -0.4]), np.array([0.5, 1.2]), 0.3
-    traj = integrate(model, euclidean_quadratic(lam), PhaseState(q0, p0),
+    traj = integrate(model, Kinetic(ConstantMetric(lam), nu), PhaseState(q0, p0),
                      IntegratorConfig(eps, steps))
     q, p = q0, p0 - 0.5 * eps * model.gradient(q0)
     for k in range(steps):
-        q = q + (eps * lam).dot(p)
+        if nu == math.inf:
+            q = q + (eps * lam).dot(p)
+        else:
+            lam_p = lam.dot(p)
+            slope = (nu + 2) / (nu + float(lam_p.dot(p)))
+            q = q + (eps * slope) * lam_p
         p = p - (eps if k < steps - 1 else 0.5 * eps) * model.gradient(q)
     np.testing.assert_array_equal(q, traj.state.q)
     np.testing.assert_array_equal(p, traj.state.p)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_a_constant_field_reads_its_drift_speed_once_per_step(steps):
+    # from the orthant corner, the first step meets two walls: the speed
+    # 2 f' read at the step's start is kept through both reflections, which
+    # conserve p.Lam p, so the kinetic is asked once per step
+    model, shared, q0, p0, _ = _CHAINED_STEPS["student-t-orthant"]
+    kin = Kinetic(shared.field, shared.nu)  # a copy whose calls are counted
+    read, calls = kin._direction, []
+    kin._direction = lambda state, p: calls.append(p) or read(state, p)
+    first = integrate(model, kin, PhaseState(q0, p0), IntegratorConfig(0.6, 1))
+    assert first.reflection_count >= 2
+    calls.clear()
+    traj = integrate(model, kin, PhaseState(q0, p0), IntegratorConfig(0.6, steps))
+    assert traj.reflection_count >= 2
+    assert len(calls) == steps
 
 
 @pytest.mark.parametrize("case", ["unconstrained", "reflective"])

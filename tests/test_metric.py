@@ -161,6 +161,19 @@ def test_a_near_singular_covariance_is_refused(build):
         build(np.outer(v, v) + 1e-15 * np.eye(3))
 
 
+@pytest.mark.parametrize("build", [
+    ConstantMetric,
+    ConstantMetric.from_sigma,
+    lambda cov: builtin_target("mvn", mean=np.zeros(3), cov=cov),
+], ids=["lam", "from_sigma", "mvn"])
+def test_a_matrix_that_factors_but_does_not_invert_is_refused(build):
+    # Cholesky accepts vv' + 1e-16 I, but inverting it raises numpy's
+    # LinAlgError: a refusal when it is built, not an escaped error
+    v = np.array([-2.03126901304909, 0.5409699634514118, 0.8282644598468853])
+    with pytest.raises(ValidationError, match="is too near singular to invert"):
+        build(np.outer(v, v) + 1e-16 * np.eye(3))
+
+
 def test_symmetry_is_judged_at_the_scale_of_the_entries():
     # rounding in a product with entries of order 1e5 is far above 1e-12,
     # which once refused this symmetric matrix; an asymmetric one still fails.

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import ghmc.sampler
-from ghmc.errors import UsageError
+from ghmc.errors import GhmcError, UsageError
 from ghmc.integrator import IntegratorConfig, PhaseState, integrate
 from ghmc.kinetic import euclidean_quadratic, riemannian_quadratic, student_t
 from ghmc.metric import ConstantMetric, GraphMetric
-from ghmc.model import TargetModel, builtin_target
+from ghmc.model import TargetModel, builtin_target, potential_eval
 from ghmc.sampler import ChainConfig, effective_sample_size, hmc_transition, run_chain
 
 
@@ -164,6 +164,94 @@ def test_a_numerical_escape_inside_a_trajectory_is_a_divergence(case):
     assert np.isfinite(res.samples).all()
 
 
+def _random_spd(rng, n):
+    # I, a random SPD matrix, a near-rank-1 vv' + 10^-(3..17) I, or a
+    # diagonal with entries 10^(-6..6)
+    kind = rng.integers(4)
+    if kind == 0:
+        return np.eye(n)
+    if kind == 1:
+        a = rng.standard_normal((n, n))
+        return a @ a.T + 0.1 * np.eye(n)
+    if kind == 2:
+        v = rng.standard_normal(n)
+        return np.outer(v, v) + 10.0 ** -rng.uniform(3.0, 17.0) * np.eye(n)
+    return np.diag(10.0 ** rng.uniform(-6.0, 6.0, n))
+
+
+def _fuzz_case(rng):
+    # a random (model, kinetic, chain config, initial point) over the
+    # catalog and the four kinetic families, as a builder that may refuse it
+    # with a GhmcError, and a description that reproduces it
+    name = str(rng.choice(["std_gaussian", "mvn", "banana", "funnel", "halfspace_gaussian"]))
+    initial = None
+    if name == "std_gaussian":
+        params = {"n": int(rng.integers(1, 6))}
+    elif name == "mvn":
+        n = int(rng.integers(1, 6))
+        params = {"mean": rng.standard_normal(n), "cov": _random_spd(rng, n)}
+    elif name == "banana":
+        params = {"a": float(rng.standard_normal()), "b": float(10.0 ** rng.uniform(-1.0, 2.0))}
+    elif name == "funnel":
+        params = {"n": int(rng.integers(2, 6))}
+    else:
+        n = int(rng.integers(1, 5))
+        walls = [(rng.standard_normal(n), float(rng.uniform(0.05, 2.0)))
+                 for _ in range(int(rng.integers(1, 4)))]
+        params, initial = {"n": n, "constraints": walls}, np.zeros(n)
+    family = int(rng.integers(4))  # Euclidean, Student-t, Gaussian graph, Student-t graph
+    nu = float(10.0 ** rng.uniform(-1.0, 2.0))
+    as_sigma = bool(rng.integers(2))
+    eps = float(10.0 ** rng.uniform(-3.0, math.log10(3.0)))
+    steps, jitter, seed = int(rng.integers(1, 15)), bool(rng.integers(2)), int(rng.integers(1000))
+    matrix_seed = int(rng.integers(2**31))
+
+    def build():
+        model = builtin_target(name, **params)
+        matrix = _random_spd(np.random.default_rng(matrix_seed), model.n)
+        field = ConstantMetric.from_sigma(matrix) if as_sigma else ConstantMetric(matrix)
+        if family >= 2:
+            field = GraphMetric(model, field)
+        kin = riemannian_quadratic(field) if family % 2 == 0 else student_t(field, nu=nu)
+        return model, kin, _config(seed=seed, num_samples=20, warmup=5, eps=eps, steps=steps,
+                                   jitter=jitter)
+
+    text = (f"{name} {params}, family {family}, nu {nu!r}, sigma {as_sigma}, matrix seed "
+            f"{matrix_seed}, eps {eps!r}, {steps} steps, jitter {jitter}, seed {seed}")
+    return build, initial, text
+
+
+def _run_fuzz_case(case):
+    # None when the case is refused when built, else the chain, which must
+    # raise nothing, warn nothing and keep only finite, feasible samples
+    build, initial, text = case
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                model, kin, cfg = build()
+            except GhmcError:
+                return None
+            res = run_chain(model, kin, cfg, initial=initial)
+    except Exception as exc:
+        raise AssertionError(f"{text}: {exc!r}") from exc
+    assert np.isfinite(res.samples).all(), text
+    assert all(math.isfinite(potential_eval(model, q)) for q in res.samples), text
+    return res
+
+
+def test_random_combinations_are_refused_when_built_or_run_cleanly():
+    # a seeded fuzz over targets, kinetic families, metrics and chain
+    # settings: every combination that builds samples without an exception
+    # that is not a divergence, without a warning and without an infeasible
+    # sample.  A wider sweep runs the same cases from other seeds.
+    rng = np.random.default_rng(2024)
+    results = [_run_fuzz_case(_fuzz_case(rng)) for _ in range(300)]
+    built = [res for res in results if res is not None]
+    assert 150 <= len(built) < len(results)
+    assert any(res.divergence_count > 0 for res in built)
+
+
 def test_a_gradient_that_raises_past_the_wall_ends_the_chain():
     # the model contract: an exception from the gradient is not caught, so a
     # gradient such as log(q1)'s, which raises past the wall, ends the chain
@@ -311,12 +399,15 @@ def test_warmup_is_discarded():
 
 
 _HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
+_TILT = np.array([0.6, 0.8])  # the unit normal of the tilted wall _TILT.q > 0
+_TILTED_LAM = np.array([[1.5, 0.3], [0.3, 0.8]])
 
 
 @pytest.mark.parametrize(
     "variant",
     ["euclidean", "student_t", "graph", "student_t-graph", "euclidean-orthant",
-     "student_t-orthant", "graph-funnel", "student_t-graph-funnel"],
+     "student_t-orthant", "graph-funnel", "student_t-graph-funnel", "euclidean-tilted",
+     "student_t-tilted"],
 )
 def test_stationarity_of_one_transition(variant):
     # chains started at exact draws stay distributed like the target; a
@@ -325,32 +416,44 @@ def test_stationarity_of_one_transition(variant):
     # and a step near a corner can reflect off several walls.  On funnel n=2,
     # whose Hessian moves with q, the exact draws are q1 = 3 z1 and
     # q2 = exp(1.5 z1) z2, and the checks read the standardized pair
-    # (q1 / 3, q2 exp(-q1 / 2)), which is N(0, I)
+    # (q1 / 3, q2 exp(-q1 / 2)), which is N(0, I).  Behind the tilted wall
+    # w.q > 0, w = (0.6, 0.8), a dense Lam reflects off a wall that is not a
+    # coordinate plane; the exact draws mirror z through the wall, and the
+    # checks read (w.q, w_perp.q), half-normal and N(0, 1)
     orthant = variant.endswith("-orthant")
     funnel = variant.endswith("-funnel")
+    tilted = variant.endswith("-tilted")
     n_chains = 800 if "graph" in variant else 4000
     n = 3 if orthant else 2
     if orthant:
         model = builtin_target("halfspace_gaussian", n=3, constraints=[(w, 0.0) for w in np.eye(3)])
     elif funnel:
         model = builtin_target("funnel", n=2)
+    elif tilted:
+        model = builtin_target("halfspace_gaussian", n=2, constraints=[(_TILT, 0.0)])
     else:
         model = builtin_target("std_gaussian", n=2)
     graph = GraphMetric(model)
+    lam = _TILTED_LAM if tilted else np.eye(n)
     kin = {
-        "euclidean": euclidean_quadratic(np.eye(n)),
-        "student_t": student_t(np.eye(n)),
+        "euclidean": euclidean_quadratic(lam),
+        "student_t": student_t(lam),
         "graph": riemannian_quadratic(graph),
         "student_t-graph": student_t(graph),
-    }[variant.removesuffix("-orthant").removesuffix("-funnel")]
+    }[variant.removesuffix("-orthant").removesuffix("-funnel").removesuffix("-tilted")]
     cfg = _config(num_samples=1, eps=0.25, steps=6)
     rng = np.random.default_rng(77)
     start = rng.standard_normal((n_chains, n))
     # per-coordinate mean, variance and fourth central moment of the target
+    m = _HALF_NORMAL_MEAN
+    half_normal = (m, 1.0 - m * m, 3.0 - 2.0 * m * m - 3.0 * m**4)
     if orthant:
         start = np.abs(start)
-        m = _HALF_NORMAL_MEAN
-        mean, var, mu4 = m, 1.0 - m * m, 3.0 - 2.0 * m * m - 3.0 * m**4
+        mean, var, mu4 = half_normal
+    elif tilted:
+        start = start - 2.0 * np.minimum(0.0, start.dot(_TILT))[:, None] * _TILT
+        mean, var, mu4 = (np.array([moment, normal])
+                          for moment, normal in zip(half_normal, (0.0, 1.0, 3.0)))
     else:
         mean, var, mu4 = 0.0, 1.0, 3.0
     if funnel:
@@ -358,10 +461,13 @@ def test_stationarity_of_one_transition(variant):
     out = np.array([hmc_transition(model, kin, q, cfg, rng)[0] for q in start])
     if funnel:
         out = np.column_stack([out[:, 0] / 3.0, out[:, 1] * np.exp(-0.5 * out[:, 0])])
-    assert np.max(np.abs(out.mean(axis=0) - mean)) <= 4.0 * math.sqrt(var / n_chains)
-    assert np.max(np.abs(out.var(axis=0, ddof=1) - var)) <= 4.0 * math.sqrt(
+    if tilted:
+        assert np.all(out.dot(_TILT) > 0.0)
+        out = out.dot(np.array([_TILT, [-_TILT[1], _TILT[0]]]).T)
+    assert np.all(np.abs(out.mean(axis=0) - mean) <= 4.0 * np.sqrt(var / n_chains))
+    assert np.all(np.abs(out.var(axis=0, ddof=1) - var) <= 4.0 * np.sqrt(
         (mu4 - var * var) / n_chains
-    )
+    ))
     # |q|^2 is chi-square with n degrees of freedom: mean n, variance 2n
     assert abs(np.mean(np.sum(out**2, axis=1)) - n) <= 4.0 * math.sqrt(2.0 * n / n_chains)
 
