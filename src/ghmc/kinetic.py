@@ -14,8 +14,8 @@ conditional is drawn exactly: a Gaussian, over a chi-square scale for finite nu.
 
 T depends on q only through Lam(q), so energy and both gradients take the
 field's state at q (with its Hessian, for grad_q on a moving field) and p.
-Each computes w = Lam p once, through the state's operator, and reads
-s = p.w from it.  On a graph state the position force has one home,
+Energy and grad_p compute w = Lam p once, through the state's operator, and
+read s = p.w from it.  On a graph state the position force has one home,
 ``_force_map``, a closure x -> offset + scale f'(s) ds/dq over the state's
 arrays: grad_q is it with the log-determinant term as offset and scale 1,
 and the integrator's implicit kick iterates it with offset a, scale -eps/2.
@@ -23,7 +23,9 @@ The implicit drift iterates ``_drift_map``, a closure y -> c + s/2 grad_p(y, p0)
 that reads the field's raised gradient at y and scalars of the segment's
 lam p0, and ``_direction`` gives a segment's 2 f' and Lam(q0) p0, whose
 product is u0 = grad_p(q0, p0), with that lam p0, so every use of f' stays in
-this module.
+this module.  Each map ends its iterates in one product by 2 rows of its
+own, after one product by the state's stacked [H; g] (a kick) or the raised
+gradient (a drift); each iterate is a new array.
 """
 
 import math
@@ -32,7 +34,7 @@ import numbers
 import numpy as np
 
 from .errors import DivergenceError, UsageError, ValidationError
-from .metric import ConstantMetric, GraphMetric, _rank1_dot
+from .metric import ConstantMetric, GraphMetric, _pass_through, _rank1_dot
 
 __all__ = ["Kinetic", "euclidean_quadratic", "riemannian_quadratic", "student_t"]
 
@@ -94,23 +96,32 @@ class Kinetic:
             return np.zeros(self.n)
         if state.hessian is None:
             raise UsageError("grad_q needs a metric state built with_hessian=True")
-        return self._force_map(state, state.dlogdet, 1.0)(p)
+        return self._force_map(state, state.dlogdet, 1.0)(np.asarray(p, dtype=float))
 
     def _force_map(self, state, offset, scale):
         # x -> offset + scale f'(s) ds/dq on a graph state with its Hessian,
-        # where s = x.w, ds/dq = -2 (g.w) H w and w = Lam x.  Sherman-Morrison
-        # gives g.w = t = g_up.x / denom, so w = lam x - t g_up: one lam
-        # product (none on the identity), one Hessian matvec and one dot, and
-        # a second dot for the Student-t slope.  The state's arrays and
-        # product are bound once, for a solve's iterates.
-        lam_dot, g_up, denom, hessian = state.base_dot, state.grad_up, state.denom, state.hessian
+        # where s = x.w, ds/dq = -2 (g.w) H w and w = Lam x.  With z = lam x
+        # (x on the identity, bound once) and r = g.z = g_up.x, Sherman-Morrison
+        # gives g.w = t = r / denom, H w = H z - r dlogdet and s = x.z - r t:
+        # one product by the state's stacked [H; g] into the map's row
+        # [Hz, r], a dot for the Student-t slope, and the 2-row product
+        # (k, -k r).[Hz, r; dlogdet, 0], k = -scale 2f' t, onto offset.
+        n, stacked, denom = self.n, state.stacked, state.denom
+        lam_dot = None if state.base_dot is _pass_through else state.base_dot
         gaussian, nu, nu_n = self.nu == math.inf, self.nu, self.nu + self.n
+        rows, coef = np.zeros((2, n + 1)), np.empty(2)
+        rows[1, :n] = state.dlogdet
+        hz_r = rows[0]
 
         def force(x):
-            t = float(g_up.dot(x)) / denom
-            w = lam_dot(x) - t * g_up
-            slope = 1.0 if gaussian else _t_slope(nu_n, nu + float(w.dot(x)))
-            return offset + (-scale * slope * t) * hessian.dot(w)
+            z = x if lam_dot is None else lam_dot(x)
+            stacked.dot(z, out=hz_r)
+            r = float(hz_r[n])
+            t = r / denom
+            slope = 1.0 if gaussian else _t_slope(nu_n, nu + (float(x.dot(z)) - r * t))
+            coef[0] = k = -scale * slope * t
+            coef[1] = -k * r
+            return offset + coef.dot(rows)[:n]
         return force
 
     def _drift_map(self, q0, p0, u0, lam_p0, s):
@@ -118,19 +129,26 @@ class Kinetic:
         # graph field, u0 = grad_p(q0, p0).  At y, with r = g_up.p0 and
         # t = r / denom, Lam(y) p0 = lam p0 - t g_up and p0.Lam(y) p0 = s0 - r t,
         # where c = q0 + s/2 u0 and s0 = p0.lam p0 are computed once per solve.
-        # An iterate reads the field's raised gradient at y and builds no state.
+        # An iterate reads the field's raised gradient at y, builds no state
+        # and is c + (a, -a t).[lam p0; g_up], a = s/2 2f', one 2-row product
+        # over the map's rows.
         half_s = 0.5 * s
         c = q0 + half_s * u0
         raised = self.field._raised_gradient
         gaussian, nu_n = self.nu == math.inf, self.nu + self.n
         nu_s0 = self.nu + float(lam_p0.dot(p0))
+        rows, coef = np.empty((2, self.n)), np.empty(2)
+        rows[0] = lam_p0
 
         def drift(y):
             _, g_up, denom = raised(y)
             r = float(g_up.dot(p0))
             t = r / denom
             slope = 1.0 if gaussian else _t_slope(nu_n, nu_s0 - r * t)
-            return c + (half_s * slope) * (lam_p0 - t * g_up)
+            rows[1] = g_up
+            coef[0] = a = half_s * slope
+            coef[1] = -a * t
+            return c + coef.dot(rows)
         return drift
 
     def sample_momentum(self, q, rng) -> np.ndarray:

@@ -14,15 +14,19 @@ Sherman-Morrison-Woodbury identity in O(n^2) work,
 its log-determinant from the matrix determinant lemma,
 log|Sigma(q)| = log|sigma| + log(1 + g.lam g), and its Christoffel
 coefficients from the outer product of the raised gradient with the Hessian
-of V divided by the same denominator.  Only homogeneous (position-independent)
+of V divided by the same denominator (an n^3 tensor that only ``ghmc.verify``
+forms, for its check).  Only homogeneous (position-independent)
 backgrounds are supported; for those the log|sigma| correction to the
 potential is constant and drops out of every gradient.
 
 A field's state at q is an operator: it keeps (lam, g_up = lam g, denom) and
 applies Lam(q) v = lam v - g_up (g_up.v) / denom with one matrix-vector
-product, so no n x n array is formed per position.  The dense
+product, so no n x n Lam is formed per position.  The dense
 Lam(q) is built only on request, by the dense-algebra checks.
 Since Lam g = g_up / denom, the scalar g.Lam x is g_up.x / denom.
+With its Hessian, a graph state keeps ``stacked``, the Hessian H (written
+there by its symmetrization) over the row g, so that one product by z gives
+H z and g.z, all that a kick iterate reads; ``hessian`` views the H rows.
 ``GraphMetric._raised_gradient`` gives (g, g_up, denom) at a point without a
 state, for the kinetic's drift iterates.
 
@@ -62,7 +66,8 @@ class MetricState:
     version ``grad_up``, the denominator ``denom`` = 1 + grad.grad_up >= 1
     and, on request, the Hessian of V with the momentum-independent term
     ``dlogdet`` = hessian grad_up / denom, the position gradient of
-    log|Sigma|/2.
+    log|Sigma|/2.  ``stacked`` is the Hessian over grad, an (n+1) x n array
+    whose first n rows ``hessian`` views.
     """
 
     base: np.ndarray
@@ -73,6 +78,7 @@ class MetricState:
     denom: float = 1.0
     hessian: Optional[np.ndarray] = None
     dlogdet: Optional[np.ndarray] = None
+    stacked: Optional[np.ndarray] = None
 
     def lam_dot(self, v) -> np.ndarray:
         """Lam v, in O(n^2) work and with no n x n temporary."""
@@ -193,7 +199,8 @@ class GraphMetric:
             denom=denom,
         )
         if with_hessian:
-            state.hessian = _hessian_at(self.model, q)
+            state.stacked = _hessian_at(self.model, q, g)
+            state.hessian = state.stacked[:-1]
             state.dlogdet = state.hessian.dot(g_up) / denom
         return state
 
@@ -216,8 +223,3 @@ class GraphMetric:
         """
         g = np.asarray(self.model.gradient(as_position(q, self.n)), dtype=float)
         return self.background.sample_gaussian(q, rng) + g * rng.standard_normal()
-
-    def christoffel(self, q) -> np.ndarray:
-        """Connection coefficients G[i, j, k] = grad_up[i] H[j, k] / denom."""
-        state = self.state_at(q, with_hessian=True)
-        return np.einsum("i,jk->ijk", state.grad_up / state.denom, state.hessian)

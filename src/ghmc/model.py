@@ -127,14 +127,18 @@ def potential_grad(model: TargetModel, q) -> np.ndarray:
     return np.asarray(model.gradient(q), dtype=float)
 
 
-def _hessian_at(model, q):
-    # the symmetrized Hessian of V at a q that as_position has already shaped;
-    # halving the sum in place gives the bits of 0.5 * (h + h.T) with one
-    # n x n array fewer
+def _hessian_at(model, q, grad):
+    # the symmetrized Hessian of V at a q that as_position has already shaped,
+    # over the gradient grad there: an (n + 1) x n array, the sum h + h.T
+    # written into its first n rows and halved in place (the bits of
+    # 0.5 * (h + h.T), with no n x n temporary), and grad its last row
     h = np.asarray(model.hessian(q), dtype=float)
-    s = h + h.T
-    s *= 0.5
-    return s
+    stacked = np.empty((model.n + 1, model.n))
+    hessian = stacked[:-1]
+    np.add(h, h.T, out=hessian)
+    hessian *= 0.5
+    stacked[-1] = grad
+    return stacked
 
 
 # ---------------------------------------------------------------------------

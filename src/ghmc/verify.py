@@ -293,6 +293,16 @@ def check_smw_inverse():
     return measured < 1e-10, measured, f"inverse {worst_inv:.1e}; logdet rel {worst_det:.1e}"
 
 
+def christoffel(field: GraphMetric, q) -> np.ndarray:
+    """Closed-form connection coefficients G[i, j, k] = grad_up[i] H[j, k] / denom.
+
+    An n^3 tensor, formed for this check only: the engine applies the Hessian
+    as matrix-vector products.
+    """
+    state = field.state_at(q, with_hessian=True)
+    return np.einsum("i,jk->ijk", state.grad_up / state.denom, state.hessian)
+
+
 def finite_difference_christoffel(field: GraphMetric, q) -> np.ndarray:
     """Connection coefficients from central differences of the dense metric.
 
@@ -330,7 +340,7 @@ def check_christoffel():
     worst = 0.0
     for _ in range(20):
         q = np.array([rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 3.0)])
-        gamma = field.christoffel(q)
+        gamma = christoffel(field, q)
         gamma_fd = finite_difference_christoffel(field, q)
         rel = float(np.max(np.abs(gamma - gamma_fd)) / max(np.max(np.abs(gamma)), 1e-6))
         worst = max(worst, rel)
@@ -728,8 +738,8 @@ def check_step_operations():
 
     heavy, applied, rows = 0, 0, []
     try:
-        # _hessian_at returns a plain array; watch the state's H from there
-        metric_module._hessian_at = lambda model, q: hessian_at(model, q).view(watched)
+        # _hessian_at returns a plain array, H stacked over g; watch it whole
+        metric_module._hessian_at = lambda *args: hessian_at(*args).view(watched)
         for name in linalg:
             setattr(np.linalg, name, lambda *a, fn=saved[name], name=name, **k:
                     linalg_calls.append(name) or fn(*a, **k))

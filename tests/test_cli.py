@@ -531,13 +531,11 @@ def test_the_cli_module_runs_as_a_script():
 
 
 def test_verify_detects_an_injected_christoffel_bug(monkeypatch):
-    from ghmc import metric as metric_mod
+    from ghmc import verify
     from ghmc.verify import check_christoffel
 
-    original = metric_mod.GraphMetric.christoffel
-    monkeypatch.setattr(
-        metric_mod.GraphMetric, "christoffel", lambda self, q: -original(self, q)
-    )
+    original = verify.christoffel
+    monkeypatch.setattr(verify, "christoffel", lambda field, q: -original(field, q))
     result = check_christoffel()
     assert not result.passed
     assert result.measured > 1e-2  # a sign flip is a gross error, far past tolerance
@@ -564,6 +562,26 @@ def test_verify_detects_an_injected_cubic_operation(monkeypatch, injected):
              "np-dot-hessian-lam": lambda: np.dot(h, lam),
              "np-matmul-hessian-lam-out": lambda: np.matmul(h, lam, out=np.empty_like(h)),
              }[injected]()
+        return state
+
+    monkeypatch.setattr(metric_mod.GraphMetric, "state_at", heavy)
+    result = check_step_operations()
+    assert not result.passed
+    assert result.measured >= 8  # at least one per size and kinetic
+
+
+def test_verify_detects_the_stacked_hessian_times_lam(monkeypatch):
+    # the state's H stacked over g, an (n + 1) x n array, times lam: an
+    # O(n^3) product that step-operations watches as it watches H
+    from ghmc import metric as metric_mod
+    from ghmc.verify import check_step_operations
+
+    original = metric_mod.GraphMetric.state_at
+
+    def heavy(self, q, with_hessian=False):
+        state = original(self, q, with_hessian)
+        if with_hessian:
+            state.stacked.dot(state.base)
         return state
 
     monkeypatch.setattr(metric_mod.GraphMetric, "state_at", heavy)

@@ -834,6 +834,45 @@ def _relative_error(approx, exact):
     return float(max(abs(Fraction(a) - e) for a, e in zip(approx, exact)) / scale)
 
 
+@pytest.mark.parametrize("nu", [math.inf, 4.0], ids=["gaussian", "student_t"])
+@pytest.mark.parametrize("background", ["identity", "dense"])
+def test_map_buffers_do_not_leak_between_iterates(background, nu):
+    # the kick and drift maps write their products into buffers of their
+    # own: an iterate that a map returned is unchanged by its next call, and
+    # a kick map and grad_q on one state, called in turn, return what each
+    # returns alone, bit for bit
+    n = 3
+    model = builtin_target("funnel", n=n)
+    sigma = None if background == "identity" else ConstantMetric.from_sigma(_spd(n, 4))
+    field = GraphMetric(model, sigma)
+    kin = Kinetic(field, nu=nu)
+    rng = np.random.default_rng(12)
+    q, p = rng.normal(scale=0.5, size=n), rng.normal(size=n)
+    state = field.state_at(q, with_hessian=True)
+    slope, w, lam_p = kin._direction(state, p)
+    offset = p - 0.1 * (state.grad + state.dlogdet)
+    maps = {"kick": (lambda: kin._force_map(state, offset, -0.1), p),
+            "drift": (lambda: kin._drift_map(q, p, slope * w, lam_p, 0.2), q)}
+    for name, (build, x0) in maps.items():
+        update = build()
+        xs = [x0 + rng.normal(scale=0.05, size=n) for _ in range(3)]
+        iterates = [update(x) for x in xs]
+        kept = [x.copy() for x in iterates]
+        for _ in range(2):
+            update(xs[0])
+        for got, want in zip(iterates, kept):
+            assert got.tobytes() == want.tobytes(), name
+
+    xs = [p + rng.normal(scale=0.05, size=n) for _ in range(4)]
+    kick = maps["kick"][0]()
+    kicks = [kick(x).tobytes() for x in xs]
+    forces = [kin.grad_q(state, x).tobytes() for x in xs]
+    kick = maps["kick"][0]()
+    for x, want_kick, want_force in zip(xs, kicks, forces):
+        assert kin.grad_q(state, x).tobytes() == want_force
+        assert kick(x).tobytes() == want_kick
+
+
 class _Continued(Exception):
     pass
 

@@ -11,7 +11,7 @@ from ghmc.integrator import IntegratorConfig, PhaseState, integrate
 from ghmc.kinetic import Kinetic
 from ghmc.metric import ConstantMetric, GraphMetric
 from ghmc.model import TargetModel, builtin_target, potential_grad
-from ghmc.verify import _watching, finite_difference_christoffel
+from ghmc.verify import _watching, christoffel, finite_difference_christoffel
 
 
 def _linear_model(n, g):
@@ -226,21 +226,21 @@ def test_lam_dot_applies_the_dense_inverse_metric(n):
 def test_christoffel_one_dimensional_value():
     model = builtin_target("std_gaussian", n=1)
     field = GraphMetric(model)
-    gamma = field.christoffel(np.array([1.0]))
+    gamma = christoffel(field, np.array([1.0]))
     assert gamma[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_christoffel_vanishes_where_the_gradient_does():
     model = builtin_target("banana")
     field = GraphMetric(model)
-    gamma = field.christoffel(np.array([1.0, 1.0]))
+    gamma = christoffel(field, np.array([1.0, 1.0]))
     np.testing.assert_allclose(gamma, np.zeros((2, 2, 2)), atol=1e-13)
 
 
 def test_christoffel_lower_index_symmetry():
     model = builtin_target("funnel", n=3)
     field = GraphMetric(model)
-    gamma = field.christoffel(np.array([-0.5, 0.3, 0.8]))
+    gamma = christoffel(field, np.array([-0.5, 0.3, 0.8]))
     np.testing.assert_array_equal(gamma, np.swapaxes(gamma, 1, 2))
 
 
@@ -250,7 +250,7 @@ def test_christoffel_matches_finite_difference_oracle():
     rng = np.random.default_rng(15)
     for _ in range(8):
         q = np.array([rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 3.0)])
-        gamma = field.christoffel(q)
+        gamma = christoffel(field, q)
         gamma_fd = finite_difference_christoffel(field, q)
         rel = np.max(np.abs(gamma - gamma_fd)) / max(np.max(np.abs(gamma)), 1e-6)
         assert rel < 1e-4
@@ -259,7 +259,7 @@ def test_christoffel_matches_finite_difference_oracle():
 def test_christoffel_sees_every_hessian_entry():
     model = builtin_target("banana")
     q = np.array([1.05, 1.15])  # moderate gradient, so the bump is not swamped
-    gamma_base = GraphMetric(model).christoffel(q)
+    gamma_base = christoffel(GraphMetric(model), q)
 
     def bumped_hessian(qq, base=model.hessian):
         h = np.asarray(base(qq), dtype=float).copy()
@@ -274,7 +274,7 @@ def test_christoffel_sees_every_hessian_entry():
         hessian=bumped_hessian,
         name="banana-bumped",
     )
-    gamma_bumped = GraphMetric(bumped).christoffel(q)
+    gamma_bumped = christoffel(GraphMetric(bumped), q)
     assert np.max(np.abs(gamma_bumped - gamma_base)) > 1e-3
 
 

@@ -746,3 +746,34 @@ def test_a_chain_evaluates_each_position_once(name, monkeypatch):
         assert calls["hessian"] == 1 + total_steps
     else:
         assert calls["gradient"] == 1 + total_steps
+
+
+# model calls of the seed-9 chain below: one gradient per drift iterate,
+# point and momentum draw, one Hessian per point
+_GRAPH_CHAIN_CALLS = {"gradient": 2322, "hessian": 244}
+
+
+def test_a_graph_chain_makes_a_pinned_number_of_model_calls():
+    # a fixed-seed, jittered Student-t graph chain makes the same model calls
+    # on every run; the gradient count sums the iterate counts of its
+    # position solves, so a change that moves one of them changes it, and
+    # updates this pin on purpose
+    calls = {"gradient": 0, "hessian": 0}
+    base = _chain_case("student_t-graph")[0]
+
+    def counted(key):
+        fn = getattr(base, key)
+
+        def call(q):
+            calls[key] += 1
+            return fn(q)
+
+        return call
+
+    model, kin, eps, steps, initial = _chain_case(
+        "student_t-graph", replace(base, **{key: counted(key) for key in calls}))
+    cfg = ChainConfig(seed=9, num_samples=40, warmup=5, integrator=IntegratorConfig(eps, steps),
+                      jitter_steps=True)
+    result = run_chain(model, kin, cfg, initial)
+    assert result.divergence_count == 0
+    assert calls == _GRAPH_CHAIN_CALLS
