@@ -5,10 +5,13 @@ families: the generalized leapfrog, whose first half-kick and drift are, on
 a position-dependent field, implicit equations solved by fixed-point
 iteration until successive iterates agree within ``fp_tol`` in the max norm.
 For a separable Hamiltonian they are explicit, and the step is the plain
-kick-drift-kick leapfrog; a trajectory of them runs as the textbook
-leapfrog, whose two half-kicks at each interior point are one kick by
-eps dV.  ``generalized_leapfrog_step`` is ``integrate`` with one step.  The
-step is a symmetric second-order map, hence reversible and
+kick-drift-kick leapfrog; a trajectory of them runs in units of P = p/eps,
+where the two half-kicks at each interior point are one kick P - dV.  The
+leapfrog commutes with that linear change of variables: in (q, P) it is the
+same reversible composition of shears, and H is read at both ends from
+p = eps P, so the Metropolis test stays exact for any eps, even one whose
+square is subnormal.  ``generalized_leapfrog_step`` is ``integrate`` with
+one step.  The step is a symmetric second-order map, hence reversible and
 volume-preserving, which is what the Metropolis correction in the sampler
 assumes.
 
@@ -292,105 +295,103 @@ def _trajectory(model, kinetic, q, p, point, config):
     # config.num_steps steps of implicit kick, reflective drift and explicit
     # kick from (q, p) and the point (dV, state) at q; returns the end q, p
     # and point, and the number of reflections.  The loop's invariants:
-    # - what a trajectory does not change is bound once: eps/2 and eps, as
-    #   0-d float64 arrays that NumPy multiplies into dV without converting a
-    #   Python float (same bits), eps Lam, the model's gradient, the kinetic's
-    #   direction and the constraint values;
+    # - what a trajectory does not change is bound once: eps/2, eps^2 Lam,
+    #   1/2 and eps as 0-d float64 arrays, which NumPy multiplies into an
+    #   array without converting a Python float (same bits), the model's
+    #   gradient, the kinetic's direction and the constraint values;
     # - on a constant field grad_q = 0 and grad_p does not depend on q, so
-    #   the kick and the drift are explicit, the end half-kick of a step and
-    #   the start half-kick of the next are one kick by eps dV at the point
-    #   between them, and the field's one state serves every point, a
-    #   reflection's landing point included, so no state is built;
-    # - on a constant field a drift moves along Lam p at one speed 2 f'
-    #   (p.Lam p), read once per step from one _direction call (1 for the
-    #   Gaussian profile) and kept through the step's reflections, which
-    #   conserve p.Lam p: the drift is q + (eps 2f') Lam p, and u0 = 2f' Lam p
-    #   is formed only when a reflection needs it;
+    #   the kick and the drift are explicit, and the field's one state serves
+    #   every point, a reflection's landing point included.  p holds P = p/eps
+    #   from the first kick to the last: an interior point's two half-kicks
+    #   are one kick P - dV, and a drift is q + eps^2 2f' Lam P at one speed
+    #   2 f', read once per step from eps^2 P.Lam P (1 for the Gaussian
+    #   profile) and kept through the step's reflections, which mirror P, a
+    #   linear map, and conserve P.Lam P;
     # - on a graph field the kick and each drift are fixed-point solves of
-    #   the kinetic's force and drift maps, and u0 = 2f' Lam(q) p and the
-    #   lam p its drift iterates share come from one _direction call;
-    # - a step drifts over the whole step first, and only an end scan with
-    #   some C <= 0 goes on: to a divergence on a graph field, else to
-    #   _reflect and a drift over what remains; a reflection lands on a
-    #   crossing probe and applies the field's one Lam to the normal as an
-    #   operator;
-    # - a drift's end is checked finite before its scan, and the values that
-    #   a step's end scan reads are those at the next step's start;
+    #   the kinetic's force and drift maps, a point's force map serves the
+    #   end kick there and the next step's kick, and u0 = 2f' Lam(q) p and
+    #   the lam p its drift iterates share come from one _direction call;
+    # - a drift's end is checked finite, and a step on a target without walls
+    #   does no more.  Else only an end scan with some C <= 0 goes on: to a
+    #   divergence on a graph field, else to _reflect and a drift over what
+    #   remains; a reflection lands on a crossing probe and applies the
+    #   field's one Lam to the normal as an operator.  The values that a
+    #   step's end scan reads are those at the next step's start;
     # - _find_crossing keeps s_hit below what remains of the step, so a step
     #   ends only where its end scan showed q strictly feasible, and the end
     #   kick reads dV there without a scan.
     eps = config.step_size
-    half_eps = 0.5 * eps
-    half, full = np.array(half_eps), np.array(eps)  # the separable kicks' factors
+    half_eps, eps2 = 0.5 * eps, eps * eps
+    half, full = np.array(0.5), np.array(eps)  # a separable trajectory's factors
     implicit = kinetic.position_dependent
     gradient, direction = model.gradient, kinetic._direction
     values = tuple(con.value for con in model.constraints)
     dv, state = point
-    eps_lam = eps * state.base if not implicit and kinetic.nu == math.inf else None
-    slope, lam_p = 1.0, None  # the Gaussian speed factor; Lam p is not kept
-    if not implicit:
-        p = p - half * dv
+    eps2_lam = eps2 * state.base if not implicit and kinetic.nu == math.inf else None
+    slope = 1.0  # the Gaussian speed factor
+    if implicit:
+        force, pull = kinetic._force_map(state, -half_eps), half_eps * (dv + state.dlogdet)
+    else:
+        p = p / full - half * dv
     c_start = None
     count = 0
     steps = config.num_steps
     for k in range(1, steps + 1):
         if implicit:
             # x -> p - eps/2 (dV + grad_q(state, x)) at the step's fixed q
-            kick = kinetic._force_map(state, p - half_eps * (dv + state.dlogdet), -half_eps)
-            p = _solve(kick, kick(p), config, "momentum")
-        if eps_lam is not None:
-            u0, q_end = None, q + eps_lam.dot(p)
+            offset = p - pull
+            p = _solve(lambda x: force(x, offset), force(p, offset), config, "momentum")
+        if eps2_lam is not None:
+            q_end = q + eps2_lam.dot(p)
         elif implicit:
             slope, w, lam_p = direction(state, p)
             u0 = slope * w
             drift = kinetic._drift_map(q, p, u0, lam_p, eps)
             q_end = _solve(drift, q + eps * u0, config, "position")
         else:
-            # the step's one speed factor 2 f'; u0 = slope Lam p is formed
-            # only when a reflection needs it
-            slope, lam_p, _ = direction(state, p)
-            u0, q_end = None, q + (eps * slope) * lam_p
-        remaining, reflections = eps, 0
-        while True:
-            # a finite q.q shows every entry finite; only when it is not
-            # (an entry is not finite, or the sum overflows) are the entries
-            # checked one by one
-            if not (math.isfinite(q_end.dot(q_end)) or np.isfinite(q_end).all()):
-                raise DivergenceError("non-finite position during integration")
-            if not values:
-                break
-            c_end = [float(value(q_end)) for value in values]
-            for c in c_end:
-                if not c > 0.0:
+            slope, lam_p, _ = direction(state, p, eps2)
+            q_end = q + (eps2 * slope) * lam_p
+        # a finite q.q shows every entry finite; only when it is not (an
+        # entry is not finite, or the sum overflows) are the entries checked
+        # one by one
+        if not (math.isfinite(q_end.dot(q_end)) or np.isfinite(q_end).all()):
+            raise DivergenceError("non-finite position during integration")
+        if values:
+            remaining, reflections = eps, 0
+            while True:
+                c_end = [float(value(q_end)) for value in values]
+                for c in c_end:
+                    if not c > 0.0:
+                        break
+                else:
+                    # the scan shows q_end strictly feasible: the step's drift ends
+                    c_start = c_end
                     break
-            else:
-                # the scan shows q_end strictly feasible: the step's drift ends
-                c_start = c_end
-                break
-            if implicit:
-                raise DivergenceError(_GRAPH_CROSSING)
-            reflections += 1
-            if reflections > _REFLECTION_MAX_EVENTS:
-                raise DivergenceError(
-                    f"more than {_REFLECTION_MAX_EVENTS} reflections in one step"
-                )
-            if u0 is None:
-                u0 = slope * (state.base_dot(p) if lam_p is None else lam_p)
-            q, p, s_hit = _reflect(model, q, p, u0, remaining, c_start, c_end, state)
-            c_start = None
-            remaining -= s_hit
-            # a reflection conserves p.Lam p, so the drift keeps its speed
-            u0 = slope * state.base_dot(p)
-            q_end = q + remaining * u0
-        count += reflections
+                if implicit:
+                    raise DivergenceError(_GRAPH_CROSSING)
+                reflections += 1
+                if reflections > _REFLECTION_MAX_EVENTS:
+                    raise DivergenceError(
+                        f"more than {_REFLECTION_MAX_EVENTS} reflections in one step"
+                    )
+                u0 = (eps * slope) * state.base_dot(p)
+                q, p, s_hit = _reflect(model, q, p, u0, remaining, c_start, c_end, state)
+                c_start = None
+                remaining -= s_hit
+                # a reflection conserves P.Lam P, so the drift keeps its speed
+                q_end = q + remaining * ((eps * slope) * state.base_dot(p))
+                if not (math.isfinite(q_end.dot(q_end)) or np.isfinite(q_end).all()):
+                    raise DivergenceError("non-finite position during integration")
+            count += reflections
         q = q_end
         if implicit:
             dv, state = _point(model, kinetic, q)
-            p = p - half_eps * (dv + kinetic.grad_q(state, p))
+            force, pull = kinetic._force_map(state, -half_eps), half_eps * (dv + state.dlogdet)
+            p = force(p, p - pull)
         else:
             dv = np.asarray(gradient(q), dtype=float)
             # an interior point's two half-kicks, end and start, as one kick
-            p = p - (full if k < steps else half) * dv
+            p = p - dv if k < steps else full * (p - half * dv)
     return q, p, (dv, state), count
 
 

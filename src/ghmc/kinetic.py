@@ -16,9 +16,10 @@ T depends on q only through Lam(q), so energy and both gradients take the
 field's state at q (with its Hessian, for grad_q on a moving field) and p.
 Energy and grad_p compute w = Lam p once, through the state's operator, and
 read s = p.w from it.  On a graph state the position force has one home,
-``_force_map``, a closure x -> offset + scale f'(s) ds/dq over the state's
-arrays: grad_q is it with the log-determinant term as offset and scale 1,
-and the integrator's implicit kick iterates it with offset a, scale -eps/2.
+``_force_map``, a closure x, offset -> offset + scale f'(s) ds/dq over the
+state's arrays: grad_q is it at scale 1 with the log-determinant term as
+offset, and the integrator builds one at scale -eps/2 per graph point, whose
+end kick and next implicit kick share it.
 The implicit drift iterates ``_drift_map``, a closure y -> c + s/2 grad_p(y, p0)
 that reads the field's raised gradient at y and scalars of the segment's
 lam p0, and ``_direction`` gives a segment's 2 f' and Lam(q0) p0, whose
@@ -56,11 +57,12 @@ class Kinetic:
     def position_dependent(self) -> bool:
         return self.field.position_dependent
 
-    def _slope(self, p, w) -> float:
-        # 2 f'(s) with s = p.w, the factor of w = Lam p in grad_p
+    def _slope(self, p, w, scale=1.0) -> float:
+        # 2 f'(s) with s = scale p.w, the factor of w = Lam p in grad_p; a
+        # constant-field drift in units of P = p/eps reads it at scale eps^2
         if self.nu == math.inf:
             return 1.0
-        return (self.nu + self.n) / (self.nu + float(w.dot(p)))
+        return (self.nu + self.n) / (self.nu + scale * float(w.dot(p)))
 
     def energy(self, state, p) -> float:
         s = float(state.lam_dot(p).dot(p))
@@ -78,14 +80,14 @@ class Kinetic:
         w = state.lam_dot(p)
         return self._slope(p, w) * w
 
-    def _direction(self, state, p):
+    def _direction(self, state, p, scale=1.0):
         # (2 f', w, lam p) at a drift segment's start: its direction
         # u0 = grad_p(state, p) is 2 f' w with w = Lam(q) p, and lam p = base p
         # is the background product that a graph drift's iterates share, w
-        # itself on a constant state
+        # itself on a constant state, whose 2 f' is read from scale p.w
         lam_p = state.base_dot(p)
         if state.grad_up is None:
-            return self._slope(p, lam_p), lam_p, lam_p
+            return self._slope(p, lam_p, scale), lam_p, lam_p
         w = _rank1_dot(lam_p, state.grad_up, state.denom, p)
         return self._slope(p, w), w, lam_p
 
@@ -96,16 +98,16 @@ class Kinetic:
             return np.zeros(self.n)
         if state.hessian is None:
             raise UsageError("grad_q needs a metric state built with_hessian=True")
-        return self._force_map(state, state.dlogdet, 1.0)(np.asarray(p, dtype=float))
+        return self._force_map(state, 1.0)(np.asarray(p, dtype=float), state.dlogdet)
 
-    def _force_map(self, state, offset, scale):
-        # x -> offset + scale f'(s) ds/dq on a graph state with its Hessian,
-        # where s = x.w, ds/dq = -2 (g.w) H w and w = Lam x.  With z = lam x
-        # (x on the identity, bound once) and r = g.z = g_up.x, Sherman-Morrison
-        # gives g.w = t = r / denom, H w = H z - r dlogdet and s = x.z - r t:
-        # one product by the state's stacked [H; g] into the map's row
-        # [Hz, r], a dot for the Student-t slope, and the 2-row product
-        # (k, -k r).[Hz, r; dlogdet, 0], k = -scale 2f' t, onto offset.
+    def _force_map(self, state, scale):
+        # x, offset -> offset + scale f'(s) ds/dq on a graph state with its
+        # Hessian, where s = x.w, ds/dq = -2 (g.w) H w and w = Lam x.  With
+        # z = lam x (x on the identity, bound once) and r = g.z = g_up.x,
+        # Sherman-Morrison gives g.w = t = r / denom, H w = H z - r dlogdet and
+        # s = x.z - r t: one product by the state's stacked [H; g] into the
+        # map's row [Hz, r], a dot for the Student-t slope, and the 2-row
+        # product (k, -k r).[Hz, r; dlogdet, 0], k = -scale 2f' t, onto offset.
         n, stacked, denom = self.n, state.stacked, state.denom
         lam_dot = None if state.base_dot is _pass_through else state.base_dot
         gaussian, nu, nu_n = self.nu == math.inf, self.nu, self.nu + self.n
@@ -113,7 +115,7 @@ class Kinetic:
         rows[1, :n] = state.dlogdet
         hz_r = rows[0]
 
-        def force(x):
+        def force(x, offset):
             z = x if lam_dot is None else lam_dot(x)
             stacked.dot(z, out=hz_r)
             r = float(hz_r[n])

@@ -19,7 +19,6 @@ a fixed seed), and pools the chain results into a diagnostics JSON that
 validates against the schema shipped with the package.
 """
 
-import csv
 import difflib
 import json
 import math
@@ -363,12 +362,11 @@ def load_run_spec(path) -> RunSpec:
 
 
 def _write_samples_csv(path, samples):
-    n = samples.shape[1]
+    # the bytes of csv.writer's default dialect: no float's repr holds a
+    # character that it would quote, and each row ends in \r\n
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"q{i + 1}" for i in range(n)])
-        for row in samples:
-            writer.writerow([repr(float(x)) for x in row])
+        fh.write(",".join(f"q{i + 1}" for i in range(samples.shape[1])) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in samples.tolist())
 
 
 def _chain_paths(base: str, chains: int):

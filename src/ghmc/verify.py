@@ -3,10 +3,10 @@
 Each check exercises one contract against an independent oracle: round-trip
 integration for reversibility, the trajectory in mapped coordinates for
 covariance under linear maps, finite-difference Jacobians for volume
-preservation, dense linear algebra for the rank-1 inverse and its
-log-determinant, finite-difference connection coefficients for the closed
-form, Stein's identity for the exact momentum draws, exact moments for the
-samplers, and wall-clock regressions and an operation count for the O(n^2)
+preservation and symplecticity, dense linear algebra for the rank-1 inverse
+and its log-determinant, finite-difference connection coefficients for the
+closed form, Stein's identity for the exact momentum draws, exact moments for
+the samplers, and wall-clock regressions and an operation count for the O(n^2)
 cost target.  Each check runs at its contractual sizes, written here only.  The
 CLI ``verify`` command prints these as a table; the acceptance test suite
 asserts them.
@@ -163,7 +163,7 @@ def check_reversibility():
 
 
 def _volume_error(model, kin, q, p, step_size):
-    # |det J - 1| for the Jacobian of one step at (q, p), from central
+    # (|det J - 1|, J) for the Jacobian J of one step at (q, p), from central
     # differences of +-h along each row of h I; every probe must take the
     # same branch: no wall, or the same reflections.  Implicit steps are
     # solved to 1e-14, so the differencing noise stays well below the
@@ -178,7 +178,70 @@ def _volume_error(model, kin, q, p, step_size):
     z0 = np.concatenate([q, p])
     jac = np.column_stack([(step_map(z0 + dz) - step_map(z0 - dz)) / (2.0 * h)
                            for dz in h * np.eye(2 * n)])
-    return abs(float(np.linalg.det(jac)) - 1.0)
+    return abs(float(np.linalg.det(jac)) - 1.0), jac
+
+
+def _symplectic_error(jac):
+    # max |J^T Omega J - Omega| / max(1, max|J|^2), Omega = [0, I; -I, 0]:
+    # how far one step is from keeping dq^dp.  Every kick has det J = 1,
+    # whatever its force, so at n >= 2 only this sees a force that is not
+    # a gradient.  The differencing error of J scales with its entries,
+    # which reach about 190 on the banana, hence the relative form.
+    n = len(jac) // 2
+    omega = np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
+    residual = float(np.abs(jac.T.dot(omega).dot(jac) - omega).max())
+    return residual / max(1.0, float(np.abs(jac).max()) ** 2)
+
+
+def _volume_cells():
+    # (group, wall family, (|det J - 1|, J)) for the cells that the volume
+    # and symplecticity rows read: one step at random states, explicit and
+    # implicit, and through a wall for each family, from just inside q > 1
+    # on a unit Gaussian toward the wall, so that the step and each probe
+    # reflect once.  A graph family's step there may diverge instead (see
+    # ``integrator``), and its cell reads None.
+    g2 = builtin_target("std_gaussian", n=2)
+    ke = _kinetic("euclidean", g2, np.array([[1.3, 0.4], [0.4, 0.9]]))
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        yield "explicit", None, _volume_error(g2, ke, rng.normal(size=2), rng.normal(size=2), 0.1)
+    ban = builtin_target("banana")
+    kb = _kinetic("graph", ban)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        q0 = np.array([1.0, 1.0]) + rng.normal(size=2) * np.array([0.05, 0.1])
+        p0 = rng.normal(size=2) * 0.08
+        yield "implicit", None, _volume_error(ban, kb, q0, p0, 0.01)
+    wall = builtin_target("halfspace_gaussian", n=1, constraints=[([1.0], -1.0)])
+    q0, p0 = np.array([1.05]), np.array([-1.0])
+    for family in _FAMILIES:
+        kin = _kinetic(family, wall)
+        try:
+            end = integrate(wall, kin, PhaseState(q0, p0), IntegratorConfig(0.1, 1))
+        except DivergenceError:
+            if not family.endswith("graph"):
+                raise
+            yield "walls", family, None
+            continue
+        reading = (math.inf, None)  # a step that misses the wall fails the cell
+        if end.reflection_count:
+            reading = _volume_error(wall, kin, q0, p0, 0.1)
+        yield "walls", family, reading
+
+
+def _read_volume_cells(read):
+    # (worst, detail) of read(|det J - 1|, J) over the volume cells
+    worst, walls = dict.fromkeys(("explicit", "implicit", "walls"), 0.0), []
+    for group, family, reading in _volume_cells():
+        if reading is None:
+            walls.append(f"{family} diverges")
+            continue
+        err = read(*reading)
+        worst[group] = max(worst[group], err)
+        if family is not None:
+            walls.append(f"{family} {err:.1e}")
+    detail = f"explicit {worst['explicit']:.1e}; implicit {worst['implicit']:.1e}; walls: "
+    return max(worst.values()), detail + ", ".join(walls)
 
 
 @_check("volume-preservation", "< 1e-6; at a wall, reflect or (graph) diverge")
@@ -188,40 +251,19 @@ def check_volume_preservation():
     Gaussian toward the wall, so that the step and each probe reflect once.
     A graph family's step there may diverge instead (see ``integrator``).
     """
-    g2 = builtin_target("std_gaussian", n=2)
-    ke = _kinetic("euclidean", g2, np.array([[1.3, 0.4], [0.4, 0.9]]))
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(10):
-        worst = max(
-            worst, _volume_error(g2, ke, rng.normal(size=2), rng.normal(size=2), 0.1)
-        )
-    ban = builtin_target("banana")
-    kb = _kinetic("graph", ban)
-    rng = np.random.default_rng(7)
-    worst_impl = 0.0
-    for _ in range(10):
-        q0 = np.array([1.0, 1.0]) + rng.normal(size=2) * np.array([0.05, 0.1])
-        p0 = rng.normal(size=2) * 0.08
-        worst_impl = max(worst_impl, _volume_error(ban, kb, q0, p0, 0.01))
-    wall = builtin_target("halfspace_gaussian", n=1, constraints=[([1.0], -1.0)])
-    q0, p0 = np.array([1.05]), np.array([-1.0])
-    worst_walls, cells = 0.0, []
-    for family in _FAMILIES:
-        kin = _kinetic(family, wall)
-        try:
-            end = integrate(wall, kin, PhaseState(q0, p0), IntegratorConfig(0.1, 1))
-            err = _volume_error(wall, kin, q0, p0, 0.1) if end.reflection_count else math.inf
-        except DivergenceError:
-            if not family.endswith("graph"):
-                raise
-            cells.append(f"{family} diverges")
-            continue
-        worst_walls = max(worst_walls, err)
-        cells.append(f"{family} {err:.1e}")
-    measured = max(worst, worst_impl, worst_walls)
-    detail = f"explicit {worst:.1e}; implicit {worst_impl:.1e}; walls: " + ", ".join(cells)
+    measured, detail = _read_volume_cells(lambda err, jac: err)
     return measured < 1e-6, measured, detail
+
+
+@_check("symplecticity", "<= 1e-8 relative; at a wall, reflect or (graph) diverge")
+def check_symplecticity():
+    """max |J^T Omega J - Omega| / max(1, max|J|^2) of one step on the
+    volume row's cells, from the same Jacobians: a step keeps dq^dp, not
+    only volume.  The differencing noise reads up to about 4e-10.
+    """
+    measured, detail = _read_volume_cells(
+        lambda err, jac: math.inf if jac is None else _symplectic_error(jac))
+    return measured <= 1e-8, measured, detail
 
 
 def _max_energy_drift(model, kin, q, p, eps, steps):

@@ -31,6 +31,7 @@ CRITERIA = {
     verify.check_momentum_symmetry: (12, "momentum evenness conditions", 5.0),
     verify.check_admissibility: (13, "exact momentum draws vs energy gradients", 5.0),
     verify.check_covariance: (14, "trajectories covariant under linear maps", 1.0),
+    verify.check_symplecticity: (15, "symplecticity of one step", 1.0),
 }
 
 

@@ -1,12 +1,15 @@
 """Spec files, CLI commands, output formats, and the verification gate."""
 
+import csv
 import importlib.resources
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -17,7 +20,14 @@ from ghmc.cli import main
 from ghmc.integrator import IntegratorConfig
 from ghmc.kinetic import Kinetic
 from ghmc.metric import ConstantMetric, GraphMetric
-from ghmc.runspec import SpecError, _chain_paths, _matrix, execute, parse_run_spec
+from ghmc.runspec import (
+    SpecError,
+    _chain_paths,
+    _matrix,
+    _write_samples_csv,
+    execute,
+    parse_run_spec,
+)
 
 GAUSS_SPEC = """\
 # smoke-test run
@@ -374,6 +384,19 @@ def test_non_finite_matrix_entries_are_refused_with_their_line(matrix, tmp_path,
     assert "line 8" in capsys.readouterr().err
 
 
+def test_the_samples_csv_has_the_bytes_of_csv_writer(tmp_path):
+    # the writer joins each float's repr itself, with csv.writer's bytes:
+    # a signed zero, the least subnormal, a float that repr writes with an
+    # exponent, and ones that need all 17 digits
+    samples = np.array([[-0.0, 5e-324, 1e-300], [1e16, 0.1 + 0.2, 1 / 3]])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["q1", "q2", "q3"])
+    writer.writerows([repr(float(x)) for x in row] for row in samples)
+    _write_samples_csv(tmp_path / "samples.csv", samples)
+    assert (tmp_path / "samples.csv").read_bytes() == buffer.getvalue().encode("utf-8")
+
+
 def test_multi_chain_paths_split_the_extension_not_a_directory_dot(tmp_path):
     assert _chain_paths("samples.csv", 2) == ["samples_chain0.csv", "samples_chain1.csv"]
     assert _chain_paths("samples", 2) == ["samples_chain0.csv", "samples_chain1.csv"]
@@ -588,6 +611,27 @@ def test_verify_detects_the_stacked_hessian_times_lam(monkeypatch):
     result = check_step_operations()
     assert not result.passed
     assert result.measured >= 8  # at least one per size and kinetic
+
+
+def test_verify_detects_a_force_that_is_not_a_gradient(monkeypatch):
+    # a curl added to std_gaussian's gradient: every kick keeps det J = 1
+    # whatever its force, so the volume row passes, but the step no longer
+    # keeps dq^dp, which the symplecticity row reads from the same Jacobians
+    from ghmc import verify
+
+    build = verify.builtin_target
+
+    def curled(name, **params):
+        model = build(name, **params)
+        if name != "std_gaussian":
+            return model
+        return replace(model, gradient=lambda q: np.array([q[0] + 0.3 * q[1], q[1] - 0.3 * q[0]]))
+
+    monkeypatch.setattr(verify, "builtin_target", curled)
+    assert verify.check_volume_preservation().passed
+    result = verify.check_symplecticity()
+    assert not result.passed
+    assert result.measured > 1e-2
 
 
 def test_verify_detects_an_injected_graph_metric_bug(monkeypatch):

@@ -252,6 +252,26 @@ def test_random_combinations_are_refused_when_built_or_run_cleanly():
     assert any(res.divergence_count > 0 for res in built)
 
 
+@pytest.mark.parametrize("eps", [1e-160, 1e-300], ids=["eps2-subnormal", "eps2-zero"])
+@pytest.mark.parametrize("target", ["mvn", "halfspace"])
+@pytest.mark.parametrize("nu", [math.inf, 5.0], ids=["gaussian", "student_t"])
+def test_constant_field_chains_run_cleanly_at_extreme_step_sizes(nu, target, eps):
+    # a constant field steps in units of P = p/eps: eps^2 is subnormal at
+    # 1e-160 and 0 at 1e-300, where p/eps nears overflow.  There the
+    # Student-t P.Lam P overflows too, so its steps may diverge; each chain
+    # raises nothing, warns nothing and keeps only finite, feasible samples
+    lam = np.array([[1.5, 0.3], [0.3, 0.8]])
+    if target == "mvn":
+        model = builtin_target("mvn", mean=[0.2, -0.1], cov=[[1.0, 0.6], [0.6, 0.5]])
+    else:
+        model = builtin_target("halfspace_gaussian", n=2)
+    kin = euclidean_quadratic(lam) if nu == math.inf else student_t(lam, nu)
+    cfg = ChainConfig(seed=5, num_samples=20, warmup=5, integrator=IntegratorConfig(eps, 5),
+                      jitter_steps=True)
+    case = (lambda: (model, kin, cfg), np.array([0.5, 0.3]), f"{target}, nu {nu}, eps {eps}")
+    assert _run_fuzz_case(case) is not None
+
+
 def test_a_gradient_that_raises_past_the_wall_ends_the_chain():
     # the model contract: an exception from the gradient is not caught, so a
     # gradient such as log(q1)'s, which raises past the wall, ends the chain
